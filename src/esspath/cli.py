@@ -331,9 +331,9 @@ def _emit_reports(reports: list[CheckReport], out_format: str) -> int:
 def cmd_verify(args) -> int:
     cfg = _config(args)
     _no_csv(cfg, "verify")
-    sp = _space(cfg)
     vcfg = VerifyConfig(tolerance=cfg.tolerance, max_length=cfg.max_length,
                         samples=args.samples)
+    sp = _space(cfg)
     if cfg.jobs > 1:
         sp.warm(_warm_lengths(sp, cfg), jobs=cfg.jobs)
     reports = run_suite(sp, cfg.suite, vcfg)

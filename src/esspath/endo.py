@@ -15,6 +15,16 @@ sum.  With orthonormal bases and real scalars, the pairing that identifies
 a vector with a functional is just the transpose of coefficient positions;
 block entry [i][j] means e_i (x) (dual of e_j) throughout, and no separate
 dualization object is needed.
+
+Tensor powers of B (the codomain of the coproduct, and the triple tensors of
+the comonoidality identities) are kept factored, as short sums of tensor
+products of single-grade blocks (EndoTensor).  Every product in the axioms
+is legwise, (x1 (x) x2) * (y1 (x) y2) = (x1 * y1) (x) (x2 * y2), so it is a
+batch of the same structure-constant contraction that conv_bullet makes,
+one per leg; sums of entries are only formed to read a result (norm, the
+monomial ``terms`` view, dense_blocks).  The antipode right-hand sides are
+one contraction of the dense Delta(1) against the counit pairing of the
+structure constants.
 """
 
 from __future__ import annotations
@@ -164,245 +174,310 @@ def star_endo(r: GradedEndo) -> GradedEndo:
 
 
 # ---------------------------------------------------------------------------
-# sparse tensors of endomorphisms
+# factored tensors of endomorphisms
 
 Leg = tuple[int, int, int]  # (grade, row index, column index)
+Profile = tuple[int, ...]  # one grade per leg
+
+# One leg of a batch of terms: the term matrices either dense, shape
+# (terms, d, d), or as rank-one products u v^T, a pair of (terms, d) arrays.
+LegBatch = Union[np.ndarray, tuple[np.ndarray, np.ndarray]]
+Batch = tuple[Profile, tuple[LegBatch, ...]]
+
+
+def _factors(leg: LegBatch) -> tuple[np.ndarray, ...]:
+    return leg if isinstance(leg, tuple) else (leg,)
+
+
+def _dense(leg: LegBatch) -> np.ndarray:
+    return np.einsum("ti,tj->tij", *leg) if isinstance(leg, tuple) else leg
+
+
+def _take(leg: LegBatch, idx: np.ndarray) -> LegBatch:
+    return tuple(f[idx] for f in leg) if isinstance(leg, tuple) else leg[idx]
+
+
+def _scaled(leg: LegBatch, c) -> LegBatch:
+    """The leg with term tau multiplied by c[tau], or by the scalar c."""
+    c = np.asarray(c, dtype=float)
+    if isinstance(leg, tuple):
+        return (leg[0] * c[..., None], leg[1])
+    return leg * c[..., None, None]
+
+
+def _all_pairs(c: np.ndarray) -> np.ndarray:
+    """Products of all term pairs, shape (T, S, d, d), as one batch t-major."""
+    return c.reshape(-1, *c.shape[2:])
+
+
+def _nonzero_terms(profile: Profile, legs) -> list[Batch]:
+    """The batch without its terms that have a zero leg, or no batch."""
+    live = np.ones(len(_factors(legs[0])[0]), dtype=bool)
+    for leg in legs:
+        for f in _factors(leg):
+            live &= f.reshape(len(f), -1).any(axis=1)
+    if live.all():
+        return [(profile, tuple(legs))]
+    return [(profile, tuple(_take(leg, live) for leg in legs))] if live.any() else []
+
+
+def _entries(legs) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into the dense (d1, d1, ..., dk, dk) array, and values, of
+    every nonzero entry of every term's product; repeats are not summed."""
+    count = len(_factors(legs[0])[0])
+    term = np.arange(count)
+    flat = np.zeros(count, dtype=np.int64)
+    val = np.ones(count)
+    for a in (f for leg in legs for f in _factors(leg)):
+        size = a[0].size
+        nz = np.flatnonzero(a != 0)  # term-major; a bool scan is the fast one
+        if len(nz) == count:
+            pick = nz[term]  # no factor is zero, so one entry per term
+        else:
+            per_term = np.bincount(nz // size, minlength=count)
+            reps = per_term[term]
+            src = np.repeat(np.arange(len(term)), reps)
+            within = np.arange(len(src)) - np.repeat(np.cumsum(reps) - reps, reps)
+            pick = nz[(np.cumsum(per_term) - per_term)[term[src]] + within]
+            term, flat, val = term[src], flat[src], val[src]
+        flat = flat * size + pick % size
+        val = val * a.ravel()[pick]
+    return flat, val
 
 
 class EndoTensor:
-    """Sparse tensor power of the endomorphism space.
+    """Element of a tensor power of the endomorphism space, kept factored.
 
-    Terms map leg tuples ((n1,i1,j1), ..., (nk,ik,jk)) to real coefficients;
-    a 2-leg instance is the codomain of the coproduct, 3-leg instances show
-    up in the comonoidality identities.
+    A k-leg tensor is a short sum of products x_1 (x) ... (x) x_k of
+    single-grade endomorphism blocks.  Terms come in batches of one grade
+    profile (n_1, ..., n_k), with one batch of term matrices per leg, the
+    term's coefficient carried by its first leg.  A leg batch is dense,
+    shape (terms, d, d), or rank one, u v^T given as two (terms, d) arrays;
+    the coproduct expansion makes rank-one legs, which keeps matrix units
+    at d numbers instead of d^2.  Products in the weak-bialgebra identities
+    are legwise, so the convolution product of two terms is
+    (x_1 * y_1) (x) ... (x) (x_k * y_k): one structure-constant contraction
+    per leg, batched over all term pairs, never a join over entries.
+
+    ``terms`` is the monomial view ((n1,i1,j1), ..., (nk,ik,jk)) -> coefficient
+    with the factored terms summed; ``norm``, ``len`` and ``dense_blocks``
+    are read from it.  A 2-leg instance is the codomain of the coproduct;
+    3-leg instances show up in the comonoidality identities.
+
+    No stored term has a zero factor: operations that can make one (products,
+    traces, scaling, also by underflow) drop such terms as they build the
+    batch.
     """
 
-    __slots__ = ("space", "legs", "_terms")
+    __slots__ = ("space", "legs", "_batches")
 
     def __init__(self, sp: EssentialSpace, legs: int,
                  terms: Optional[dict[tuple[Leg, ...], float]] = None):
+        """Tensor with the given monomial coefficients, one term each."""
+        rows: dict[Profile, list[tuple[tuple[Leg, ...], float]]] = {}
+        for key, c in (terms or {}).items():
+            rows.setdefault(tuple(n for n, _, _ in key), []).append((key, c))
         self.space = sp
         self.legs = legs
-        clean: dict[tuple[Leg, ...], float] = {}
-        if terms:
-            for key, c in terms.items():
-                if abs(c) > _CUT:
-                    clean[key] = float(c)
-        self._terms = clean
+        self._batches: list[Batch] = []
+        for profile, items in rows.items():
+            units = []
+            for t, n in enumerate(profile):
+                eye = np.eye(sp.grade_basis(n).dim)
+                units.append((eye[[key[t][1] for key, _ in items]],
+                              eye[[key[t][2] for key, _ in items]]))
+            units[0] = _scaled(units[0], [c for _, c in items])
+            self._batches += _nonzero_terms(profile, units)
+
+    @classmethod
+    def _of(cls, sp: EssentialSpace, legs: int, batches: list[Batch]) -> "EndoTensor":
+        out = cls.__new__(cls)
+        out.space, out.legs, out._batches = sp, legs, batches
+        return out
 
     @classmethod
     def from_graded(cls, rho: GradedEndo) -> "EndoTensor":
-        terms = {}
-        for n, mat in rho.blocks.items():
-            for i, j in zip(*np.nonzero(np.abs(mat) > _CUT)):
-                terms[((n, int(i), int(j)),)] = float(mat[i, j])
-        return cls(rho.space, 1, terms)
+        return cls._of(rho.space, 1, [((n,), (mat[None],))
+                                      for n, mat in rho.blocks.items()])
 
     def to_graded(self) -> GradedEndo:
         if self.legs != 1:
             raise InputError("only 1-leg tensors convert to GradedEndo")
         blocks: dict[int, np.ndarray] = {}
-        for ((n, i, j),), c in self._terms.items():
-            if n not in blocks:
-                d = self.space.grade_basis(n).dim
-                blocks[n] = np.zeros((d, d))
-            blocks[n][i, j] += c
+        for (n,), (x,) in self._batches:
+            block = _dense(x).sum(axis=0)
+            blocks[n] = blocks[n] + block if n in blocks else block
         return GradedEndo(self.space, blocks)
+
+    # -- monomial view ----------------------------------------------------
+
+    def _shape(self, profile: Profile) -> tuple[int, ...]:
+        return tuple(d for n in profile for d in (self.space.grade_basis(n).dim,) * 2)
+
+    def _coalesced(self) -> dict[Profile, tuple[np.ndarray, np.ndarray]]:
+        """Per profile: sorted flat dense indices and summed coefficients of
+        the entries above the cut."""
+        parts: dict[Profile, list[tuple[np.ndarray, np.ndarray]]] = {}
+        for profile, legs in self._batches:
+            parts.setdefault(profile, []).append(_entries(legs))
+        out = {}
+        for profile, got in parts.items():
+            flat, inverse = np.unique(np.concatenate([f for f, _ in got]),
+                                      return_inverse=True)
+            val = np.bincount(inverse, weights=np.concatenate([v for _, v in got]),
+                              minlength=len(flat))
+            keep = np.abs(val) > _CUT
+            if keep.any():
+                out[profile] = (flat[keep], val[keep])
+        return out
 
     @property
     def terms(self) -> dict[tuple[Leg, ...], float]:
-        return dict(self._terms)
+        out = {}
+        for profile, (flat, val) in self._coalesced().items():
+            idx = np.unravel_index(flat, self._shape(profile))
+            for k, c in enumerate(val):
+                out[tuple((n, int(idx[2 * t][k]), int(idx[2 * t + 1][k]))
+                          for t, n in enumerate(profile))] = float(c)
+        return out
+
+    def dense_blocks(self) -> dict[Profile, np.ndarray]:
+        """The monomial view as dense arrays of shape (d1, d1, d2, d2, ...),
+        one per grade profile."""
+        out = {}
+        for profile, (flat, val) in self._coalesced().items():
+            arr = np.zeros(self._shape(profile))
+            arr.flat[flat] = val
+            out[profile] = arr
+        return out
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return sum(len(val) for _, val in self._coalesced().values())
+
+    def norm(self) -> float:
+        return math.sqrt(sum(float(val @ val) for _, val in self._coalesced().values()))
+
+    # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: "EndoTensor") -> "EndoTensor":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return EndoTensor(self.space, self.legs, out)
+        return EndoTensor._of(self.space, self.legs, self._batches + other._batches)
+
+    def __neg__(self) -> "EndoTensor":
+        return EndoTensor._of(self.space, self.legs, [
+            (p, (_scaled(xs[0], -1.0),) + xs[1:]) for p, xs in self._batches])
 
     def __sub__(self, other: "EndoTensor") -> "EndoTensor":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0.0) - c
-        return EndoTensor(self.space, self.legs, out)
+        return self + -other
 
     def __mul__(self, scalar: float) -> "EndoTensor":
-        return EndoTensor(self.space, self.legs,
-                          {k: c * scalar for k, c in self._terms.items()})
+        return EndoTensor._of(self.space, self.legs, [
+            b for p, xs in self._batches
+            for b in _nonzero_terms(p, (_scaled(xs[0], scalar),) + xs[1:])])
 
     __rmul__ = __mul__
 
-    def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self._terms.values()))
-
     def tensor(self, other: "EndoTensor") -> "EndoTensor":
-        out = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
-        return EndoTensor(self.space, self.legs + other.legs, out)
+        out = []
+        for p, xs in self._batches:
+            for q, ys in other._batches:
+                nx, ny = len(_factors(xs[0])[0]), len(_factors(ys[0])[0])
+                left, right = np.repeat(np.arange(nx), ny), np.tile(np.arange(ny), nx)
+                out.append((p + q, tuple(_take(x, left) for x in xs)
+                            + tuple(_take(y, right) for y in ys)))
+        return EndoTensor._of(self.space, self.legs + other.legs, out)
 
     # -- leg operations ---------------------------------------------------
 
     def contract_counit(self, leg: int) -> "EndoTensor":
-        """Apply the counit (trace pairing: delta_ij on a monomial) to one leg."""
-        out: dict[tuple[Leg, ...], float] = {}
-        for key, c in self._terms.items():
-            n, i, j = key[leg]
-            if i != j:
-                continue
-            red = key[:leg] + key[leg + 1:]
-            out[red] = out.get(red, 0.0) + c
-        return EndoTensor(self.space, self.legs - 1, out)
+        """Apply the counit (the trace) to one leg."""
+        if self.legs < 2:
+            raise InputError("counit contraction needs at least two legs")
+        out = []
+        for p, xs in self._batches:
+            trace = np.einsum("tii->t", _dense(xs[leg]))
+            rest = xs[:leg] + xs[leg + 1:]
+            out += _nonzero_terms(p[:leg] + p[leg + 1:],
+                                  (_scaled(rest[0], trace),) + rest[1:])
+        return EndoTensor._of(self.space, self.legs - 1, out)
 
     def coproduct_leg(self, leg: int) -> "EndoTensor":
-        """Apply the composition coproduct to one leg: (n,i,j) becomes the
-        sum over I of (n,i,I) (x) (n,I,j)."""
-        out: dict[tuple[Leg, ...], float] = {}
-        for key, c in self._terms.items():
-            n, i, j = key[leg]
-            for cap in range(self.space.grade_basis(n).dim):
-                new = key[:leg] + ((n, i, cap), (n, cap, j)) + key[leg + 1:]
-                out[new] = out.get(new, 0.0) + c
-        return EndoTensor(self.space, self.legs + 1, out)
+        """Apply the composition coproduct to one leg, term by term:
+        u v^T becomes the sum over I of (u e_I^T) (x) (e_I v^T), the plain
+        expansion of e_i (x) e^j -> sum_I (e_i (x) e^I) (x) (e_I (x) e^j).
+        A dense leg is first split into its nonzero columns x[:, j] e_j^T."""
+        out = []
+        for p, xs in self._batches:
+            x = xs[leg]
+            if isinstance(x, tuple):
+                tau = np.arange(len(x[0]))
+                u, v = x
+            else:
+                tau, col = np.nonzero(x.any(axis=1))
+                u, v = x[tau, :, col], np.eye(x.shape[2])[col]
+            d = u.shape[1]
+            src = np.repeat(tau, d)
+            cap = np.tile(np.eye(d), (len(tau), 1))
+            split = ((np.repeat(u, d, axis=0), cap), (cap, np.repeat(v, d, axis=0)))
+            out.append((p[:leg] + (p[leg],) + p[leg:],
+                        tuple(_take(y, src) for y in xs[:leg]) + split
+                        + tuple(_take(y, src) for y in xs[leg + 1:])))
+        return EndoTensor._of(self.space, self.legs + 1, out)
 
     def bullet(self, other: "EndoTensor") -> "EndoTensor":
-        """Legwise convolution product of two tensors of equal leg count."""
+        """Legwise convolution product of two tensors of equal leg count:
+        (x_1 (x) ... (x) x_k) * (y_1 (x) ... (x) y_k) is
+        (x_1 * y_1) (x) ... (x) (x_k * y_k), each leg one contraction against
+        the structure constants batched over all term pairs."""
         if self.legs != other.legs:
             raise InputError("leg counts differ")
         sp = self.space
-        rows_cache: dict[tuple[int, int], tuple[dict, dict]] = {}
-
-        def rows(n, m):
-            got = rows_cache.get((n, m))
-            if got is None:
-                got = rows_cache.setdefault((n, m), sp.structure_rows(n, m))
-            return got
-
-        # bucket the right factor by its first leg, then only visit
-        # candidates whose first leg can multiply ours to something nonzero
-        buckets: dict[Leg, list[tuple[tuple[Leg, ...], float]]] = {}
-        grades0: set[int] = set()
-        for key2, c2 in other._terms.items():
-            buckets.setdefault(key2[0], []).append((key2, c2))
-            grades0.add(key2[0][0])
-
-        out: dict[tuple[Leg, ...], float] = {}
-        for key1, c1 in self._terms.items():
-            n0, i0, j0 = key1[0]
-            for m0 in grades0:
-                _, partners = rows(n0, m0)
-                for k0 in partners.get(i0, ()):
-                    for l0 in partners.get(j0, ()):
-                        for key2, c2 in buckets.get((m0, k0, l0), ()):
-                            self._accumulate_bullet(out, key1, c1, key2, c2, rows)
-        return EndoTensor(sp, self.legs, out)
-
-    @staticmethod
-    def _accumulate_bullet(out, key1, c1, key2, c2, rows):
-        partial: list[tuple[tuple[Leg, ...], float]] = [((), c1 * c2)]
-        for (n, i, j), (m, k, l) in zip(key1, key2):
-            sparse, _ = rows(n, m)
-            left = sparse.get((i, k))
-            if not left:
-                return
-            right = sparse.get((j, l))
-            if not right:
-                return
-            grade = n + m
-            options = [
-                ((grade, kk, ll), vi * vj)
-                for kk, vi in left
-                for ll, vj in right
-            ]
-            partial = [
-                (acc + (leg,), c * oc)
-                for acc, c in partial
-                for leg, oc in options
-            ]
-        for acc, c in partial:
-            out[acc] = out.get(acc, 0.0) + c
+        out = []
+        for p, xs in self._batches:
+            for q, ys in other._batches:
+                muls = [sp.structure_constants(n, m) for n, m in zip(p, q)]
+                if any(mul.shape[2] == 0 for mul in muls):
+                    continue
+                out += _nonzero_terms(tuple(n + m for n, m in zip(p, q)), [
+                    _all_pairs(np.einsum("tij,skl,ikK,jlL->tsKL", _dense(x),
+                                         _dense(y), mul, mul, optimize=True))
+                    for x, y, mul in zip(xs, ys, muls)
+                ])
+        return EndoTensor._of(sp, self.legs, out)
 
     def compose_legwise(self, other: "EndoTensor") -> "EndoTensor":
-        """Legwise composition product: matrix-unit contraction per leg."""
+        """Legwise composition product; terms of different grade profiles
+        compose to zero."""
         if self.legs != other.legs:
             raise InputError("leg counts differ")
-        buckets: dict[tuple[int, int], list[tuple[tuple[Leg, ...], float]]] = {}
-        for key2, c2 in other._terms.items():
-            n, k, _ = key2[0]
-            buckets.setdefault((n, k), []).append((key2, c2))
-        out: dict[tuple[Leg, ...], float] = {}
-        for key1, c1 in self._terms.items():
-            n0, _, j0 = key1[0]
-            for key2, c2 in buckets.get((n0, j0), ()):
-                legs_out = []
-                for (n, i, j), (m, k, l) in zip(key1, key2):
-                    if n != m or j != k:
-                        legs_out = None
-                        break
-                    legs_out.append((n, i, l))
-                if legs_out is not None:
-                    acc = tuple(legs_out)
-                    out[acc] = out.get(acc, 0.0) + c1 * c2
-        return EndoTensor(self.space, self.legs, out)
+        out = []
+        for p, xs in self._batches:
+            for q, ys in other._batches:
+                if p == q:
+                    out += _nonzero_terms(p, [
+                        _all_pairs(np.einsum("tij,sjk->tsik", _dense(x), _dense(y)))
+                        for x, y in zip(xs, ys)
+                    ])
+        return EndoTensor._of(self.space, self.legs, out)
 
     def star(self) -> "EndoTensor":
-        """Orientation reversal on every leg (densified per grade profile)."""
+        """Orientation reversal on every leg."""
         sp = self.space
-        dense = self.dense_blocks()
-        out: dict[tuple[Leg, ...], float] = {}
-        for profile, arr in dense.items():
-            for t, n in enumerate(profile):
-                tmat = sp.star_matrix(n)
-                arr = np.moveaxis(arr, (2 * t, 2 * t + 1), (0, 1))
-                arr = np.einsum("pi,qj,ij...->pq...", tmat, tmat, arr,
-                                optimize=True)
-                arr = np.moveaxis(arr, (0, 1), (2 * t, 2 * t + 1))
-            idx = np.argwhere(np.abs(arr) > _CUT)
-            for flat in idx:
-                key = tuple(
-                    (profile[t], int(flat[2 * t]), int(flat[2 * t + 1]))
-                    for t in range(self.legs)
-                )
-                out[key] = out.get(key, 0.0) + float(arr[tuple(flat)])
-        return EndoTensor(sp, self.legs, out)
-
-    def dense_blocks(self) -> dict[tuple[int, ...], np.ndarray]:
-        """Group terms by the tuple of leg grades into dense arrays of shape
-        (d1, d1, d2, d2, ...)."""
-        sp = self.space
-        out: dict[tuple[int, ...], np.ndarray] = {}
-        for key, c in self._terms.items():
-            profile = tuple(n for n, _, _ in key)
-            if profile not in out:
-                shape = []
-                for n in profile:
-                    d = sp.grade_basis(n).dim
-                    shape.extend((d, d))
-                out[profile] = np.zeros(tuple(shape))
-            flat = tuple(x for _, i, j in key for x in (i, j))
-            out[profile][flat] += c
-        return out
+        out = []
+        for p, xs in self._batches:
+            out += _nonzero_terms(p, [
+                np.einsum("pi,tij,qj->tpq", t, _dense(x), t, optimize=True)
+                for t, x in zip(map(sp.star_matrix, p), xs)
+            ])
+        return EndoTensor._of(sp, self.legs, out)
 
     def __repr__(self) -> str:
-        return f"EndoTensor(legs={self.legs}, terms={len(self._terms)})"
+        return f"EndoTensor(legs={self.legs}, terms={len(self)})"
 
 
 def coproduct(r: GradedEndo) -> EndoTensor:
     """Composition coproduct: block entry [i][j] of grade n becomes the sum
     over the grade-n basis of (n,i,I) (x) (n,I,j)."""
-    sp = r.space
-    terms: dict[tuple[Leg, ...], float] = {}
-    for n, mat in r.blocks.items():
-        d = sp.grade_basis(n).dim
-        for i, j in zip(*np.nonzero(np.abs(mat) > _CUT)):
-            c = float(mat[i, j])
-            for cap in range(d):
-                key = ((n, int(i), cap), (n, cap, int(j)))
-                terms[key] = terms.get(key, 0.0) + c
-    return EndoTensor(sp, 2, terms)
+    return EndoTensor.from_graded(r).coproduct_leg(0)
 
 
 def convolution_coproduct(r: GradedEndo) -> EndoTensor:
@@ -410,18 +485,20 @@ def convolution_coproduct(r: GradedEndo) -> EndoTensor:
     tensor factors.  On a grade-n monomial it sums, over splits s, the
     cuts (n-s, s) of both legs weighted by structure constants."""
     sp = r.space
-    terms: dict[tuple[Leg, ...], float] = {}
+    out = []
     for n, mat in r.blocks.items():
         for s in range(n + 1):
             mul = sp.structure_constants(n - s, s)
             if mul.shape[2] == 0:
                 continue
-            # coeff[(i,k),(j,l)] = sum_{a,b} mat[a,b] mul[i,j,a] mul[k,l,b]
+            # coeff[(i,k),(j,l)] = sum_{a,b} mat[a,b] mul[i,j,a] mul[k,l,b],
+            # one term (e_i (x) e^k) (x) coeff[i,k] per populated (i,k)
             coeff = np.einsum("ab,ija,klb->ikjl", mat, mul, mul, optimize=True)
-            for i, k, j, l in np.argwhere(np.abs(coeff) > _CUT):
-                key = ((n - s, int(i), int(k)), (s, int(j), int(l)))
-                terms[key] = terms.get(key, 0.0) + float(coeff[i, k, j, l])
-    return EndoTensor(sp, 2, terms)
+            i, k = np.nonzero(np.any(np.abs(coeff) > _CUT, axis=(2, 3)))
+            if len(i):
+                eye = np.eye(len(coeff))
+                out.append(((n - s, s), ((eye[i], eye[k]), coeff[i, k])))
+    return EndoTensor._of(sp, 2, out)
 
 
 # ---------------------------------------------------------------------------
@@ -716,17 +793,18 @@ def antipode_infeasibility(g: SpaceLike, n: int = 1, floor: float = 0.5,
             raise InputError(f"monomial index {(i, j)} out of range for grade {n}")
 
     # right-hand sides: rhs_{ij} = sum over Delta(1) terms (t1, t2) of
-    # t1 * eps(rho_ij [conv] t2); computed from the machinery, no shortcut
-    rhs: dict[tuple[int, int], GradedEndo] = {}
-    one_terms = coproduct(unit_endo(sp)).terms
-    for i, j in mono:
-        rho = GradedEndo.monomial(sp, n, i, j)
-        acc = GradedEndo.zero(sp)
-        for ((g1, v, x), (g2, x2, w)), c in one_terms.items():
-            eps = counit(conv_bullet(rho, GradedEndo.monomial(sp, g2, x2, w)))
-            if abs(eps) > _CUT:
-                acc = acc + GradedEndo.monomial(sp, g1, v, x, c * eps)
-        rhs[(i, j)] = acc
+    # t1 * eps(rho_ij [conv] t2), from the machinery, no shortcut.  The
+    # counit of (e_i (x) e^j) * (e_k (x) e^l) is sum_K mul[i,k,K] mul[j,l,K],
+    # so each grade profile (g1, g2) of Delta(1) is one contraction that
+    # yields the grade-g1 blocks rhs[g1][i, j] of every monomial at once.
+    rhs: dict[int, np.ndarray] = {}
+    for (g1, g2), one in coproduct(unit_endo(sp)).dense_blocks().items():
+        mul = sp.structure_constants(n, g2)
+        if mul.shape[2] == 0:
+            continue
+        eps = np.einsum("ikK,jlK->ijkl", mul, mul, optimize=True)
+        part = np.einsum("vxkl,ijkl->ijvx", one, eps, optimize=True)
+        rhs[g1] = rhs[g1] + part if g1 in rhs else part
 
     sizes = sp.dims(max_length)
     residual_sq = 0.0
@@ -747,7 +825,8 @@ def antipode_infeasibility(g: SpaceLike, n: int = 1, floor: float = 0.5,
             mul = sp.structure_constants(m, n)  # (dm, dn, d_out)
             dm = sizes[m]
         for i, js in sorted(by_i.items()):
-            b = np.concatenate([rhs[(i, j)].block(gout).ravel() for j in js])
+            b = (rhs[gout][i, js].ravel() if gout in rhs
+                 else np.zeros(len(js) * d_out * d_out))
             if not has_cols:
                 residual_sq += float(b @ b)
                 unreachable_sq += float(b @ b)

@@ -172,7 +172,6 @@ class EssentialSpace:
         self._cells: dict[tuple[int, int, int], EssentialCellBasis] = {}
         self._grades: dict[int, GradeBasis] = {}
         self._mul: dict[tuple[int, int], np.ndarray] = {}
-        self._mul_rows: dict[tuple[int, int], tuple[dict, dict]] = {}
         self._star: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -421,31 +420,6 @@ class EssentialSpace:
         out.setflags(write=False)
         with self._lock:
             return self._mul.setdefault(key, out)
-
-    def structure_rows(self, n: int, m: int) -> tuple[dict, dict]:
-        """Sparse view of the (n, m) structure tensor for joins: a map
-        (i, k) -> ((K, value), ...) over nonzero rows, plus the partner map
-        i -> (k, ...) of indices with some nonzero row."""
-        key = (n, m)
-        got = self._mul_rows.get(key)
-        if got is not None:
-            return got
-        mul = self.structure_constants(n, m)
-        rows: dict[tuple[int, int], tuple] = {}
-        partners: dict[int, tuple] = {}
-        if mul.shape[2]:
-            nz = np.abs(mul) > 1e-15
-            for i, k in zip(*np.nonzero(nz.any(axis=2))):
-                ks = np.flatnonzero(nz[i, k])
-                rows[(int(i), int(k))] = tuple(
-                    (int(x), float(mul[i, k, x])) for x in ks
-                )
-            part: dict[int, list] = {}
-            for i, k in rows:
-                part.setdefault(i, []).append(k)
-            partners = {i: tuple(sorted(ks)) for i, ks in part.items()}
-        with self._lock:
-            return self._mul_rows.setdefault(key, (rows, partners))
 
     # -- decomposition -----------------------------------------------------
 

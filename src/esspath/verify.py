@@ -52,6 +52,10 @@ class VerifyConfig:
     decomposition_cap: int = 6
     antipode_floor: float = 0.5
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise InputError(f"samples must be >= 1, got {self.samples}")
+
     def cap(self, sp: EssentialSpace) -> int:
         if sp.max_length is not None:
             return sp.max_length if self.max_length is None \
@@ -216,8 +220,8 @@ def check_bullet_unit(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
         name="bullet_unit",
         residual=worst,
         tolerance=cfg.tolerance,
-        passed=worst <= cfg.tolerance,
-        witness=f"{done} samples",
+        passed=worst <= cfg.tolerance and done == cfg.samples,
+        witness=f"{done}/{cfg.samples} samples",
     )
 
 

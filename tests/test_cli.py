@@ -1,10 +1,16 @@
 """Command-line front end: subcommands, exit codes, determinism, cache."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from esspath.cli import main
+
+
+GOLDEN = Path(__file__).parent / "golden"
+NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
 def run(capsys, *argv):
@@ -160,6 +166,30 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--graph", "A2", "--suite", "nope")
         assert code == 2
         assert "unknown suite" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_vacuous_sample_count_exits_two(self, capsys, samples):
+        code, out, err = run(capsys, "verify", "--graph", "A3", "--suite",
+                             "bialgebra", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: samples must be >= 1, got {samples}"]
+
+    def test_all_matches_golden(self, capsys):
+        # recorded `verify --graph A3 --suite all` output; bullet_unit's
+        # witness reports drawn/requested samples
+        code, out, _ = run(capsys, "verify", "--graph", "A3", "--suite", "all")
+        assert code == 0
+        got = json.loads(out)
+        expect = json.loads((GOLDEN / "verify_A3_all.json").read_text())
+        assert [r["name"] for r in got] == [r["name"] for r in expect]
+        for g, e in zip(got, expect):
+            assert (g["pass"], g["tolerance"]) == (e["pass"], e["tolerance"]), e["name"]
+            assert g["residual"] == pytest.approx(e["residual"], rel=0, abs=1e-12)
+            gw, ew = g["witness"] or "", e["witness"] or ""
+            assert NUMBER.sub("#", gw) == NUMBER.sub("#", ew), e["name"]
+            assert [float(x) for x in NUMBER.findall(gw)] == pytest.approx(
+                [float(x) for x in NUMBER.findall(ew)], rel=0, abs=1e-12), e["name"]
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "--graph", "A3", "--suite", "core")

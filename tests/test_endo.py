@@ -361,3 +361,114 @@ class TestEndoTensorOps:
     def test_block_shape_validation(self, sp_a2):
         with pytest.raises(InputError):
             GradedEndo(sp_a2, {0: np.ones((3, 3))})
+
+
+def reference_bullet(sp, xs, ys):
+    """Legwise convolution product of two monomial dicts: per term pair, the
+    product over legs of the outer products of structure-constant rows
+    mul[i, k, :] and mul[j, l, :]."""
+    out = {}
+    for kx, cx in xs.items():
+        for ky, cy in ys.items():
+            part = {(): cx * cy}
+            for (n, i, j), (m, k, l) in zip(kx, ky):
+                rows = np.outer(sp.structure_constants(n, m)[i, k],
+                                sp.structure_constants(n, m)[j, l])
+                part = {key + ((n + m, int(a), int(b)),): c * rows[a, b]
+                        for key, c in part.items()
+                        for a, b in zip(*np.nonzero(rows))}
+            for key, c in part.items():
+                out[key] = out.get(key, 0.0) + c
+    return out
+
+
+def random_monomials(sp, rng, legs, count, grades=(0, 1)):
+    terms = {}
+    for _ in range(count):
+        key = []
+        for _ in range(legs):
+            n = int(rng.choice(grades))
+            d = sp.grade_basis(n).dim
+            key.append((n, int(rng.integers(d)), int(rng.integers(d))))
+        terms[tuple(key)] = float(rng.standard_normal())
+    return terms
+
+
+def dense_leg(sp, rng, n):
+    """A random dense single-grade endomorphism and its monomial dict."""
+    d = sp.grade_basis(n).dim
+    mat = rng.standard_normal((d, d))
+    return (GradedEndo(sp, {n: mat}),
+            {((n, i, j),): float(mat[i, j]) for i in range(d) for j in range(d)})
+
+
+def monomial_tensor(a, b):
+    return {ka + kb: ca * cb for ka, ca in a.items() for kb, cb in b.items()}
+
+
+def merged(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0.0) + c
+    return out
+
+
+def assert_terms_close(got, expect, tol=1e-12):
+    for key in got.keys() | expect.keys():
+        assert abs(got.get(key, 0.0) - expect.get(key, 0.0)) <= tol, key
+
+
+class TestFactoredBullet:
+    """EndoTensor.bullet against a term-by-term monomial reference, on
+    operands mixing matrix-unit terms with dense legs of grades 0 and 1."""
+
+    def test_two_legs_mixed_grades(self, sp_a3):
+        rng = np.random.default_rng(30)
+        ops = []
+        for grades in ((0, 1), (1, 0)):
+            mono = random_monomials(sp_a3, rng, 2, 6)
+            (r1, t1), (r2, t2) = (dense_leg(sp_a3, rng, n) for n in grades)
+            tensor = (EndoTensor(sp_a3, 2, mono)
+                      + EndoTensor.from_graded(r1).tensor(EndoTensor.from_graded(r2)))
+            ops.append((tensor, merged(mono, monomial_tensor(t1, t2))))
+        (x, tx), (y, ty) = ops
+        assert_terms_close(x.bullet(y).terms, reference_bullet(sp_a3, tx, ty))
+
+    def test_three_legs_mixed_grades(self, sp_a3):
+        rng = np.random.default_rng(31)
+        ops = []
+        for n in (1, 0):
+            mono = random_monomials(sp_a3, rng, 3, 5)
+            pair = random_monomials(sp_a3, rng, 2, 4)
+            r, t = dense_leg(sp_a3, rng, n)
+            tensor = (EndoTensor(sp_a3, 3, mono)
+                      + EndoTensor.from_graded(r).tensor(EndoTensor(sp_a3, 2, pair)))
+            ops.append((tensor, merged(mono, monomial_tensor(t, pair))))
+        (x, tx), (y, ty) = ops
+        assert_terms_close(x.bullet(y).terms, reference_bullet(sp_a3, tx, ty))
+
+    def test_comonoidality_products_by_reference(self, sp_a3):
+        # the two products of check_comonoidality, recomputed term by term
+        one = unit_endo(sp_a3)
+        d1 = coproduct(one)
+        one_t = EndoTensor.from_graded(one)
+        left = d1.tensor(one_t).bullet(one_t.tensor(d1))
+        expect = reference_bullet(sp_a3, d1.tensor(one_t).terms,
+                                  one_t.tensor(d1).terms)
+        assert left.terms == expect
+
+
+class TestExactResiduals:
+    @pytest.mark.parametrize("name", ["A2", "A3", "D4"])
+    def test_comonoidality_residual_is_zero(self, name):
+        rep = check_comonoidality(space(build_ade(name[0], int(name[1:]))))
+        assert rep.residual == 0.0
+        assert rep.witness.startswith("left 0.000e+00, right 0.000e+00;")
+
+    @pytest.mark.parametrize("name,expect", [
+        ("A2", 2.0), ("A3", 3.4641016151377544), ("D4", 4.898979485566356),
+        ("A6", 7.745966692414834)])
+    def test_antipode_residual(self, name, expect):
+        rep = antipode_infeasibility(space(build_ade(name[0], int(name[1:]))), 1)
+        assert rep.passed
+        assert rep.residual == pytest.approx(expect, abs=1e-12)

@@ -10,6 +10,7 @@ from esspath import (
     InputError,
     NonEssentialInputWarning,
     PathVector,
+    build_ade,
     builtin_graph,
     concat,
     elementary,
@@ -449,6 +450,16 @@ class TestBulletAlgebraLaws:
         cfg = VerifyConfig(tolerance=1e-9, seed=21, samples=25)
         rep = check_bullet_associativity(sp_e6, cfg)
         assert rep.passed, rep.witness
+
+    def test_unit_check_fails_short_of_samples(self):
+        # at length 0 only the 60 cells a = b are populated, so 40 attempts
+        # per sample draw 31 of the 50 samples asked for
+        from esspath.verify import VerifyConfig, run_suite
+        rep, = run_suite(EssentialSpace(build_ade("A", 60)), "bullet_unit",
+                         VerifyConfig(max_length=0))
+        assert rep.residual == 0.0
+        assert not rep.passed
+        assert rep.witness == "31/50 samples"
 
     def test_gamma_gram_identity(self, sp_e6):
         # coefficient vectors of one cell's basis are orthonormal per split
