@@ -57,7 +57,7 @@ class RunConfig:
         if self.tolerance <= 0 or self.rank_tol <= 0:
             raise InputError("tolerances must be positive")
         if self.max_length is not None and self.max_length < 0:
-            raise InputError("max length cap must be positive")
+            raise InputError("max length cap must be >= 0")
         if self.jobs < 1:
             raise InputError("jobs must be >= 1")
         if self.out_format not in _FORMATS:

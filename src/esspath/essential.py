@@ -558,33 +558,33 @@ class EssentialSpace:
         return path
 
     def load_cache(self, directory) -> int:
+        """Load the cached cells of this graph; a missing, stale or malformed
+        file loads nothing.  Every entry is parsed before any is stored."""
         path = FsPath(directory) / f"esspath-cells-{self.cache_key()}.json"
         if not path.exists():
             return 0
         try:
             data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+            if data.get("format") != _CACHE_FORMAT or data.get("key") != self.cache_key():
+                return 0
+            cells = []
+            for key, payload in data.get("cells", {}).items():
+                a, b, l = (int(x) for x in key.split("|"))
+                paths = tuple(tuple(p) for p in payload["paths"])
+                rows = payload["coordinates"]
+                coords = (np.array(rows, dtype=float) if rows
+                          else np.zeros((0, len(paths))))
+                cells.append(EssentialCellBasis(
+                    a, b, l, paths, coords,
+                    float(payload["gram_residual"]),
+                    float(payload["annihilator_residual"]),
+                ))
+        except (OSError, AttributeError, KeyError, TypeError, ValueError):
             return 0
-        if data.get("format") != _CACHE_FORMAT or data.get("key") != self.cache_key():
-            return 0
-        loaded = 0
-        for key, payload in data.get("cells", {}).items():
-            a, b, l = (int(x) for x in key.split("|"))
-            paths = tuple(tuple(p) for p in payload["paths"])
-            rows = payload["coordinates"]
-            if rows:
-                coords = np.array(rows, dtype=float)
-            else:
-                coords = np.zeros((0, len(paths)))
-            cell = EssentialCellBasis(
-                a, b, l, paths, coords,
-                float(payload["gram_residual"]),
-                float(payload["annihilator_residual"]),
-            )
-            with self._lock:
-                self._cells.setdefault((a, b, l), cell)
-            loaded += 1
-        return loaded
+        with self._lock:
+            for cell in cells:
+                self._cells.setdefault((cell.start, cell.end, cell.length), cell)
+        return len(cells)
 
 
 _SPACES: dict[Graph, EssentialSpace] = {}

@@ -67,32 +67,48 @@ class VerifyConfig:
         return self.max_length
 
 
-def _populated_cells(sp: EssentialSpace, length: int) -> list:
-    return [c for c in sp.grade_basis(length).cells if c.dim]
+def _path_cells(sp: EssentialSpace, cap: int) -> list[tuple[int, int, int]]:
+    """Cells (a, b, length), length <= cap, holding an elementary path:
+    those with (A^length)[a, b] > 0."""
+    adj = sp.graph.adjacency > 0
+    walks = np.eye(sp.graph.n_vertices, dtype=bool)
+    cells = []
+    for length in range(cap + 1):
+        cells += [(int(a), int(b), length) for a, b in zip(*np.nonzero(walks))]
+        walks = walks @ adj
+    return cells
 
 
-def _random_cell_paths(sp, rng, a, b, length, max_terms=10) -> Optional[PathVector]:
+def _essential_cells(sp: EssentialSpace, cap: int) -> list[tuple[int, int, int]]:
+    """Cells (a, b, length), length <= cap, holding an essential path."""
+    return [(c.start, c.end, length) for length in range(cap + 1)
+            for c in sp.grade_basis(length).cells]
+
+
+def _draw_cell(rng, cells, budget: int,
+               start: Optional[int] = None) -> tuple[int, int, int]:
+    """A cell drawn uniformly from those in ``cells`` of length <= budget
+    (and starting at ``start`` when given).  Both cell lists hold the
+    length-0 cell of every vertex, so the pool is never empty."""
+    pool = [c for c in cells if c[2] <= budget and start in (None, c[0])]
+    return pool[int(rng.integers(len(pool)))]
+
+
+def _random_cell_paths(sp, rng, cell, max_terms=10) -> PathVector:
+    a, b, length = cell
     paths = enumerate_paths(sp.graph, sp.graph.label(a), sp.graph.label(b), length)
-    if not paths:
-        return None
     take = min(len(paths), max_terms)
     chosen = rng.choice(len(paths), size=take, replace=False)
     coeffs = rng.standard_normal(take)
     vec = PathVector({paths[int(i)]: float(c) for i, c in zip(chosen, coeffs)})
-    nrm = vec.norm()
-    return vec * (1.0 / nrm) if nrm > 0 else None
+    return vec * (1.0 / vec.norm())
 
 
-def _random_essential(sp, rng, a, b, length) -> Optional[PathVector]:
-    cell = sp._cell(a, b, length)
-    if not cell.dim:
-        return None
-    weights = rng.standard_normal(cell.dim)
-    weights = weights / np.linalg.norm(weights)
-    vec = PathVector()
-    for i, w in enumerate(weights):
-        vec = vec + float(w) * cell.vector(i)
-    return vec
+def _random_essential(sp, rng, cell) -> PathVector:
+    basis = sp._cell(*cell)
+    weights = rng.standard_normal(basis.dim)
+    coords = (weights / np.linalg.norm(weights)) @ basis.coordinates
+    return PathVector(dict(zip(basis.paths, coords)))
 
 
 def check_pf_eigen(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
@@ -139,22 +155,17 @@ def check_projector_identity(sp: EssentialSpace, cfg: VerifyConfig,
     """P(P(p1) P(p2)) = P(p1 p2) on random homogeneous path vectors."""
     rng = np.random.default_rng(cfg.seed)
     cap = cfg.cap(sp)
-    n = sp.graph.n_vertices
+    cells = _path_cells(sp, cap)
     count = pairs if pairs is not None else cfg.samples
     worst = 0.0
-    done = 0
-    while done < count:
-        l1 = int(rng.integers(0, cap + 1))
-        l2 = int(rng.integers(0, cap + 1 - l1)) if cap - l1 >= 0 else 0
-        a, v, b = (int(rng.integers(n)) for _ in range(3))
-        p1 = _random_cell_paths(sp, rng, a, v, l1)
-        p2 = _random_cell_paths(sp, rng, v, b, l2)
-        if p1 is None or p2 is None:
-            continue
+    for _ in range(count):
+        c1 = _draw_cell(rng, cells, cap)
+        c2 = _draw_cell(rng, cells, cap - c1[2], start=c1[1])
+        p1 = _random_cell_paths(sp, rng, c1)
+        p2 = _random_cell_paths(sp, rng, c2)
         lhs = sp.project(concat(sp.project(p1), sp.project(p2)))
         rhs = sp.project(concat(p1, p2))
         worst = max(worst, (lhs - rhs).norm())
-        done += 1
     return CheckReport(
         name="projector_identity",
         residual=worst,
@@ -168,31 +179,22 @@ def check_bullet_associativity(sp: EssentialSpace, cfg: VerifyConfig) -> CheckRe
     """(e * f) * h = e * (f * h) on random essential triples."""
     rng = np.random.default_rng(cfg.seed + 1)
     cap = cfg.cap(sp)
-    n = sp.graph.n_vertices
+    cells = _essential_cells(sp, cap)
     worst = 0.0
-    done = 0
-    attempts = 0
-    while done < cfg.samples and attempts < cfg.samples * 40:
-        attempts += 1
-        l1 = int(rng.integers(0, cap + 1))
-        l2 = int(rng.integers(0, cap + 1 - l1))
-        l3 = int(rng.integers(0, cap + 1 - l1 - l2))
-        vs = [int(rng.integers(n)) for _ in range(4)]
-        e = _random_essential(sp, rng, vs[0], vs[1], l1)
-        f = _random_essential(sp, rng, vs[1], vs[2], l2)
-        h = _random_essential(sp, rng, vs[2], vs[3], l3)
-        if e is None or f is None or h is None:
-            continue
+    for _ in range(cfg.samples):
+        c1 = _draw_cell(rng, cells, cap)
+        c2 = _draw_cell(rng, cells, cap - c1[2], start=c1[1])
+        c3 = _draw_cell(rng, cells, cap - c1[2] - c2[2], start=c2[1])
+        e, f, h = (_random_essential(sp, rng, c) for c in (c1, c2, c3))
         lhs = sp.bullet(sp.bullet(e, f), h)
         rhs = sp.bullet(e, sp.bullet(f, h))
         worst = max(worst, (lhs - rhs).norm())
-        done += 1
     return CheckReport(
         name="bullet_associativity",
         residual=worst,
         tolerance=cfg.tolerance,
-        passed=worst <= cfg.tolerance and done == cfg.samples,
-        witness=f"{done} random essential triples",
+        passed=worst <= cfg.tolerance,
+        witness=f"{cfg.samples} random essential triples",
     )
 
 
@@ -201,27 +203,19 @@ def check_bullet_unit(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     product."""
     rng = np.random.default_rng(cfg.seed + 2)
     cap = cfg.cap(sp)
-    n = sp.graph.n_vertices
+    cells = _essential_cells(sp, cap)
     one = sp.unit_essential()
     worst = 0.0
-    done = 0
-    attempts = 0
-    while done < cfg.samples and attempts < cfg.samples * 40:
-        attempts += 1
-        length = int(rng.integers(0, cap + 1))
-        a, b = int(rng.integers(n)), int(rng.integers(n))
-        e = _random_essential(sp, rng, a, b, length)
-        if e is None:
-            continue
+    for _ in range(cfg.samples):
+        e = _random_essential(sp, rng, _draw_cell(rng, cells, cap))
         worst = max(worst, (sp.bullet(one, e) - e).norm(),
                     (sp.bullet(e, one) - e).norm())
-        done += 1
     return CheckReport(
         name="bullet_unit",
         residual=worst,
         tolerance=cfg.tolerance,
-        passed=worst <= cfg.tolerance and done == cfg.samples,
-        witness=f"{done}/{cfg.samples} samples",
+        passed=worst <= cfg.tolerance,
+        witness=f"{cfg.samples}/{cfg.samples} samples",
     )
 
 
@@ -229,18 +223,12 @@ def check_projector_star_commute(sp: EssentialSpace, cfg: VerifyConfig) -> Check
     """Orientation reversal commutes with the essential projector."""
     rng = np.random.default_rng(cfg.seed + 3)
     cap = cfg.cap(sp)
-    n = sp.graph.n_vertices
+    cells = _path_cells(sp, cap)
     worst = 0.0
-    done = 0
-    while done < cfg.samples:
-        length = int(rng.integers(0, cap + 1))
-        a, b = int(rng.integers(n)), int(rng.integers(n))
-        p = _random_cell_paths(sp, rng, a, b, length)
-        if p is None:
-            continue
+    for _ in range(cfg.samples):
+        p = _random_cell_paths(sp, rng, _draw_cell(rng, cells, cap))
         worst = max(worst, (reverse_star(sp.project(p))
                             - sp.project(reverse_star(p))).norm())
-        done += 1
     return CheckReport(
         name="projector_star_commute",
         residual=worst,
@@ -263,7 +251,7 @@ def check_decomposition(sp: EssentialSpace, cfg: VerifyConfig,
     worst_norm = 0.0
     count = 0
     for total in range(2, lmax + 1):
-        for cell in _populated_cells(sp, total):
+        for cell in sp.grade_basis(total).cells:
             for k in range(cell.dim):
                 e = cell.vector(k)
                 for split in range(1, total):
@@ -293,7 +281,7 @@ def check_gamma_orthonormality(sp: EssentialSpace, cfg: VerifyConfig,
     lmax = min(cfg.cap(sp), cap if cap is not None else cfg.decomposition_cap)
     worst = 0.0
     for total in range(2, lmax + 1):
-        for cell in _populated_cells(sp, total):
+        for cell in sp.grade_basis(total).cells:
             for split in range(1, total):
                 rows = []
                 for k in range(cell.dim):
@@ -319,16 +307,13 @@ def check_grouplike_coalgebra(sp: EssentialSpace, cfg: VerifyConfig) -> CheckRep
     g = sp.graph
     rng = np.random.default_rng(cfg.seed + 4)
     cap = min(cfg.cap(sp), 3)
-    n = g.n_vertices
+    cells = _path_cells(sp, cap)
     worst = 0.0
     for _ in range(cfg.samples):
-        a, v, b = (int(rng.integers(n)) for _ in range(3))
-        l1 = int(rng.integers(0, cap + 1))
-        l2 = int(rng.integers(0, cap + 1))
-        p = _random_cell_paths(sp, rng, a, v, l1, max_terms=4)
-        q = _random_cell_paths(sp, rng, v, b, l2, max_terms=4)
-        if p is None or q is None:
-            continue
+        c1 = _draw_cell(rng, cells, cap)
+        c2 = _draw_cell(rng, cells, cap, start=c1[1])
+        p = _random_cell_paths(sp, rng, c1, max_terms=4)
+        q = _random_cell_paths(sp, rng, c2, max_terms=4)
         dp, dq = grouplike_coproduct(p), grouplike_coproduct(q)
         worst = max(worst, (grouplike_coproduct(concat(p, q))
                             - tensor_concat(dp, dq)).norm())
@@ -339,7 +324,7 @@ def check_grouplike_coalgebra(sp: EssentialSpace, cfg: VerifyConfig) -> CheckRep
         worst = max(worst, (back - p).norm())
     one = unit(g)
     gap = (grouplike_coproduct(one) - tensor(one, one)).norm()
-    ok = worst <= cfg.tolerance and (gap > 0.5 or n < 2)
+    ok = worst <= cfg.tolerance and (gap > 0.5 or g.n_vertices < 2)
     return CheckReport(
         name="grouplike_coalgebra",
         residual=worst,
@@ -352,26 +337,17 @@ def check_grouplike_coalgebra(sp: EssentialSpace, cfg: VerifyConfig) -> CheckRep
 def check_concat_inner(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     """<p q, p q'> = <q, q'> for an elementary prefix with matching
     endpoints."""
-    g = sp.graph
     rng = np.random.default_rng(cfg.seed + 5)
     cap = cfg.cap(sp)
-    n = g.n_vertices
+    cells = _path_cells(sp, cap)
     worst = 0.0
-    done = 0
-    while done < cfg.samples:
-        a, v, b = (int(rng.integers(n)) for _ in range(3))
-        l1 = int(rng.integers(0, cap + 1))
-        l2 = int(rng.integers(0, cap + 1))
-        heads = enumerate_paths(g, g.label(a), g.label(v), l1)
-        if not heads:
-            continue
-        p = PathVector.single(heads[int(rng.integers(len(heads)))])
-        q = _random_cell_paths(sp, rng, v, b, l2, max_terms=5)
-        q2 = _random_cell_paths(sp, rng, v, b, l2, max_terms=5)
-        if q is None or q2 is None:
-            continue
+    for _ in range(cfg.samples):
+        head = _draw_cell(rng, cells, cap)
+        tail = _draw_cell(rng, cells, cap, start=head[1])
+        p = _random_cell_paths(sp, rng, head, max_terms=1)  # one path, up to sign
+        q = _random_cell_paths(sp, rng, tail, max_terms=5)
+        q2 = _random_cell_paths(sp, rng, tail, max_terms=5)
         worst = max(worst, abs(inner(concat(p, q), concat(p, q2)) - inner(q, q2)))
-        done += 1
     return CheckReport(
         name="concat_inner_compatibility",
         residual=worst,
@@ -389,28 +365,16 @@ def check_truncated_paths(sp: EssentialSpace, cfg: VerifyConfig,
     g = sp.graph
     alg = truncated_paths_algebra(g, cap)
     gram = check_gram_condition(alg, tol=0.0)
-    # each graded piece of the dual-cut coproduct must concatenate back to
-    # the path it came from: coefficients <head tail, p> over the basis
+    # the dual-cut coproduct of p, concatenated back, is column p of the Gram
+    # matrices asserted above; what is left is that cutting p once at each
+    # k and concatenating the two pieces gives p back
     cut_fail = 0
-    all_paths = {
-        n: [p for a in range(g.n_vertices) for b in range(g.n_vertices)
-            for p in enumerate_paths(g, g.label(a), g.label(b), n)]
-        for n in range(cap + 1)
-    }
-    for n in range(cap + 1):
-        for p in all_paths[n]:
-            target = PathVector.single(p)
+    for a, b, n in _path_cells(sp, cap):
+        for p in enumerate_paths(g, g.label(a), g.label(b), n):
             for k in range(n + 1):
-                recombined = PathVector()
-                for head in all_paths[n - k]:
-                    for tail in all_paths[k]:
-                        c = inner(concat(PathVector.single(head),
-                                         PathVector.single(tail)), target)
-                        if c:
-                            recombined = recombined + concat(
-                                PathVector.single(head),
-                                PathVector.single(tail)) * c
-                if recombined.terms != {p: 1.0}:
+                back = concat(PathVector.single(p[:n - k + 1]),
+                              PathVector.single(p[n - k:]))
+                if back.terms != {p: 1.0}:
                     cut_fail += 1
     residual = max(gram.residual, float(cut_fail))
     return CheckReport(

@@ -286,3 +286,14 @@ class TestCacheDir:
         code, out2, _ = run(capsys, "dims", "--graph", "A5")
         assert code == 0
         assert out1 == out2
+
+    def test_malformed_entry_is_a_clean_miss(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("ESSPATH_CACHE_DIR", str(tmp_path))
+        code, cold, _ = run(capsys, "dims", "--graph", "A3")
+        assert code == 0
+        f, = tmp_path.glob("esspath-cells-*.json")
+        blob = json.loads(f.read_text())
+        del next(iter(blob["cells"].values()))["paths"]
+        f.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "dims", "--graph", "A3")
+        assert (code, out, err) == (0, cold, "")

@@ -451,15 +451,20 @@ class TestBulletAlgebraLaws:
         rep = check_bullet_associativity(sp_e6, cfg)
         assert rep.passed, rep.witness
 
-    def test_unit_check_fails_short_of_samples(self):
-        # at length 0 only the 60 cells a = b are populated, so 40 attempts
-        # per sample draw 31 of the 50 samples asked for
+    @pytest.mark.parametrize("rank, cap, check, witness", [
+        (60, 0, "bullet_unit", "50/50 samples"),
+        (6, None, "bullet_associativity", "50 random essential triples"),
+    ], ids=["A60-bullet_unit", "A6-bullet_associativity"])
+    def test_sparse_cells_draw_every_sample(self, rank, cap, check, witness):
+        # few (a, b, length) cells hold essential paths here (at length 0
+        # only the 60 cells a = b); draws from populated cells never come up
+        # short, where rejection sampling drew 31/50 and 27/50
         from esspath.verify import VerifyConfig, run_suite
-        rep, = run_suite(EssentialSpace(build_ade("A", 60)), "bullet_unit",
-                         VerifyConfig(max_length=0))
+        rep, = run_suite(EssentialSpace(build_ade("A", rank)), check,
+                         VerifyConfig(max_length=cap))
         assert rep.residual == 0.0
-        assert not rep.passed
-        assert rep.witness == "31/50 samples"
+        assert rep.passed
+        assert rep.witness == witness
 
     def test_gamma_gram_identity(self, sp_e6):
         # coefficient vectors of one cell's basis are orthonormal per split
