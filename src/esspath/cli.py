@@ -6,7 +6,8 @@ error.  Exit codes: 0 success / all checks pass, 1 a verification failed or
 a numeric procedure broke down, 2 usage or input error.
 
 Setting ESSPATH_CACHE_DIR persists computed cell bases between runs as a
-versioned JSON cache keyed by graph content and tolerances.
+versioned JSON cache keyed by graph content and tolerances.  Loaded entries
+are checked like freshly built cells; one that fails is rebuilt.
 """
 
 from __future__ import annotations
@@ -90,7 +91,11 @@ def _load_graph(cfg: RunConfig) -> Graph:
         raise InputError(
             f"--graph {src!r} is neither a built-in name nor an existing file"
         )
-    return parse_graph(path.read_text(), allow_cycles=cfg.allow_cycles)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read --graph {src!r}: {exc}") from None
+    return parse_graph(text, allow_cycles=cfg.allow_cycles)
 
 
 def _space(cfg: RunConfig) -> EssentialSpace:
@@ -105,7 +110,10 @@ def _space(cfg: RunConfig) -> EssentialSpace:
 def _flush_cache(sp: EssentialSpace) -> None:
     cache_dir = os.environ.get("ESSPATH_CACHE_DIR")
     if cache_dir:
-        sp.save_cache(cache_dir)
+        try:
+            sp.save_cache(cache_dir)
+        except OSError as exc:
+            raise InputError(f"cannot write ESSPATH_CACHE_DIR: {exc}") from None
 
 
 def _emit(text: str) -> None:
@@ -115,15 +123,6 @@ def _emit(text: str) -> None:
 def _no_csv(cfg: RunConfig, command: str) -> None:
     if cfg.out_format == "csv":
         raise InputError(f"{command!r} has no CSV form; use json or pretty")
-
-
-def _warm_lengths(sp: EssentialSpace, cfg: RunConfig) -> range:
-    cap = sp.max_length
-    if cap is None:
-        cap = cfg.max_length if cfg.max_length is not None else -1
-    elif cfg.max_length is not None:
-        cap = min(cap, cfg.max_length)
-    return range(cap + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +158,6 @@ def cmd_pf(args) -> int:
 def cmd_dims(args) -> int:
     cfg = _config(args)
     sp = _space(cfg)
-    if cfg.jobs > 1:
-        sp.warm(_warm_lengths(sp, cfg), jobs=cfg.jobs)
     sizes = sp.dims(cfg.max_length)
     _flush_cache(sp)
     payload = {"graph": sp.graph.name, "dims": sizes, "total": sum(sizes),
@@ -334,8 +331,6 @@ def cmd_verify(args) -> int:
     vcfg = VerifyConfig(tolerance=cfg.tolerance, max_length=cfg.max_length,
                         samples=args.samples)
     sp = _space(cfg)
-    if cfg.jobs > 1:
-        sp.warm(_warm_lengths(sp, cfg), jobs=cfg.jobs)
     reports = run_suite(sp, cfg.suite, vcfg)
     _flush_cache(sp)
     return _emit_reports(reports, cfg.out_format)
@@ -410,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="path length cap (required when the spectral "
                             "radius is >= 2)")
         p.add_argument("--format", choices=_FORMATS, default="json")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--allow-cycles", action="store_true",
                        dest="allow_cycles")
 

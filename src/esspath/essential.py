@@ -19,17 +19,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path as FsPath
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import InputError, NonEssentialInputWarning, NumericError
-from .graphs import DEFAULT_TOL, Graph, PerronData, perron_frobenius
+from .graphs import DEFAULT_TOL, Graph, PerronData, fused_matrices, perron_frobenius
 from .paths import (
     Path,
     PathVector,
@@ -157,8 +155,7 @@ class EssentialSpace:
     """All cached essential-path data of one graph.
 
     Cell bases, grade bases, structure-constant tensors and the star
-    (orientation reversal) matrices are computed once and then read-only,
-    so a warmed instance is safe to use from several threads.
+    (orientation reversal) matrices are computed once and then read-only.
     """
 
     def __init__(self, graph: Graph, pf: Optional[PerronData] = None,
@@ -169,11 +166,12 @@ class EssentialSpace:
         self.tol = tol
         self.rank_tol = rank_tol
         self.pf = pf if pf is not None else perron_frobenius(graph, tol)
+        # (F_l)_{ab} is the dimension of cell (a, b, l) on an ADE graph
+        self._fused = fused_matrices(graph, tol).matrices if self.pf.kappa else None
         self._cells: dict[tuple[int, int, int], EssentialCellBasis] = {}
         self._grades: dict[int, GradeBasis] = {}
         self._mul: dict[tuple[int, int], np.ndarray] = {}
         self._star: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     # -- cell bases -----------------------------------------------------
 
@@ -194,52 +192,22 @@ class EssentialSpace:
         key = (ai, bi, length)
         got = self._cells.get(key)
         if got is None:
-            computed = self._compute_cell(ai, bi, length)
-            with self._lock:
-                got = self._cells.setdefault(key, computed)
+            got = self._cells[key] = self._compute_cell(ai, bi, length)
         return got
 
     def _compute_cell(self, a: int, b: int, length: int) -> EssentialCellBasis:
+        problem = self._cell_problem(a, b, length)
+        return self._checked_cell(a, b, length, problem, problem[0],
+                                  self._kernel_basis(problem[1]))
+
+    def _cell_problem(self, a: int, b: int,
+                      length: int) -> tuple[tuple[Path, ...], np.ndarray]:
+        """The cell's lex-ordered elementary paths and the stacked constraint
+        matrix [C_1; ...; C_{l-1}] acting on their coordinates."""
         paths = tuple(enumerate_paths(self.graph, self.graph.label(a),
                                       self.graph.label(b), length))
-        npaths = len(paths)
-        if npaths == 0:
-            return EssentialCellBasis(a, b, length, paths,
-                                      np.zeros((0, 0)), 0.0, 0.0)
-        constraints = self._constraint_matrix(a, b, length, paths)
-        if constraints.shape[0] == 0:
-            kernel = np.eye(npaths)
-        else:
-            # rank from singular values alone (cheap); the vectors are only
-            # needed when a kernel actually exists, and the full square left
-            # factor never is
-            svals = np.linalg.svd(constraints, compute_uv=False)
-            top = svals[0] if svals.size else 0.0
-            thresh = self.rank_tol * (top if top > 0 else 1.0)
-            rank = int(np.sum(svals > thresh))
-            if rank == npaths:
-                return EssentialCellBasis(a, b, length, paths,
-                                          np.zeros((0, npaths)), 0.0, 0.0)
-            economy = constraints.shape[0] >= npaths
-            _, _, vt = np.linalg.svd(constraints, full_matrices=not economy)
-            kernel = vt[rank:]
-        basis = _gram_schmidt(_rref(kernel))
-        for i in range(basis.shape[0]):  # first |coeff| > tol in lex order positive
-            lead = np.flatnonzero(np.abs(basis[i]) > self.tol)
-            if lead.size and basis[i, lead[0]] < 0:
-                basis[i] = -basis[i]
-        gram = basis @ basis.T
-        gram_res = float(np.max(np.abs(gram - np.eye(basis.shape[0])))) if basis.size else 0.0
-        if constraints.shape[0] and basis.size:
-            ann_res = float(np.max(np.abs(constraints @ basis.T)))
-        else:
-            ann_res = 0.0
-        return EssentialCellBasis(a, b, length, paths, basis, gram_res, ann_res)
-
-    def _constraint_matrix(self, a: int, b: int, length: int,
-                           paths: Sequence[Path]) -> np.ndarray:
-        if length <= 1:
-            return np.zeros((0, len(paths)))
+        if length <= 1 or not paths:
+            return paths, np.zeros((0, len(paths)))
         shorter = enumerate_paths(self.graph, self.graph.label(a),
                                   self.graph.label(b), length - 2)
         tindex = {p: i for i, p in enumerate(shorter)}
@@ -252,7 +220,59 @@ class EssentialSpace:
                     w = math.sqrt(mu[p[k]] / mu[p[k - 1]])
                     row = (k - 1) * nshort + tindex[p[:k] + p[k + 2:]]
                     mat[row, j] += w
-        return mat
+        return paths, mat
+
+    def _kernel_basis(self, constraints: np.ndarray) -> np.ndarray:
+        """Canonical orthonormal rows spanning the kernel of ``constraints``."""
+        npaths = constraints.shape[1]
+        if constraints.shape[0] == 0:
+            kernel = np.eye(npaths)
+        else:
+            # rank from singular values alone (cheap); the vectors are only
+            # needed when a kernel actually exists, and the full square left
+            # factor never is
+            svals = np.linalg.svd(constraints, compute_uv=False)
+            top = svals[0] if svals.size else 0.0
+            thresh = self.rank_tol * (top if top > 0 else 1.0)
+            rank = int(np.sum(svals > thresh))
+            if rank == npaths:
+                return np.zeros((0, npaths))
+            economy = constraints.shape[0] >= npaths
+            _, _, vt = np.linalg.svd(constraints, full_matrices=not economy)
+            kernel = vt[rank:]
+        basis = _gram_schmidt(_rref(kernel))
+        for i in range(basis.shape[0]):  # first |coeff| > tol in lex order positive
+            lead = np.flatnonzero(np.abs(basis[i]) > self.tol)
+            if lead.size and basis[i, lead[0]] < 0:
+                basis[i] = -basis[i]
+        return basis
+
+    def _checked_cell(self, a: int, b: int, length: int,
+                      problem: tuple[tuple[Path, ...], np.ndarray],
+                      paths: tuple[Path, ...],
+                      coords: np.ndarray) -> EssentialCellBasis:
+        """The cell basis with rows ``coords`` over ``paths``, residuals
+        computed here.  Raises NumericError unless, against the cell's
+        `_cell_problem`, paths and shape match, dim = (F_l)_{ab} on graphs
+        with a Coxeter number, and the Gram and annihilator residuals are
+        within rank_tol, the bound on the kernel's relative singular values."""
+        cell_paths, constraints = problem
+        where = f"cell {a}|{b}|{length} of {self.graph.name}"
+        if paths != cell_paths or coords.ndim != 2 or coords.shape[1] != len(paths):
+            raise NumericError(f"{where}: coordinates are not over its paths")
+        dim = coords.shape[0]
+        fm = self._fused
+        if fm is not None and dim != (fm[length][a, b] if length < len(fm) else 0):
+            raise NumericError(f"{where}: dimension {dim} is not the fused-matrix entry")
+        gram_res = float(np.max(np.abs(coords @ coords.T - np.eye(dim)))) if dim else 0.0
+        ann = constraints @ coords.T
+        ann_res = float(np.max(np.abs(ann))) if ann.size else 0.0
+        tol = self.rank_tol  # the Frobenius norm bounds the largest singular value
+        if not (gram_res <= tol and (ann_res <= tol
+                                     or ann_res <= tol * np.linalg.norm(constraints))):
+            raise NumericError(f"{where}: Gram residual {gram_res:.3g}, "
+                               f"annihilator residual {ann_res:.3g}")
+        return EssentialCellBasis(a, b, length, cell_paths, coords, gram_res, ann_res)
 
     # -- grade bases ------------------------------------------------------
 
@@ -262,19 +282,17 @@ class EssentialSpace:
             return got
         ml = self.max_length
         if ml is not None and length > ml + 1:
-            # Grade ml+1 is computed honestly below and must come out empty;
-            # an essential path of length L splits into essential paths of
+            # Grade ml+1 is computed honestly below and must come out empty
+            # (its cells are checked against (F_{ml+1})_{ab} = 0); an
+            # essential path of length L splits into essential paths of
             # lengths l and L-l for any 0 < l < L, so emptiness propagates to
             # every longer grade.  Enumerating the (huge) longer path spaces
             # would add nothing.
-            if self.grade_basis(ml + 1).dim != 0:
-                raise NumericError(
-                    f"grade {ml + 1} unexpectedly nonzero on {self.graph.name}"
-                )
+            self.grade_basis(ml + 1)
             empty = GradeBasis(length, (), (), 0,
                                np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-            with self._lock:
-                return self._grades.setdefault(length, empty)
+            self._grades[length] = empty
+            return empty
         cells = []
         offsets = []
         dim = 0
@@ -291,8 +309,8 @@ class EssentialSpace:
             starts[off:off + cell.dim] = cell.start
             ends[off:off + cell.dim] = cell.end
         gb = GradeBasis(length, tuple(cells), tuple(offsets), dim, starts, ends)
-        with self._lock:
-            return self._grades.setdefault(length, gb)
+        self._grades[length] = gb
+        return gb
 
     def dims(self, max_length: Optional[int] = None) -> list[int]:
         """Dimensions of the graded components, length 0 up to the last
@@ -317,22 +335,6 @@ class EssentialSpace:
                 break
             out.append(d)
         return out
-
-    def warm(self, lengths: Sequence[int], jobs: int = 1) -> None:
-        """Precompute all cell bases for the given lengths; with jobs > 1
-        cells are computed in parallel (results are identical to serial)."""
-        work = [
-            (a, b, l)
-            for l in lengths
-            for a in range(self.graph.n_vertices)
-            for b in range(self.graph.n_vertices)
-        ]
-        if jobs <= 1:
-            for a, b, l in work:
-                self._cell(a, b, l)
-            return
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(lambda t: self._cell(*t), work))
 
     # -- projector and graded product ------------------------------------
 
@@ -418,8 +420,8 @@ class EssentialSpace:
                                       c2.coordinates, gathered, optimize=True)
                     out[o1:o1 + c1.dim, o2:o2 + c2.dim, o3:o3 + c3.dim] = block
         out.setflags(write=False)
-        with self._lock:
-            return self._mul.setdefault(key, out)
+        self._mul[key] = out
+        return out
 
     # -- decomposition -----------------------------------------------------
 
@@ -517,8 +519,8 @@ class EssentialSpace:
                 target.coordinates @ rev_coords.T
             )
         t.setflags(write=False)
-        with self._lock:
-            return self._star.setdefault(length, t)
+        self._star[length] = t
+        return t
 
     # -- persistence --------------------------------------------------------
 
@@ -538,16 +540,13 @@ class EssentialSpace:
 
     def save_cache(self, directory) -> FsPath:
         path = FsPath(directory) / f"esspath-cells-{self.cache_key()}.json"
-        with self._lock:
-            cells = {
-                f"{a}|{b}|{l}": {
-                    "paths": [list(p) for p in cell.paths],
-                    "coordinates": [list(map(float, row)) for row in cell.coordinates],
-                    "gram_residual": cell.gram_residual,
-                    "annihilator_residual": cell.annihilator_residual,
-                }
-                for (a, b, l), cell in sorted(self._cells.items())
+        cells = {
+            f"{a}|{b}|{l}": {
+                "paths": [list(p) for p in cell.paths],
+                "coordinates": [list(map(float, row)) for row in cell.coordinates],
             }
+            for (a, b, l), cell in sorted(self._cells.items())
+        }
         blob = json.dumps(
             {"format": _CACHE_FORMAT, "key": self.cache_key(), "cells": cells}
         )
@@ -558,8 +557,11 @@ class EssentialSpace:
         return path
 
     def load_cache(self, directory) -> int:
-        """Load the cached cells of this graph; a missing, stale or malformed
-        file loads nothing.  Every entry is parsed before any is stored."""
+        """Load the cached cells of this graph and return how many were
+        kept; a missing, stale or malformed file loads nothing.  Every entry
+        is parsed before any is stored, and each must pass the invariants
+        of `_checked_cell`, with its residuals recomputed; an entry that
+        fails is dropped and rebuilt on demand."""
         path = FsPath(directory) / f"esspath-cells-{self.cache_key()}.json"
         if not path.exists():
             return 0
@@ -574,16 +576,15 @@ class EssentialSpace:
                 rows = payload["coordinates"]
                 coords = (np.array(rows, dtype=float) if rows
                           else np.zeros((0, len(paths))))
-                cells.append(EssentialCellBasis(
-                    a, b, l, paths, coords,
-                    float(payload["gram_residual"]),
-                    float(payload["annihilator_residual"]),
-                ))
-        except (OSError, AttributeError, KeyError, TypeError, ValueError):
+                try:
+                    cells.append(self._checked_cell(
+                        a, b, l, self._cell_problem(a, b, l), paths, coords))
+                except NumericError:
+                    continue
+        except (OSError, AttributeError, LookupError, TypeError, ValueError):
             return 0
-        with self._lock:
-            for cell in cells:
-                self._cells.setdefault((cell.start, cell.end, cell.length), cell)
+        for cell in cells:
+            self._cells.setdefault((cell.start, cell.end, cell.length), cell)
         return len(cells)
 
 

@@ -38,6 +38,15 @@ class TestDims:
         assert code == 0
         assert out.splitlines() == ["length,dim", "0,2", "1,2"]
 
+    @pytest.mark.parametrize("jobs", ["1", "4"])
+    @pytest.mark.parametrize("golden", ["dims_A3.json", "dims_D4.json",
+                                        "dims_E6.json", "dims_E6.csv"])
+    def test_dims_match_golden(self, capsys, golden, jobs):
+        graph, fmt = golden[len("dims_"):].split(".")
+        code, out, err = run(capsys, "dims", "--graph", graph, "--format", fmt,
+                             "--jobs", jobs)
+        assert (code, out, err) == (0, (GOLDEN / golden).read_text(), "")
+
 
 class TestPf:
     def test_a2(self, capsys):
@@ -251,6 +260,25 @@ class TestErrors:
                            "--tolerance", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    def test_unreadable_graph_exits_two(self, capsys, tmp_path, kind):
+        target = tmp_path / kind
+        if kind == "directory":
+            target.mkdir()
+        else:
+            target.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "pf", "--graph", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read --graph")
+        assert len(err.splitlines()) == 1
+
+    def test_wrong_kernel_exits_one(self, capsys):
+        # a loose rank threshold takes too big a kernel; the build checks
+        # every cell dimension against the fused matrices
+        code, out, err = run(capsys, "dims", "--graph", "D4", "--rank-tol", "0.9")
+        assert (code, out) == (1, "")
+        assert "is not the fused-matrix entry" in err
+
     def test_cycle_file_needs_flag(self, capsys, tmp_path):
         path = tmp_path / "tri.json"
         path.write_text(json.dumps({
@@ -297,3 +325,24 @@ class TestCacheDir:
         f.write_text(json.dumps(blob))
         code, out, err = run(capsys, "dims", "--graph", "A3")
         assert (code, out, err) == (0, cold, "")
+
+    def test_zeroed_cell_is_rebuilt(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("ESSPATH_CACHE_DIR", str(tmp_path))
+        code, cold, _ = run(capsys, "verify", "--graph", "A3", "--suite", "core")
+        assert code == 0
+        f, = tmp_path.glob("esspath-cells-*.json")
+        blob = json.loads(f.read_text())
+        entry = blob["cells"]["0|2|2"]
+        entry["coordinates"] = [[0.0] * len(row) for row in entry["coordinates"]]
+        f.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "verify", "--graph", "A3", "--suite", "core")
+        assert (code, out, err) == (0, cold, "")
+
+    def test_cache_dir_is_a_file_exits_two(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "not-a-directory"
+        target.write_text("")
+        monkeypatch.setenv("ESSPATH_CACHE_DIR", str(target))
+        code, out, err = run(capsys, "dims", "--graph", "A3")
+        assert code == 2
+        assert err.startswith("error: cannot write ESSPATH_CACHE_DIR")
+        assert len(err.splitlines()) == 1

@@ -1,5 +1,6 @@
 """Essential cell bases, projector, graded product, decomposition."""
 
+import json
 import math
 
 import numpy as np
@@ -506,21 +507,30 @@ class TestCachePersistence:
             other = fresh._cells[(a, b, l)]
             assert np.array_equal(cell.coordinates, other.coordinates)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda e: e.update(coordinates=[[1.0, 0.0]]),        # not essential
+        lambda e: e.update(coordinates=e["coordinates"] * 2),  # too many rows
+        lambda e: e.update(paths=e["paths"][::-1]),          # wrong path order
+    ], ids=["annihilator", "dimension", "paths"])
+    def test_invalid_entry_is_rebuilt(self, tmp_path, a3, corrupt):
+        sp = EssentialSpace(a3)
+        sp.dims()
+        path = sp.save_cache(tmp_path)
+        blob = json.loads(path.read_text())
+        corrupt(blob["cells"]["1|1|2"])  # paths [1,0,1] and [1,2,1], dim 1
+        path.write_text(json.dumps(blob))
+        fresh = EssentialSpace(a3)
+        assert fresh.load_cache(tmp_path) == len(sp._cells) - 1
+        assert (1, 1, 2) not in fresh._cells
+        cold, served = sp._cell(1, 1, 2), fresh._cell(1, 1, 2)
+        assert served.paths == cold.paths
+        assert np.array_equal(served.coordinates, cold.coordinates)
+        assert (served.gram_residual, served.annihilator_residual) == (
+            cold.gram_residual, cold.annihilator_residual)
+
     def test_wrong_key_ignored(self, tmp_path, a3, a4):
         sp = EssentialSpace(a3)
         sp.dims()
         sp.save_cache(tmp_path)
         fresh = EssentialSpace(a4)
         assert fresh.load_cache(tmp_path) == 0
-
-
-class TestParallelWarm:
-    def test_jobs_independent(self, e6):
-        serial = EssentialSpace(e6)
-        serial.warm(range(4), jobs=1)
-        parallel = EssentialSpace(e6)
-        parallel.warm(range(4), jobs=4)
-        assert serial._cells.keys() == parallel._cells.keys()
-        for key, cell in serial._cells.items():
-            assert np.array_equal(cell.coordinates,
-                                  parallel._cells[key].coordinates)
