@@ -4,16 +4,11 @@ Subcommands: pf, dims, fused, basis, product, decompose, verify, a2-compare.
 Results go to standard output (JSON by default); diagnostics go to standard
 error.  Exit codes: 0 success / all checks pass, 1 a verification failed or
 a numeric procedure broke down, 2 usage or input error.
-
-Setting ESSPATH_CACHE_DIR persists computed cell bases between runs as a
-versioned JSON cache keyed by graph content and tolerances.  Loaded entries
-are checked like freshly built cells; one that fails is rebuilt.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -100,20 +95,7 @@ def _load_graph(cfg: RunConfig) -> Graph:
 
 def _space(cfg: RunConfig) -> EssentialSpace:
     g = _load_graph(cfg)
-    sp = EssentialSpace(g, tol=cfg.tolerance, rank_tol=cfg.rank_tol)
-    cache_dir = os.environ.get("ESSPATH_CACHE_DIR")
-    if cache_dir:
-        sp.load_cache(cache_dir)
-    return sp
-
-
-def _flush_cache(sp: EssentialSpace) -> None:
-    cache_dir = os.environ.get("ESSPATH_CACHE_DIR")
-    if cache_dir:
-        try:
-            sp.save_cache(cache_dir)
-        except OSError as exc:
-            raise InputError(f"cannot write ESSPATH_CACHE_DIR: {exc}") from None
+    return EssentialSpace(g, tol=cfg.tolerance, rank_tol=cfg.rank_tol)
 
 
 def _emit(text: str) -> None:
@@ -159,7 +141,6 @@ def cmd_dims(args) -> int:
     cfg = _config(args)
     sp = _space(cfg)
     sizes = sp.dims(cfg.max_length)
-    _flush_cache(sp)
     payload = {"graph": sp.graph.name, "dims": sizes, "total": sum(sizes),
                "endomorphism_dim": sum(d * d for d in sizes)}
     if cfg.out_format == "pretty":
@@ -208,7 +189,6 @@ def cmd_basis(args) -> int:
     _no_csv(cfg, "basis")
     sp = _space(cfg)
     cell = sp.cell(args.src, args.dst, args.length)
-    _flush_cache(sp)
     payload = {
         "graph": sp.graph.name,
         "from": sp.graph.label(cell.start),
@@ -253,7 +233,6 @@ def cmd_product(args) -> int:
         result = sp.bullet(left, right)
     for w in caught:
         print(f"note: {w.message}", file=sys.stderr)
-    _flush_cache(sp)
     payload = {
         "graph": sp.graph.name,
         "left": path_vector_obj(sp.graph, left),
@@ -284,7 +263,6 @@ def cmd_decompose(args) -> int:
     vec = cell.vector(args.index)
     dec = sp.decompose(vec, args.split)
     recon = (sp.reconstruct(dec) - vec).norm()
-    _flush_cache(sp)
     payload = {
         "graph": sp.graph.name,
         "cell": {"from": sp.graph.label(cell.start),
@@ -332,7 +310,6 @@ def cmd_verify(args) -> int:
                         samples=args.samples)
     sp = _space(cfg)
     reports = run_suite(sp, cfg.suite, vcfg)
-    _flush_cache(sp)
     return _emit_reports(reports, cfg.out_format)
 
 

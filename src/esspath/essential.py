@@ -1,13 +1,21 @@
 """Essential paths: cell bases, the orthogonal projector, the graded product.
 
 A path vector is *essential* when every backtrack-removal operator C_k kills
-it.  Within the cell of paths from a to b of length l the essential subspace
-is the kernel of the stacked constraint matrix [C_1; ...; C_{l-1}], computed
-by SVD with a relative rank threshold.  Kernel bases are canonicalized
-(reduced echelon over the lex path order, Gram-Schmidt, sign fix) so runs
-are reproducible; golden values should nevertheless be basis-independent
-(dimensions, norms, Gram data) because any orthonormal basis of the same
-kernel is equally valid.
+it.  Cell bases are built by length, one edge at a time (Ocneanu, *Paths on
+Coxeter diagrams*, 1999): an essential path of length l from a to b is a
+combination of e_j^{(l-1)}(a, v) (x) [v, b] over the neighbours v of b,
+because C_k with k < l - 1 acts inside the prefix.  Only C_{l-1} is a new
+constraint, and in the bases of length l - 1 and l - 2 it is a small matrix
+K; the cell's transfer matrix R spans its kernel, found by SVD with a
+relative rank threshold.  Dimensions therefore come from R alone, with no
+path enumerated.  The coordinates of a cell over its elementary paths,
+<e_i, p> = the product of R blocks along p, are built on first read and
+canonicalized (reduced echelon over the lex path order, Gram-Schmidt, sign
+fix) so runs are reproducible; golden values should nevertheless be
+basis-independent (dimensions, norms, Gram data) because any orthonormal
+basis of the same kernel is equally valid.  Each R and each set of path
+coordinates is checked as it is made: dimension against the fused matrices,
+orthonormality, and annihilation by its constraints.
 
 The graded product is e * f = P(concat(e, f)) where P is the orthogonal
 projector onto the essential subspace; it is associative because
@@ -16,17 +24,16 @@ P(P(p)P(q)) = P(pq).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import warnings
-from dataclasses import dataclass
-from pathlib import Path as FsPath
+import weakref
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, NonEssentialInputWarning, NumericError
+from .errors import EsspathError, InputError, NonEssentialInputWarning, NumericError
 from .graphs import DEFAULT_TOL, Graph, PerronData, fused_matrices, perron_frobenius
 from .paths import (
     Path,
@@ -39,18 +46,12 @@ from .paths import (
 
 DEFAULT_RANK_TOL = 1e-7
 
-_CACHE_FORMAT = 1
-
 
 @dataclass(frozen=True)
-class EssentialCellBasis:
-    """Orthonormal basis of the essential paths from ``start`` to ``end`` of
-    a fixed length, stored as coordinates over the lex-ordered elementary
-    paths of the cell."""
+class CellCoordinates:
+    """A cell basis over the lex-ordered elementary paths of the cell, with
+    the residuals it was checked against."""
 
-    start: int
-    end: int
-    length: int
     paths: tuple[Path, ...]
     coordinates: np.ndarray  # (dim, len(paths))
     gram_residual: float
@@ -59,6 +60,59 @@ class EssentialCellBasis:
     @property
     def dim(self) -> int:
         return self.coordinates.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class EssentialCellBasis:
+    """Orthonormal basis e_0, ..., e_{dim-1} of the essential paths from
+    ``start`` to ``end`` of a fixed length.
+
+    ``transfer`` is the basis in candidate coordinates: row i writes e_i as
+    a combination of e_j^{(length-1)}(start, v) (x) [v, end] over the
+    neighbours v of ``end``, whose columns are ``blocks[v]``.  The
+    coordinates over the cell's elementary paths are built by the space
+    that made the cell on the first read of ``paths`` or ``coordinates``,
+    so that space must still be alive then; a cell of dimension 0 has no
+    paths and enumerates none.  The cell refers to its space weakly: the
+    space holds its cells, and a cycle would keep a dropped space in memory
+    until the next full garbage collection."""
+
+    start: int
+    end: int
+    length: int
+    transfer: np.ndarray  # (dim, candidates)
+    blocks: dict[int, slice]
+    space: weakref.ReferenceType = field(repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.transfer.shape[0]
+
+    @cached_property
+    def _in_paths(self) -> CellCoordinates:
+        if not self.dim:
+            return CellCoordinates((), np.zeros((0, 0)), 0.0, 0.0)
+        space = self.space()
+        if space is None:
+            raise EsspathError("the EssentialSpace of this cell no longer exists; "
+                               "keep a reference to it to read path coordinates")
+        return space._compute_cell(self.start, self.end, self.length)
+
+    @cached_property
+    def paths(self) -> tuple[Path, ...]:
+        return self._in_paths.paths
+
+    @cached_property
+    def coordinates(self) -> np.ndarray:
+        return self._in_paths.coordinates
+
+    @cached_property
+    def gram_residual(self) -> float:
+        return self._in_paths.gram_residual
+
+    @cached_property
+    def annihilator_residual(self) -> float:
+        return self._in_paths.annihilator_residual
 
     def vector(self, i: int) -> PathVector:
         row = self.coordinates[i]
@@ -189,16 +243,105 @@ class EssentialSpace:
     def _cell(self, ai: int, bi: int, length: int) -> EssentialCellBasis:
         if length < 0:
             raise InputError(f"length must be >= 0, got {length}")
-        key = (ai, bi, length)
-        got = self._cells.get(key)
+        got = self._cells.get((ai, bi, length))
         if got is None:
-            got = self._cells[key] = self._compute_cell(ai, bi, length)
+            # a cell is made from the cells one shorter with the same start,
+            # so the missing lengths of start ai are built shortest first
+            for k in range(length + 1):
+                for b in range(self.graph.n_vertices):
+                    if (ai, b, k) not in self._cells:
+                        self._cells[(ai, b, k)] = self._transfer_cell(ai, b, k)
+            got = self._cells[(ai, bi, length)]
         return got
 
-    def _compute_cell(self, a: int, b: int, length: int) -> EssentialCellBasis:
-        problem = self._cell_problem(a, b, length)
-        return self._checked_cell(a, b, length, problem, problem[0],
-                                  self._kernel_basis(problem[1]))
+    def _transfer_cell(self, a: int, b: int, length: int) -> EssentialCellBasis:
+        """Cell (a, b, length) from the cells (a, v, length - 1), v ~ b.
+
+        Its candidates e_j^{(length-1)}(a, v) (x) [v, b] are orthonormal and
+        killed by every C_k with k < length - 1, because those C_k act inside
+        the prefix.  The one new constraint C_{length-1} maps a candidate
+        into the cell (a, b, length - 2); in that cell's basis it is
+        K = [sqrt(mu_v / mu_b) R_{(a,v,length-1)}[:, block b]^T]_v, so the
+        cell's transfer matrix R spans the kernel of K and no path is
+        involved."""
+        if length == 0:
+            blocks: dict[int, slice] = {}
+            k = np.zeros((0, int(a == b)))
+        else:
+            nbrs = self.graph.neighbors[b]
+            prev = [self._cells[(a, v, length - 1)] for v in nbrs]
+            edges = np.cumsum([0] + [c.dim for c in prev]).tolist()
+            blocks = {v: slice(lo, hi) for v, lo, hi in zip(nbrs, edges, edges[1:])}
+            k = np.zeros((self._cells[(a, b, length - 2)].dim if length > 1 else 0,
+                          edges[-1]))
+            if k.size:
+                mu = self.pf.mu
+                for v, c in zip(nbrs, prev):
+                    k[:, blocks[v]] = math.sqrt(mu[v] / mu[b]) * c.transfer[:, c.blocks[b]].T
+        transfer = self._kernel(k)
+        self._checked_kernel(a, b, length, transfer, k)
+        return EssentialCellBasis(a, b, length, transfer, blocks, weakref.ref(self))
+
+    def _kernel(self, constraints: np.ndarray) -> np.ndarray:
+        """Orthonormal rows spanning the kernel of ``constraints``; singular
+        values up to rank_tol times the largest one count as zero."""
+        if not constraints.size:
+            return np.eye(constraints.shape[1])
+        _, svals, vt = np.linalg.svd(constraints)
+        thresh = self.rank_tol * (svals[0] if svals[0] > 0 else 1.0)
+        return vt[int(np.sum(svals > thresh)):]
+
+    def _checked_kernel(self, a: int, b: int, length: int, rows: np.ndarray,
+                        constraints: np.ndarray) -> tuple[float, float]:
+        """Gram and annihilator residuals of the basis ``rows`` of cell
+        (a, b, length) against ``constraints``.  Raises NumericError unless
+        dim = (F_l)_{ab} on graphs with a Coxeter number and both residuals
+        are within rank_tol, the bound on the kernel's relative singular
+        values."""
+        where = f"cell {a}|{b}|{length} of {self.graph.name}"
+        dim = rows.shape[0]
+        fm = self._fused
+        if fm is not None and dim != (fm[length][a, b] if length < len(fm) else 0):
+            raise NumericError(f"{where}: dimension {dim} is not the fused-matrix entry")
+        gram_res = float(np.max(np.abs(rows @ rows.T - np.eye(dim)))) if dim else 0.0
+        ann = constraints @ rows.T
+        ann_res = float(np.max(np.abs(ann))) if ann.size else 0.0
+        tol = self.rank_tol  # the Frobenius norm bounds the largest singular value
+        if not (gram_res <= tol and (ann_res <= tol
+                                     or ann_res <= tol * np.linalg.norm(constraints))):
+            raise NumericError(f"{where}: Gram residual {gram_res:.3g}, "
+                               f"annihilator residual {ann_res:.3g}")
+        return gram_res, ann_res
+
+    def _compute_cell(self, a: int, b: int, length: int) -> CellCoordinates:
+        """Canonical path coordinates of a built cell of nonzero dimension."""
+        walks, rows = self._path_rows(a, b, length)
+        order = sorted(range(len(walks)), key=walks.__getitem__)
+        return self._checked_cell(a, b, length, self._cell_problem(a, b, length),
+                                  tuple(walks[i] for i in order),
+                                  self._canonical(rows[:, order]))
+
+    def _path_rows(self, a: int, b: int,
+                   length: int) -> tuple[list[Path], np.ndarray]:
+        """The walks from a to b of the given length and the cell's basis on
+        them: <e_i, p> is the product of the transfer blocks along p, grown
+        one edge at a time over the walks that can still reach b."""
+        nbrs = self.graph.neighbors
+        reach = [{b}]  # reach[r]: the vertices r steps from b
+        for _ in range(length):
+            reach.append({v for u in reach[-1] for v in nbrs[u]})
+        level = {a: ([(a,)], np.ones((1, 1)))}
+        for k in range(1, length + 1):
+            nxt = {}
+            for u in reach[length - k]:
+                cell = self._cells[(a, u, k)]
+                parts = [(v, level[v]) for v in nbrs[u] if v in level]
+                if parts:
+                    nxt[u] = ([w + (u,) for _, (ws, _) in parts for w in ws],
+                              np.hstack([cell.transfer[:, cell.blocks[v]] @ x
+                                         for v, (_, x) in parts]))
+            level = nxt
+        return level[b]
 
     def _cell_problem(self, a: int, b: int,
                       length: int) -> tuple[tuple[Path, ...], np.ndarray]:
@@ -222,25 +365,9 @@ class EssentialSpace:
                     mat[row, j] += w
         return paths, mat
 
-    def _kernel_basis(self, constraints: np.ndarray) -> np.ndarray:
-        """Canonical orthonormal rows spanning the kernel of ``constraints``."""
-        npaths = constraints.shape[1]
-        if constraints.shape[0] == 0:
-            kernel = np.eye(npaths)
-        else:
-            # rank from singular values alone (cheap); the vectors are only
-            # needed when a kernel actually exists, and the full square left
-            # factor never is
-            svals = np.linalg.svd(constraints, compute_uv=False)
-            top = svals[0] if svals.size else 0.0
-            thresh = self.rank_tol * (top if top > 0 else 1.0)
-            rank = int(np.sum(svals > thresh))
-            if rank == npaths:
-                return np.zeros((0, npaths))
-            economy = constraints.shape[0] >= npaths
-            _, _, vt = np.linalg.svd(constraints, full_matrices=not economy)
-            kernel = vt[rank:]
-        basis = _gram_schmidt(_rref(kernel))
+    def _canonical(self, rows: np.ndarray) -> np.ndarray:
+        """The canonical orthonormal basis of the row span of ``rows``."""
+        basis = _gram_schmidt(_rref(rows))
         for i in range(basis.shape[0]):  # first |coeff| > tol in lex order positive
             lead = np.flatnonzero(np.abs(basis[i]) > self.tol)
             if lead.size and basis[i, lead[0]] < 0:
@@ -250,29 +377,18 @@ class EssentialSpace:
     def _checked_cell(self, a: int, b: int, length: int,
                       problem: tuple[tuple[Path, ...], np.ndarray],
                       paths: tuple[Path, ...],
-                      coords: np.ndarray) -> EssentialCellBasis:
+                      coords: np.ndarray) -> CellCoordinates:
         """The cell basis with rows ``coords`` over ``paths``, residuals
         computed here.  Raises NumericError unless, against the cell's
-        `_cell_problem`, paths and shape match, dim = (F_l)_{ab} on graphs
-        with a Coxeter number, and the Gram and annihilator residuals are
-        within rank_tol, the bound on the kernel's relative singular values."""
+        `_cell_problem`, the paths match, the shape is (cell dimension from
+        the transfer matrix, number of paths) and `_checked_kernel` holds."""
         cell_paths, constraints = problem
-        where = f"cell {a}|{b}|{length} of {self.graph.name}"
-        if paths != cell_paths or coords.ndim != 2 or coords.shape[1] != len(paths):
-            raise NumericError(f"{where}: coordinates are not over its paths")
-        dim = coords.shape[0]
-        fm = self._fused
-        if fm is not None and dim != (fm[length][a, b] if length < len(fm) else 0):
-            raise NumericError(f"{where}: dimension {dim} is not the fused-matrix entry")
-        gram_res = float(np.max(np.abs(coords @ coords.T - np.eye(dim)))) if dim else 0.0
-        ann = constraints @ coords.T
-        ann_res = float(np.max(np.abs(ann))) if ann.size else 0.0
-        tol = self.rank_tol  # the Frobenius norm bounds the largest singular value
-        if not (gram_res <= tol and (ann_res <= tol
-                                     or ann_res <= tol * np.linalg.norm(constraints))):
-            raise NumericError(f"{where}: Gram residual {gram_res:.3g}, "
-                               f"annihilator residual {ann_res:.3g}")
-        return EssentialCellBasis(a, b, length, cell_paths, coords, gram_res, ann_res)
+        if paths != cell_paths or coords.shape != (self._cells[(a, b, length)].dim,
+                                                    len(paths)):
+            raise NumericError(f"cell {a}|{b}|{length} of {self.graph.name}: "
+                               "coordinates are not over its paths and dimension")
+        gram_res, ann_res = self._checked_kernel(a, b, length, coords, constraints)
+        return CellCoordinates(cell_paths, coords, gram_res, ann_res)
 
     # -- grade bases ------------------------------------------------------
 
@@ -286,8 +402,8 @@ class EssentialSpace:
             # (its cells are checked against (F_{ml+1})_{ab} = 0); an
             # essential path of length L splits into essential paths of
             # lengths l and L-l for any 0 < l < L, so emptiness propagates to
-            # every longer grade.  Enumerating the (huge) longer path spaces
-            # would add nothing.
+            # every longer grade.  Building the longer grades would add
+            # nothing.
             self.grade_basis(ml + 1)
             empty = GradeBasis(length, (), (), 0,
                                np.zeros(0, dtype=int), np.zeros(0, dtype=int))
@@ -314,9 +430,10 @@ class EssentialSpace:
 
     def dims(self, max_length: Optional[int] = None) -> list[int]:
         """Dimensions of the graded components, length 0 up to the last
-        nonzero one.  Each entry is an honest kernel computation; on graphs
-        without a Coxeter number a cap must be supplied because the list
-        never terminates."""
+        nonzero one.  Each entry is an honest kernel computation on the
+        transfer matrices, with no path enumerated; on graphs without a
+        Coxeter number a cap must be supplied because the list never
+        terminates."""
         if max_length is None:
             if self.pf.kappa is None:
                 raise InputError(
@@ -521,71 +638,6 @@ class EssentialSpace:
         t.setflags(write=False)
         self._star[length] = t
         return t
-
-    # -- persistence --------------------------------------------------------
-
-    def cache_key(self) -> str:
-        payload = json.dumps(
-            {
-                "format": _CACHE_FORMAT,
-                "vertices": list(self.graph.vertices),
-                "edges": [list(e) for e in self.graph.edges],
-                "distinguished": self.graph.distinguished,
-                "tol": self.tol,
-                "rank_tol": self.rank_tol,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:24]
-
-    def save_cache(self, directory) -> FsPath:
-        path = FsPath(directory) / f"esspath-cells-{self.cache_key()}.json"
-        cells = {
-            f"{a}|{b}|{l}": {
-                "paths": [list(p) for p in cell.paths],
-                "coordinates": [list(map(float, row)) for row in cell.coordinates],
-            }
-            for (a, b, l), cell in sorted(self._cells.items())
-        }
-        blob = json.dumps(
-            {"format": _CACHE_FORMAT, "key": self.cache_key(), "cells": cells}
-        )
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(blob)
-        tmp.replace(path)
-        return path
-
-    def load_cache(self, directory) -> int:
-        """Load the cached cells of this graph and return how many were
-        kept; a missing, stale or malformed file loads nothing.  Every entry
-        is parsed before any is stored, and each must pass the invariants
-        of `_checked_cell`, with its residuals recomputed; an entry that
-        fails is dropped and rebuilt on demand."""
-        path = FsPath(directory) / f"esspath-cells-{self.cache_key()}.json"
-        if not path.exists():
-            return 0
-        try:
-            data = json.loads(path.read_text())
-            if data.get("format") != _CACHE_FORMAT or data.get("key") != self.cache_key():
-                return 0
-            cells = []
-            for key, payload in data.get("cells", {}).items():
-                a, b, l = (int(x) for x in key.split("|"))
-                paths = tuple(tuple(p) for p in payload["paths"])
-                rows = payload["coordinates"]
-                coords = (np.array(rows, dtype=float) if rows
-                          else np.zeros((0, len(paths))))
-                try:
-                    cells.append(self._checked_cell(
-                        a, b, l, self._cell_problem(a, b, l), paths, coords))
-                except NumericError:
-                    continue
-        except (OSError, AttributeError, LookupError, TypeError, ValueError):
-            return 0
-        for cell in cells:
-            self._cells.setdefault((cell.start, cell.end, cell.length), cell)
-        return len(cells)
 
 
 _SPACES: dict[Graph, EssentialSpace] = {}

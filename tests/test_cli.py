@@ -1,4 +1,4 @@
-"""Command-line front end: subcommands, exit codes, determinism, cache."""
+"""Command-line front end: subcommands, exit codes, determinism."""
 
 import json
 import re
@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from esspath.cli import main
+from esspath.graphs import builtin_graph
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -37,6 +38,27 @@ class TestDims:
         code, out, _ = run(capsys, "dims", "--graph", "A2", "--format", "csv")
         assert code == 0
         assert out.splitlines() == ["length,dim", "0,2", "1,2"]
+
+    @pytest.mark.parametrize("graph", ["E7", "E8"])
+    def test_full_length_matches_exact_fused_sums(self, capsys, graph):
+        # entry sums of F_0 = I, F_1 = A, F_{p+1} = A F_p - F_{p-1} in exact
+        # integers, up to the last nonzero matrix
+        adj = builtin_graph(graph).adjacency.tolist()
+        n = len(adj)
+        mats = [[[int(i == j) for j in range(n)] for i in range(n)], adj]
+        while True:
+            nxt = [[sum(adj[i][k] * mats[-1][k][j] for k in range(n)) - mats[-2][i][j]
+                    for j in range(n)] for i in range(n)]
+            if not any(map(any, nxt)):
+                break
+            mats.append(nxt)
+        sums = [sum(map(sum, m)) for m in mats]
+        code, out, err = run(capsys, "dims", "--graph", graph)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["dims"] == sums
+        assert data["total"] == sum(sums)
+        assert data["endomorphism_dim"] == sum(d * d for d in sums)
 
     @pytest.mark.parametrize("jobs", ["1", "4"])
     @pytest.mark.parametrize("golden", ["dims_A3.json", "dims_D4.json",
@@ -98,6 +120,22 @@ class TestBasis:
         assert data["paths"] == [["2", "1", "2"], ["2", "3", "2"],
                                  ["2", "5", "2"]]
         assert data["gram_residual"] <= 1e-10
+
+    def test_empty_cell_past_the_last_grade(self, capsys, monkeypatch):
+        # the dimension comes from the transfer matrices; no path of the
+        # (about 10^12) walks of length 40 is enumerated
+        import esspath.essential
+
+        def refuse(*args):
+            raise AssertionError("enumerate_paths called")
+
+        monkeypatch.setattr(esspath.essential, "enumerate_paths", refuse)
+        code, out, err = run(capsys, "basis", "--graph", "E8", "--from", "1",
+                             "--to", "1", "--length", "40")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data["dimension"], data["paths"], data["coordinates"]) == (0, [], [])
+        assert (data["gram_residual"], data["annihilator_residual"]) == (0.0, 0.0)
 
     def test_unknown_vertex_exits_two(self, capsys):
         code, _, err = run(capsys, "basis", "--graph", "E6", "--from", "9",
@@ -273,9 +311,10 @@ class TestErrors:
         assert len(err.splitlines()) == 1
 
     def test_wrong_kernel_exits_one(self, capsys):
-        # a loose rank threshold takes too big a kernel; the build checks
-        # every cell dimension against the fused matrices
-        code, out, err = run(capsys, "dims", "--graph", "D4", "--rank-tol", "0.9")
+        # a rank threshold at the largest singular value takes too big a
+        # kernel; the build checks every cell dimension against the fused
+        # matrices
+        code, out, err = run(capsys, "dims", "--graph", "D4", "--rank-tol", "1.0")
         assert (code, out) == (1, "")
         assert "is not the fused-matrix entry" in err
 
@@ -291,58 +330,3 @@ class TestErrors:
                            "--allow-cycles")
         assert code == 0
         assert json.loads(out)["kappa"] is None
-
-
-class TestCacheDir:
-    def test_cache_roundtrip(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("ESSPATH_CACHE_DIR", str(tmp_path))
-        code, out1, _ = run(capsys, "dims", "--graph", "A4")
-        assert code == 0
-        files = list(tmp_path.glob("esspath-cells-*.json"))
-        assert len(files) == 1
-        blob = json.loads(files[0].read_text())
-        assert blob["format"] == 1
-        code, out2, _ = run(capsys, "dims", "--graph", "A4")
-        assert code == 0
-        assert out1 == out2
-
-    def test_corrupt_cache_ignored(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("ESSPATH_CACHE_DIR", str(tmp_path))
-        code, out1, _ = run(capsys, "dims", "--graph", "A5")
-        for f in tmp_path.glob("*.json"):
-            f.write_text("{broken")
-        code, out2, _ = run(capsys, "dims", "--graph", "A5")
-        assert code == 0
-        assert out1 == out2
-
-    def test_malformed_entry_is_a_clean_miss(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("ESSPATH_CACHE_DIR", str(tmp_path))
-        code, cold, _ = run(capsys, "dims", "--graph", "A3")
-        assert code == 0
-        f, = tmp_path.glob("esspath-cells-*.json")
-        blob = json.loads(f.read_text())
-        del next(iter(blob["cells"].values()))["paths"]
-        f.write_text(json.dumps(blob))
-        code, out, err = run(capsys, "dims", "--graph", "A3")
-        assert (code, out, err) == (0, cold, "")
-
-    def test_zeroed_cell_is_rebuilt(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("ESSPATH_CACHE_DIR", str(tmp_path))
-        code, cold, _ = run(capsys, "verify", "--graph", "A3", "--suite", "core")
-        assert code == 0
-        f, = tmp_path.glob("esspath-cells-*.json")
-        blob = json.loads(f.read_text())
-        entry = blob["cells"]["0|2|2"]
-        entry["coordinates"] = [[0.0] * len(row) for row in entry["coordinates"]]
-        f.write_text(json.dumps(blob))
-        code, out, err = run(capsys, "verify", "--graph", "A3", "--suite", "core")
-        assert (code, out, err) == (0, cold, "")
-
-    def test_cache_dir_is_a_file_exits_two(self, capsys, tmp_path, monkeypatch):
-        target = tmp_path / "not-a-directory"
-        target.write_text("")
-        monkeypatch.setenv("ESSPATH_CACHE_DIR", str(target))
-        code, out, err = run(capsys, "dims", "--graph", "A3")
-        assert code == 2
-        assert err.startswith("error: cannot write ESSPATH_CACHE_DIR")
-        assert len(err.splitlines()) == 1

@@ -8,8 +8,10 @@ import pytest
 
 from esspath import (
     EssentialSpace,
+    EsspathError,
     InputError,
     NonEssentialInputWarning,
+    NumericError,
     PathVector,
     build_ade,
     builtin_graph,
@@ -104,7 +106,7 @@ class TestDims:
         ("A6", None), ("A7", None), ("A8", None),
         ("D4", None), ("D5", None), ("D6", None), ("D7", None),
         ("E6", None),
-        # full-length kernels on the largest diagrams cost minutes
+        # capped: the prefix read through grade_basis (full length: test_cli)
         ("D8", 8), ("E7", 6), ("E8", 6),
     ])
     def test_kernel_dims_match_fused_sums(self, name, cap):
@@ -493,44 +495,112 @@ class TestScaleInvariance:
                     assert np.allclose(p1, p2, atol=TOL)
 
 
-class TestCachePersistence:
-    def test_roundtrip(self, tmp_path, a3):
-        sp = EssentialSpace(a3)
-        sp.dims()
-        path = sp.save_cache(tmp_path)
-        assert path.exists()
-        fresh = EssentialSpace(a3)
-        loaded = fresh.load_cache(tmp_path)
-        assert loaded > 0
-        assert fresh.dims() == sp.dims()
-        for (a, b, l), cell in sp._cells.items():
-            other = fresh._cells[(a, b, l)]
-            assert np.array_equal(cell.coordinates, other.coordinates)
+class TestCellInvariants:
+    """Every cell is checked where it is made: its transfer matrix R when it
+    is built, its path coordinates when they are first read."""
 
     @pytest.mark.parametrize("corrupt", [
-        lambda e: e.update(coordinates=[[1.0, 0.0]]),        # not essential
-        lambda e: e.update(coordinates=e["coordinates"] * 2),  # too many rows
-        lambda e: e.update(paths=e["paths"][::-1]),          # wrong path order
+        lambda paths, coords: (paths, np.array([[1.0, 0.0]])),  # not essential
+        lambda paths, coords: (paths, np.vstack([coords, coords])),  # too many rows
+        lambda paths, coords: (paths[::-1], coords),            # wrong path order
     ], ids=["annihilator", "dimension", "paths"])
-    def test_invalid_entry_is_rebuilt(self, tmp_path, a3, corrupt):
+    def test_invalid_coordinates_raise(self, a3, corrupt):
         sp = EssentialSpace(a3)
-        sp.dims()
-        path = sp.save_cache(tmp_path)
-        blob = json.loads(path.read_text())
-        corrupt(blob["cells"]["1|1|2"])  # paths [1,0,1] and [1,2,1], dim 1
-        path.write_text(json.dumps(blob))
-        fresh = EssentialSpace(a3)
-        assert fresh.load_cache(tmp_path) == len(sp._cells) - 1
-        assert (1, 1, 2) not in fresh._cells
-        cold, served = sp._cell(1, 1, 2), fresh._cell(1, 1, 2)
-        assert served.paths == cold.paths
-        assert np.array_equal(served.coordinates, cold.coordinates)
-        assert (served.gram_residual, served.annihilator_residual) == (
-            cold.gram_residual, cold.annihilator_residual)
+        cell = sp._cell(1, 1, 2)  # paths [1,0,1] and [1,2,1], dim 1
+        paths, coords = corrupt(cell.paths, cell.coordinates)
+        with pytest.raises(NumericError, match=r"cell 1\|1\|2 of A3"):
+            sp._checked_cell(1, 1, 2, sp._cell_problem(1, 1, 2), paths, coords)
 
-    def test_wrong_key_ignored(self, tmp_path, a3, a4):
+    @staticmethod
+    def _null_space(sp, a, b, length):
+        _, mat = sp._cell_problem(a, b, length)
+        if not mat.size:
+            return np.eye(mat.shape[1])
+        _, svals, vt = np.linalg.svd(mat)
+        return vt[int(np.sum(svals > 1e-10 * svals[0])):]
+
+    @pytest.mark.parametrize("name", ["A3", "D4", "A6", "E6", "A60", "affine-D4"])
+    def test_projectors_match_path_space_null_space(self, name):
+        # independent of the length recursion: the null space of the stacked
+        # constraints [C_1; ...; C_{l-1}] over the cell's elementary paths
+        if name == "affine-D4":  # spectral radius 2, no Coxeter number
+            from esspath import parse_graph
+            g = parse_graph(json.dumps({
+                "vertices": ["c", "1", "2", "3", "4"],
+                "edges": [["c", "1"], ["c", "2"], ["c", "3"], ["c", "4"]],
+            }))
+        else:
+            g = build_ade(name[0], int(name[1:]))
+        sp = EssentialSpace(g)
+        cap = 4 if sp.max_length is None or sp.max_length > 10 else sp.max_length
+        checked = 0
+        for length in range(cap + 1):
+            for a in range(g.n_vertices):
+                for b in range(g.n_vertices):
+                    cell = sp._cell(a, b, length)
+                    null = self._null_space(sp, a, b, length)
+                    assert cell.dim == null.shape[0]
+                    if cell.dim:
+                        got = cell.coordinates.T @ cell.coordinates
+                        assert np.max(np.abs(got - null.T @ null)) <= 1e-12
+                        checked += 1
+        assert checked > 0
+
+    def test_scaled_transfer_row_raises(self, d4, monkeypatch):
+        kernel = EssentialSpace._kernel
+
+        def scaled(self, constraints):
+            rows = kernel(self, constraints)
+            if constraints.shape[0] and rows.shape[0]:
+                rows[0] *= 1.5  # every cell with a real constraint
+            return rows
+
+        monkeypatch.setattr(EssentialSpace, "_kernel", scaled)
+        with pytest.raises(NumericError, match="Gram residual 1.25"):
+            EssentialSpace(d4).dims()
+
+    def test_wrong_kernel_of_right_size_raises(self, d4, monkeypatch):
+        kernel = EssentialSpace._kernel
+        monkeypatch.setattr(EssentialSpace, "_kernel", lambda self, k: np.eye(
+            k.shape[1])[:kernel(self, k).shape[0]])
+        with pytest.raises(NumericError, match="annihilator residual"):
+            EssentialSpace(d4).dims()
+
+    def test_wrong_stored_transfer_fails_path_check(self, a3):
+        import dataclasses
+        sp = EssentialSpace(a3)
+        cell = sp._cell(1, 1, 2)
+        # candidates [1,0] (x) [0,1] and [1,2] (x) [2,1]; the kernel of
+        # C_1 mixes both, a single candidate is not essential
+        sp._cells[(1, 1, 2)] = dataclasses.replace(
+            cell, transfer=np.array([[1.0, 0.0]]))
+        with pytest.raises(NumericError, match="annihilator residual"):
+            sp._cell(1, 1, 2).coordinates
+
+    def test_dropped_space_is_freed_without_a_collection(self, a3):
+        # cells refer to their space weakly, so no reference cycle keeps a
+        # dropped space (and all its cell data) alive
+        import weakref
         sp = EssentialSpace(a3)
         sp.dims()
-        sp.save_cache(tmp_path)
-        fresh = EssentialSpace(a4)
-        assert fresh.load_cache(tmp_path) == 0
+        sp.structure_constants(1, 1)
+        sp.star_matrix(1)
+        cell = sp._cell(1, 1, 2)
+        cell.coordinates
+        gone = weakref.ref(sp)
+        del sp
+        assert gone() is None
+        assert cell.dim == 1
+        fresh = EssentialSpace(a3)._cell(1, 1, 0)  # path coordinates never read
+        with pytest.raises(EsspathError, match="no longer exists"):
+            fresh.paths
+
+    def test_dims_enumerate_no_paths(self, monkeypatch):
+        import esspath.essential
+
+        def refuse(*args):
+            raise AssertionError("enumerate_paths called")
+
+        monkeypatch.setattr(esspath.essential, "enumerate_paths", refuse)
+        sp = EssentialSpace(builtin_graph("E8"))
+        assert sp.dims() == list(fused_matrices(sp.graph).sums)
