@@ -15,7 +15,11 @@ fix) so runs are reproducible; golden values should nevertheless be
 basis-independent (dimensions, norms, Gram data) because any orthonormal
 basis of the same kernel is equally valid.  Each R and each set of path
 coordinates is checked as it is made: dimension against the fused matrices,
-orthonormality, and annihilation by its constraints.
+orthonormality, and annihilation by its constraints.  Path coordinates are
+read by gathers over the lex order: the paths of cell (a, b, l) at v after s
+steps are, in lex order, the paths of (a, v, s) times those of (v, b, l - s),
+so decompositions, the coproduct and the structure constants read them as
+one block per v.
 
 The graded product is e * f = P(concat(e, f)) where P is the orthogonal
 projector onto the essential subspace; it is associative because
@@ -29,7 +33,7 @@ import warnings
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,9 +54,10 @@ DEFAULT_RANK_TOL = 1e-7
 @dataclass(frozen=True)
 class CellCoordinates:
     """A cell basis over the lex-ordered elementary paths of the cell, with
-    the residuals it was checked against."""
+    the residuals it was checked against.  Row r of ``walks`` is paths[r]."""
 
     paths: tuple[Path, ...]
+    walks: np.ndarray  # (len(paths), length + 1) vertex indices
     coordinates: np.ndarray  # (dim, len(paths))
     gram_residual: float
     annihilator_residual: float
@@ -91,7 +96,8 @@ class EssentialCellBasis:
     @cached_property
     def _in_paths(self) -> CellCoordinates:
         if not self.dim:
-            return CellCoordinates((), np.zeros((0, 0)), 0.0, 0.0)
+            return CellCoordinates((), np.zeros((0, self.length + 1), dtype=int),
+                                   np.zeros((0, 0)), 0.0, 0.0)
         space = self.space()
         if space is None:
             raise EsspathError("the EssentialSpace of this cell no longer exists; "
@@ -101,6 +107,10 @@ class EssentialCellBasis:
     @cached_property
     def paths(self) -> tuple[Path, ...]:
         return self._in_paths.paths
+
+    @cached_property
+    def walks(self) -> np.ndarray:
+        return self._in_paths.walks
 
     @cached_property
     def coordinates(self) -> np.ndarray:
@@ -205,6 +215,22 @@ def _gram_schmidt(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _through(x: np.ndarray, cell: EssentialCellBasis, left: EssentialCellBasis,
+             right: EssentialCellBasis) -> np.ndarray:
+    """The entries of ``x``, whose last axis runs over the paths of
+    ``cell``, on the paths p1 + p2[1:] with p1 in left.paths and p2 in
+    right.paths, as an array of shape (..., len(left.paths),
+    len(right.paths)).  Those are the paths of ``cell`` at left.end after
+    left.length steps, and lex order lists them as left.paths x right.paths
+    in row-major order, so one mask gathers them."""
+    hit = cell.walks[:, left.length] == left.end
+    shape = (len(left.paths), len(right.paths))
+    if np.count_nonzero(hit) != shape[0] * shape[1]:
+        raise NumericError(f"cell {cell.start}|{cell.end}|{cell.length}: its paths "
+                           f"through {left.end} are not {shape[0]} x {shape[1]}")
+    return x[..., hit].reshape(x.shape[:-1] + shape)
+
+
 class EssentialSpace:
     """All cached essential-path data of one graph.
 
@@ -279,7 +305,10 @@ class EssentialSpace:
                 for v, c in zip(nbrs, prev):
                     k[:, blocks[v]] = math.sqrt(mu[v] / mu[b]) * c.transfer[:, c.blocks[b]].T
         transfer = self._kernel(k)
-        self._checked_kernel(a, b, length, transfer, k)
+        ann = k @ transfer.T
+        self._checked_kernel(a, b, length, transfer,
+                             float(np.abs(ann).max()) if ann.size else 0.0,
+                             lambda: float(np.linalg.norm(k)))
         return EssentialCellBasis(a, b, length, transfer, blocks, weakref.ref(self))
 
     def _kernel(self, constraints: np.ndarray) -> np.ndarray:
@@ -292,78 +321,93 @@ class EssentialSpace:
         return vt[int(np.sum(svals > thresh)):]
 
     def _checked_kernel(self, a: int, b: int, length: int, rows: np.ndarray,
-                        constraints: np.ndarray) -> tuple[float, float]:
-        """Gram and annihilator residuals of the basis ``rows`` of cell
-        (a, b, length) against ``constraints``.  Raises NumericError unless
-        dim = (F_l)_{ab} on graphs with a Coxeter number and both residuals
-        are within rank_tol, the bound on the kernel's relative singular
-        values."""
+                        ann_res: float, scale: Callable[[], float]) -> float:
+        """Gram residual of the basis ``rows`` of cell (a, b, length), given
+        ``ann_res``, the largest entry of its image under its constraints.
+        Raises NumericError unless dim = (F_l)_{ab} on graphs with a Coxeter
+        number and both residuals are within rank_tol, the bound on the
+        kernel's relative singular values; ann_res may instead be within
+        rank_tol times the Frobenius norm of the constraints, ``scale()``,
+        which is called only then."""
         where = f"cell {a}|{b}|{length} of {self.graph.name}"
         dim = rows.shape[0]
         fm = self._fused
         if fm is not None and dim != (fm[length][a, b] if length < len(fm) else 0):
             raise NumericError(f"{where}: dimension {dim} is not the fused-matrix entry")
         gram_res = float(np.max(np.abs(rows @ rows.T - np.eye(dim)))) if dim else 0.0
-        ann = constraints @ rows.T
-        ann_res = float(np.max(np.abs(ann))) if ann.size else 0.0
         tol = self.rank_tol  # the Frobenius norm bounds the largest singular value
-        if not (gram_res <= tol and (ann_res <= tol
-                                     or ann_res <= tol * np.linalg.norm(constraints))):
+        if not (gram_res <= tol and (ann_res <= tol or ann_res <= tol * scale())):
             raise NumericError(f"{where}: Gram residual {gram_res:.3g}, "
                                f"annihilator residual {ann_res:.3g}")
-        return gram_res, ann_res
+        return gram_res
 
     def _compute_cell(self, a: int, b: int, length: int) -> CellCoordinates:
         """Canonical path coordinates of a built cell of nonzero dimension."""
         walks, rows = self._path_rows(a, b, length)
-        order = sorted(range(len(walks)), key=walks.__getitem__)
-        return self._checked_cell(a, b, length, self._cell_problem(a, b, length),
-                                  tuple(walks[i] for i in order),
+        order = np.lexsort(walks.T[::-1])
+        return self._checked_cell(a, b, length, walks[order],
                                   self._canonical(rows[:, order]))
 
     def _path_rows(self, a: int, b: int,
-                   length: int) -> tuple[list[Path], np.ndarray]:
-        """The walks from a to b of the given length and the cell's basis on
-        them: <e_i, p> is the product of the transfer blocks along p, grown
-        one edge at a time over the walks that can still reach b."""
+                   length: int) -> tuple[np.ndarray, np.ndarray]:
+        """The walks from a to b of the given length, one row of vertex
+        indices each, and the cell's basis on them: <e_i, p> is the product
+        of the transfer blocks along p, grown one edge at a time over the
+        walks that can still reach b."""
         nbrs = self.graph.neighbors
         reach = [{b}]  # reach[r]: the vertices r steps from b
         for _ in range(length):
             reach.append({v for u in reach[-1] for v in nbrs[u]})
-        level = {a: ([(a,)], np.ones((1, 1)))}
+        vertex = np.min_scalar_type(self.graph.n_vertices)  # walk entry type
+        level = {a: (np.array([[a]], dtype=vertex), np.ones((1, 1)))}
         for k in range(1, length + 1):
             nxt = {}
             for u in reach[length - k]:
                 cell = self._cells[(a, u, k)]
                 parts = [(v, level[v]) for v in nbrs[u] if v in level]
                 if parts:
-                    nxt[u] = ([w + (u,) for _, (ws, _) in parts for w in ws],
+                    walks = np.vstack([w for _, (w, _) in parts])
+                    nxt[u] = (np.column_stack([walks, np.full(len(walks), u, vertex)]),
                               np.hstack([cell.transfer[:, cell.blocks[v]] @ x
                                          for v, (_, x) in parts]))
             level = nxt
         return level[b]
 
-    def _cell_problem(self, a: int, b: int,
-                      length: int) -> tuple[tuple[Path, ...], np.ndarray]:
-        """The cell's lex-ordered elementary paths and the stacked constraint
-        matrix [C_1; ...; C_{l-1}] acting on their coordinates."""
-        paths = tuple(enumerate_paths(self.graph, self.graph.label(a),
-                                      self.graph.label(b), length))
-        if length <= 1 or not paths:
-            return paths, np.zeros((0, len(paths)))
-        shorter = enumerate_paths(self.graph, self.graph.label(a),
-                                  self.graph.label(b), length - 2)
-        tindex = {p: i for i, p in enumerate(shorter)}
-        nshort = len(shorter)
+    def _annihilator_residual(self, walks: np.ndarray,
+                              coords: np.ndarray) -> tuple[float, float]:
+        """The largest entry of C_k coords^T over k = 1, ..., l - 1 and the
+        Frobenius norm of [C_1; ...; C_{l-1}], for coordinates over the
+        walks of length l in the rows of ``walks``.  A walk w that
+        backtracks at k (w_{k-1} = w_{k+1}) maps to the shorter walk without
+        w_k and w_{k+1}, with weight sqrt(mu_{w_k} / mu_{w_{k-1}}); the
+        walks that map to one shorter walk are grouped and summed.  The rows
+        of ``walks`` must be all such walks in lex order, which
+        `_checked_cell` checks first: then the backtracking walks with one
+        prefix w_0 ... w_{k-1} come in runs, one per w_k, each over the same
+        suffixes w_{k+1} ... w_l in the same order, and each walk is grouped
+        onto the row of its suffix in the prefix's first run.  No shorter
+        walk is enumerated, and the transfer matrices are not read, so the
+        check stays independent of the build."""
         mu = self.pf.mu
-        mat = np.zeros(((length - 1) * nshort, len(paths)))
-        for j, p in enumerate(paths):
-            for k in range(1, length):
-                if p[k - 1] == p[k + 1]:
-                    w = math.sqrt(mu[p[k]] / mu[p[k - 1]])
-                    row = (k - 1) * nshort + tindex[p[:k] + p[k + 2:]]
-                    mat[row, j] += w
-        return paths, mat
+        worst = norm_sq = 0.0
+        for k in range(1, walks.shape[1] - 1):
+            hit = np.flatnonzero(walks[:, k - 1] == walks[:, k + 1])
+            if not hit.size:
+                continue
+            h = walks[hit]
+            w = np.sqrt(mu[h[:, k]] / mu[h[:, k - 1]])
+            norm_sq += float(w @ w)
+            rows = np.arange(len(h))
+            new_prefix = np.ones(len(h), dtype=bool)
+            new_prefix[1:] = (h[1:, :k] != h[:-1, :k]).any(axis=1)
+            new_run = new_prefix.copy()
+            new_run[1:] |= h[1:, k] != h[:-1, k]
+            group = (rows - np.maximum.accumulate(np.where(new_run, rows, 0))
+                     + np.maximum.accumulate(np.where(new_prefix, rows, 0)))
+            image = [np.bincount(group, weights=w * x, minlength=len(h))
+                     for x in coords[:, hit]]
+            worst = max(worst, float(np.max(np.abs(image))))
+        return worst, math.sqrt(norm_sq)
 
     def _canonical(self, rows: np.ndarray) -> np.ndarray:
         """The canonical orthonormal basis of the row span of ``rows``."""
@@ -374,21 +418,24 @@ class EssentialSpace:
                 basis[i] = -basis[i]
         return basis
 
-    def _checked_cell(self, a: int, b: int, length: int,
-                      problem: tuple[tuple[Path, ...], np.ndarray],
-                      paths: tuple[Path, ...],
+    def _checked_cell(self, a: int, b: int, length: int, walks: np.ndarray,
                       coords: np.ndarray) -> CellCoordinates:
-        """The cell basis with rows ``coords`` over ``paths``, residuals
-        computed here.  Raises NumericError unless, against the cell's
-        `_cell_problem`, the paths match, the shape is (cell dimension from
-        the transfer matrix, number of paths) and `_checked_kernel` holds."""
-        cell_paths, constraints = problem
-        if paths != cell_paths or coords.shape != (self._cells[(a, b, length)].dim,
-                                                    len(paths)):
+        """The cell basis with rows ``coords`` over the walks in the rows of
+        ``walks``, residuals computed here.  Raises NumericError unless the
+        walks are the cell's lex-ordered elementary paths from
+        `enumerate_paths`, the shape is (cell dimension from the transfer
+        matrix, number of paths) and `_checked_kernel` holds against the
+        path-space constraints [C_1; ...; C_{l-1}], which
+        `_annihilator_residual` applies to the walks."""
+        paths = tuple(enumerate_paths(self.graph, self.graph.label(a),
+                                      self.graph.label(b), length))
+        if (not np.array_equal(walks, np.reshape(paths, (-1, length + 1)))
+                or coords.shape != (self._cells[(a, b, length)].dim, len(paths))):
             raise NumericError(f"cell {a}|{b}|{length} of {self.graph.name}: "
                                "coordinates are not over its paths and dimension")
-        gram_res, ann_res = self._checked_kernel(a, b, length, coords, constraints)
-        return CellCoordinates(cell_paths, coords, gram_res, ann_res)
+        ann_res, scale = self._annihilator_residual(walks, coords)
+        gram_res = self._checked_kernel(a, b, length, coords, ann_res, lambda: scale)
+        return CellCoordinates(paths, walks, coords, gram_res, ann_res)
 
     # -- grade bases ------------------------------------------------------
 
@@ -512,7 +559,9 @@ class EssentialSpace:
         """Tensor mul[i, j, k] = <e_k^{(n+m)}, e_i^{(n)} e_j^{(m)}> over the
         global graded bases.  Self-adjointness of the projector makes the
         concatenation inner product equal the graded-product one, so no
-        projection is applied."""
+        projection is applied: each block contracts the two factor cells'
+        coordinates with the target cell's coordinates on the spliced paths,
+        gathered by `_through`."""
         key = (n, m)
         got = self._mul.get(key)
         if got is not None:
@@ -525,14 +574,9 @@ class EssentialSpace:
                     if c1.end != c2.start:
                         continue
                     c3, o3 = gt.cell_at(c1.start, c2.end)
-                    if c3 is None or not c3.dim:
+                    if c3 is None:
                         continue
-                    tindex = {p: i for i, p in enumerate(c3.paths)}
-                    splice = np.empty((len(c1.paths), len(c2.paths)), dtype=int)
-                    for i1, p1 in enumerate(c1.paths):
-                        for i2, p2 in enumerate(c2.paths):
-                            splice[i1, i2] = tindex[p1 + p2[1:]]
-                    gathered = c3.coordinates[:, splice]  # (d3, P1, P2)
+                    gathered = _through(c3.coordinates, c3, c1, c2)  # (d3, P1, P2)
                     block = np.einsum("ip,jq,Kpq->ijK", c1.coordinates,
                                       c2.coordinates, gathered, optimize=True)
                     out[o1:o1 + c1.dim, o2:o2 + c2.dim, o3:o3 + c3.dim] = block
@@ -551,32 +595,53 @@ class EssentialSpace:
             )
         return keys.pop()
 
+    def _cell_vector(self, e: PathVector, key: tuple[int, int, int],
+                     who: str) -> tuple[EssentialCellBasis, np.ndarray]:
+        """The cell ``key`` of a homogeneous vector and the vector's
+        coefficients over the cell's paths.  Raises InputError unless the
+        vector is essential, checked by one projection."""
+        if not self.is_essential(e):
+            raise InputError(f"{who} needs an essential input vector")
+        cell = self._cell(*key)
+        if not cell.dim:  # e is within tolerance of 0
+            raise InputError(f"{who}: cell {'|'.join(map(str, key))} of "
+                             f"{self.graph.name} holds no essential path")
+        index = {p: i for i, p in enumerate(cell.paths)}
+        x = np.zeros(len(index))
+        for p, c in e.items():
+            x[index[p]] = c
+        return cell, x
+
+    def _splits(self, cell: EssentialCellBasis, x: np.ndarray, split: int):
+        """(v, left, right, gamma) for each vertex v where a path of ``cell``
+        can sit after ``split`` steps, with left and right the cells (start,
+        v, split) and (v, end, length - split) and
+        gamma[i, j] = <left_i (x) right_j, x> under concatenation; entries
+        up to 1e-14 in size are set to 0."""
+        for v in range(self.graph.n_vertices):
+            left = self._cell(cell.start, v, split)
+            right = self._cell(v, cell.end, cell.length - split)
+            if left.dim and right.dim:
+                block = _through(x, cell, left, right)
+                gam = left.coordinates @ block @ right.coordinates.T
+                gam[np.abs(gam) <= 1e-14] = 0.0
+                yield v, left, right, gam
+
     def decompose(self, e: PathVector, split: int) -> Decomposition:
         """Write an essential vector of length L as a combination of graded
-        products of essential paths of lengths split and L - split."""
+        products of essential paths of lengths split and L - split:
+        gamma_{vij} = <e_i^{(split)}(a, v) e_j^{(L-split)}(v, b), e>, with
+        the coefficients of e on the paths through v gathered as one block
+        (`_through`).  The entries are ordered by v, then i, then j."""
         a, b, total = self._homogeneous_cell_of(e, "decompose")
         if not (0 < split < total):
             raise InputError(
                 f"split must satisfy 0 < split < {total}, got {split}"
             )
-        if not self.is_essential(e):
-            raise InputError("decompose needs an essential input vector")
-        entries: list[tuple[int, int, int, float]] = []
-        for v in range(self.graph.n_vertices):
-            left = self._cell(a, v, split)
-            right = self._cell(v, b, total - split)
-            if not left.dim or not right.dim:
-                continue
-            x = np.zeros((len(left.paths), len(right.paths)))
-            for i1, p1 in enumerate(left.paths):
-                for i2, p2 in enumerate(right.paths):
-                    x[i1, i2] = e.coefficient(p1 + p2[1:])
-            gam = np.einsum("ip,jq,pq->ij", left.coordinates,
-                            right.coordinates, x, optimize=True)
-            for i in range(left.dim):
-                for j in range(right.dim):
-                    if abs(gam[i, j]) > 1e-14:
-                        entries.append((v, i, j, float(gam[i, j])))
+        cell, x = self._cell_vector(e, (a, b, total), "decompose")
+        entries = [(v, int(i), int(j), float(gam[i, j]))
+                   for v, _, _, gam in self._splits(cell, x, split)
+                   for i, j in zip(*np.nonzero(gam))]
         return Decomposition(a, b, total, split, tuple(entries))
 
     def reconstruct(self, d: Decomposition) -> PathVector:
@@ -590,28 +655,23 @@ class EssentialSpace:
     def coproduct_paths(self, e: PathVector) -> TensorPathVector:
         """Coproduct dual to the graded product, for a homogeneous essential
         vector: the direct sum over splits of its decompositions, including
-        the trivial end pieces [a] (x) e and e (x) [b]."""
-        a, b, total = self._homogeneous_cell_of(e, "coproduct_paths")
-        if not self.is_essential(e):
-            raise InputError("coproduct_paths needs an essential input vector")
-        out: dict[tuple[Path, Path], float] = {}
-
-        def put(lv: PathVector, rv: PathVector, coeff: float):
-            for p1, c1 in lv.items():
-                for p2, c2 in rv.items():
-                    key = (p1, p2)
-                    out[key] = out.get(key, 0.0) + coeff * c1 * c2
-
-        if total == 0:
-            put(e, e, 1.0)  # [v] (x) [v]
-            return TensorPathVector(out)
-        put(PathVector.single((a,)), e, 1.0)
-        put(e, PathVector.single((b,)), 1.0)
+        the trivial end pieces [a] (x) e and e (x) [b].  The piece of split
+        s over a vertex v is left.coordinates^T gamma right.coordinates on
+        the path pairs, with gamma as in `decompose`; all splits read one
+        coordinate vector of e."""
+        key = self._homogeneous_cell_of(e, "coproduct_paths")
+        cell, x = self._cell_vector(e, key, "coproduct_paths")
+        a, b, total = key
+        # at length 0 the two end pieces are the same term [a] (x) [a]
+        out = {((a,), p): c for p, c in e.items()}
+        out.update(((p, (b,)), c) for p, c in e.items())
         for split in range(1, total):
-            d = self.decompose(e, split)
-            for v, i, j, gamma in d.entries:
-                put(self._cell(a, v, split).vector(i),
-                    self._cell(v, b, total - split).vector(j), gamma)
+            for _, left, right, gam in self._splits(cell, x, split):
+                block = left.coordinates.T @ gam @ right.coordinates
+                i, j = np.nonzero(block)
+                out.update(zip(zip(map(left.paths.__getitem__, i.tolist()),
+                                   map(right.paths.__getitem__, j.tolist())),
+                               block[i, j].tolist()))
         return TensorPathVector(out)
 
     # -- star -------------------------------------------------------------

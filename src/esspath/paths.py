@@ -192,26 +192,25 @@ def path_labels(g: Graph, p: Path) -> list[str]:
 
 def enumerate_paths(g: Graph, a, b, length: int) -> list[Path]:
     """All elementary paths from a to b of the given length, lex-sorted by
-    vertex-index sequence.  This ordering fixes every downstream basis."""
+    vertex-index sequence.  This ordering fixes every downstream basis.
+
+    The paths are built from the end: the tails of r steps to b, kept only
+    from the vertices the start reaches in length - r steps, so every tuple
+    made is the tail of an output path."""
     if length < 0:
         raise InputError(f"path length must be >= 0, got {length}")
     start = g.vertex_index(a)
     end = g.vertex_index(b)
-    out: list[Path] = []
-    prefix = [start]
-
-    def extend(remaining: int):
-        if remaining == 0:
-            if prefix[-1] == end:
-                out.append(tuple(prefix))
-            return
-        for nxt in g.neighbors[prefix[-1]]:  # sorted, so DFS emits lex order
-            prefix.append(nxt)
-            extend(remaining - 1)
-            prefix.pop()
-
-    extend(length)
-    return out
+    nbrs = g.neighbors
+    ahead = [{start}]  # ahead[k]: the vertices k steps from the start
+    for _ in range(length):
+        ahead.append({v for u in ahead[-1] for v in nbrs[u]})
+    tails = {end: [(end,)]} if end in ahead[length] else {}
+    for r in range(1, length + 1):
+        # neighbours are sorted and each list of tails is, so u's is too
+        tails = {u: [(u,) + t for v in nbrs[u] if v in tails for t in tails[v]]
+                 for u in ahead[length - r]}
+    return tails.get(start, [])
 
 
 def concat(p: PathVector, q: PathVector) -> PathVector:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from esspath.cli import main
-from esspath.graphs import builtin_graph
+from esspath.graphs import builtin_graph, fused_matrices
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -136,6 +136,17 @@ class TestBasis:
         data = json.loads(out)
         assert (data["dimension"], data["paths"], data["coordinates"]) == (0, [], [])
         assert (data["gram_residual"], data["annihilator_residual"]) == (0.0, 0.0)
+
+    def test_e7_full_length_cell(self, capsys):
+        # 36549 walks; a dense [C_1; ...; C_15] matrix over them would take
+        # about 41 GB
+        code, out, err = run(capsys, "basis", "--graph", "E7", "--from", "3",
+                             "--to", "3", "--length", "16")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["dimension"] == fused_matrices(builtin_graph("E7")).matrices[16][3, 3]
+        assert len(data["paths"]) == 36549
+        assert data["annihilator_residual"] <= 1e-10
 
     def test_unknown_vertex_exits_two(self, capsys):
         code, _, err = run(capsys, "basis", "--graph", "E6", "--from", "9",

@@ -13,10 +13,13 @@ from esspath import (
     NonEssentialInputWarning,
     NumericError,
     PathVector,
+    TensorPathVector,
+    annihilate,
     build_ade,
     builtin_graph,
     concat,
     elementary,
+    enumerate_paths,
     fused_matrices,
     inner,
     perron_frobenius,
@@ -446,6 +449,116 @@ class TestCoproductPaths:
         )
         assert got == pytest.approx(-math.sqrt(1.5 + S3) / 3, abs=TOL)
 
+    @pytest.mark.parametrize("length", [0, 1, 4])
+    @pytest.mark.parametrize("scale", [2.0, -0.5])
+    def test_linear(self, sp_e6, length, scale):
+        # at length 0 the end pieces [v] (x) e and e (x) [v] are one term;
+        # scaling by a power of 2 is exact, so both sides agree to the bit
+        for cell in sp_e6.grade_basis(length).cells:
+            for e in cell.vectors:
+                assert (sp_e6.coproduct_paths(scale * e).terms
+                        == (scale * sp_e6.coproduct_paths(e)).terms)
+
+    def test_one_projection_per_call(self, e6, monkeypatch):
+        sp = EssentialSpace(e6)
+        calls = []
+        project = sp.project
+        monkeypatch.setattr(sp, "project", lambda p: calls.append(p) or project(p))
+        e = sp.cell(2, 2, 4).vector(1)
+        sp.coproduct_paths(e)
+        assert len(calls) == 1
+        sp.decompose(e, 2)
+        assert len(calls) == 2
+
+
+def reference_decompose(sp, e, split):
+    """decompose by the path-space formula, one path pair at a time:
+    gamma_{vij} = sum_{p1, p2} <e_i, p1> <e_j, p2> <e, p1 p2>."""
+    (a, b, total), = {(p[0], p[-1], len(p) - 1) for p, _ in e.items()}
+    entries = []
+    for v in range(sp.graph.n_vertices):
+        left = sp._cell(a, v, split)
+        right = sp._cell(v, b, total - split)
+        if not left.dim or not right.dim:
+            continue
+        x = np.zeros((len(left.paths), len(right.paths)))
+        for i1, p1 in enumerate(left.paths):
+            for i2, p2 in enumerate(right.paths):
+                x[i1, i2] = e.coefficient(p1 + p2[1:])
+        gam = np.einsum("ip,jq,pq->ij", left.coordinates, right.coordinates, x)
+        entries += [(v, i, j, gam[i, j]) for i in range(left.dim)
+                    for j in range(right.dim) if abs(gam[i, j]) > 1e-14]
+    return entries
+
+
+def reference_coproduct(sp, e):
+    """coproduct_paths as [a] (x) e + e (x) [b] plus, for each inner split,
+    sum gamma_{vij} e_i (x) e_j summed term by term over path pairs."""
+    (a, b, total), = {(p[0], p[-1], len(p) - 1) for p, _ in e.items()}
+    out = {}
+
+    def put(lv, rv, coeff):
+        for p1, c1 in lv.items():
+            for p2, c2 in rv.items():
+                out[(p1, p2)] = out.get((p1, p2), 0.0) + coeff * c1 * c2
+
+    put(PathVector.single((a,)), e, 1.0)
+    if total:
+        put(e, PathVector.single((b,)), 1.0)
+    for split in range(1, total):
+        for v, i, j, gamma in reference_decompose(sp, e, split):
+            put(sp._cell(a, v, split).vector(i),
+                sp._cell(v, b, total - split).vector(j), gamma)
+    return TensorPathVector(out).terms
+
+
+def reference_structure_constants(sp, n, m):
+    """mul[i, j, K] = sum_{p1, p2} <e_i, p1> <e_j, p2> <e_K, p1 p2>, with the
+    spliced path p1 p2 looked up by value in the target cell."""
+    gn, gm, gt = sp.grade_basis(n), sp.grade_basis(m), sp.grade_basis(n + m)
+    out = np.zeros((gn.dim, gm.dim, gt.dim))
+    for c1, o1 in zip(gn.cells, gn.offsets):
+        for c2, o2 in zip(gm.cells, gm.offsets):
+            c3, o3 = gt.cell_at(c1.start, c2.end)
+            if c1.end != c2.start or c3 is None:
+                continue
+            tindex = {p: i for i, p in enumerate(c3.paths)}
+            splice = np.array([[tindex[p1 + p2[1:]] for p2 in c2.paths]
+                               for p1 in c1.paths])
+            out[o1:o1 + c1.dim, o2:o2 + c2.dim, o3:o3 + c3.dim] = np.einsum(
+                "ip,jq,Kpq->ijK", c1.coordinates, c2.coordinates,
+                c3.coordinates[:, splice], optimize=True)
+    return out
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "A6", "E6"])
+class TestAgainstPathSpaceReference:
+    """The block gathers against the one-path-pair-at-a-time formulas, on
+    every basis vector and split: the same entries, within 1e-12."""
+
+    def test_decompose_and_coproduct(self, name):
+        sp = space(build_ade(name[0], int(name[1:])))
+        for length in range(sp.max_length + 1):
+            for cell in sp.grade_basis(length).cells:
+                for e in cell.vectors:
+                    got, want = sp.coproduct_paths(e).terms, reference_coproduct(sp, e)
+                    assert got.keys() == want.keys()
+                    assert max(abs(got[k] - want[k]) for k in got) <= 1e-12
+                    for split in range(1, length):
+                        got = sp.decompose(e, split).entries
+                        want = reference_decompose(sp, e, split)
+                        assert [t[:3] for t in got] == [t[:3] for t in want]
+                        assert all(abs(g[3] - w[3]) <= 1e-12 for g, w in zip(got, want))
+
+    def test_structure_constants(self, name):
+        sp = space(build_ade(name[0], int(name[1:])))
+        for n in range(sp.max_length + 1):
+            for m in range(sp.max_length + 2 - n):
+                got = sp.structure_constants(n, m)
+                want = reference_structure_constants(sp, n, m)
+                assert np.array_equal(np.abs(got) > 1e-14, np.abs(want) > 1e-14)
+                assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+
 
 class TestBulletAlgebraLaws:
     def test_associative_on_random_essential_triples(self, sp_e6):
@@ -509,15 +622,54 @@ class TestCellInvariants:
         cell = sp._cell(1, 1, 2)  # paths [1,0,1] and [1,2,1], dim 1
         paths, coords = corrupt(cell.paths, cell.coordinates)
         with pytest.raises(NumericError, match=r"cell 1\|1\|2 of A3"):
-            sp._checked_cell(1, 1, 2, sp._cell_problem(1, 1, 2), paths, coords)
+            sp._checked_cell(1, 1, 2, np.array(paths), coords)
 
     @staticmethod
-    def _null_space(sp, a, b, length):
-        _, mat = sp._cell_problem(a, b, length)
+    def _constraints(sp, a, b, length):
+        """[C_1; ...; C_{l-1}] over the cell's paths, one column per unit
+        path vector, from paths.annihilate; rows are the nonzero images."""
+        g = sp.graph
+        paths = enumerate_paths(g, g.label(a), g.label(b), length)
+        images = [{(k, q): c for k in range(1, length)
+                   for q, c in annihilate(g, k, PathVector.single(p), sp.pf).items()}
+                  for p in paths]
+        index = {r: i for i, r in enumerate(sorted(set().union(*images)))}
+        mat = np.zeros((len(index), len(paths)))
+        for j, image in enumerate(images):
+            for r, c in image.items():
+                mat[index[r], j] = c
+        return mat
+
+    @classmethod
+    def _null_space(cls, sp, a, b, length):
+        mat = cls._constraints(sp, a, b, length)
         if not mat.size:
             return np.eye(mat.shape[1])
         _, svals, vt = np.linalg.svd(mat)
         return vt[int(np.sum(svals > 1e-10 * svals[0])):]
+
+    @pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+    def test_annihilator_residual_matches_dense_constraints(self, name):
+        # the grouped re-check against the dense matrix, on coordinates that
+        # are not essential, so that every C_k has a nonzero image
+        sp = EssentialSpace(build_ade(name[0], int(name[1:])))
+        rng = np.random.default_rng(5)
+        checked = 0
+        for length in range(2, 7):
+            for a in range(sp.graph.n_vertices):
+                for b in range(sp.graph.n_vertices):
+                    g = sp.graph
+                    walks = np.array(enumerate_paths(g, g.label(a), g.label(b), length))
+                    if not walks.size:
+                        continue
+                    coords = rng.standard_normal((2, len(walks)))
+                    mat = self._constraints(sp, a, b, length)
+                    worst, scale = sp._annihilator_residual(walks, coords)
+                    dense = np.max(np.abs(mat @ coords.T), initial=0.0)
+                    assert worst == pytest.approx(dense, rel=1e-12, abs=1e-15)
+                    assert scale == pytest.approx(np.linalg.norm(mat), rel=1e-12)
+                    checked += 1
+        assert checked > 0
 
     @pytest.mark.parametrize("name", ["A3", "D4", "A6", "E6", "A60", "affine-D4"])
     def test_projectors_match_path_space_null_space(self, name):

@@ -1,6 +1,7 @@
 """Concatenation algebra, scalar product, backtrack removal, group-like
 coalgebra."""
 
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from esspath import (
     grouplike_coproduct,
     grouplike_counit,
     inner,
+    parse_graph,
     perron_frobenius,
     reverse_star,
     tensor,
@@ -77,6 +79,32 @@ class TestEnumerate:
                 for j in range(6):
                     assert len(enumerate_paths(E6, E6.label(i), E6.label(j),
                                                length)) == power[i, j]
+
+    @staticmethod
+    def _brute_force(g, a, length):
+        """Every walk of the given length from vertex index a, by an
+        unpruned depth-first search over sorted neighbours (so in lex
+        order)."""
+        if length == 0:
+            return [(a,)]
+        return [(a,) + w for v in g.neighbors[a]
+                for w in TestEnumerate._brute_force(g, v, length - 1)]
+
+    @pytest.mark.parametrize("name", ["A6", "D5", "E6", "star"])
+    def test_matches_unpruned_search(self, name):
+        if name == "star":  # four-pronged star, spectral radius 2
+            g = parse_graph(json.dumps({
+                "vertices": ["c", "1", "2", "3", "4"],
+                "edges": [["c", "1"], ["c", "2"], ["c", "3"], ["c", "4"]],
+            }))
+        else:
+            g = build_ade(name[0], int(name[1:]))
+        for length in range(9):
+            for a in range(g.n_vertices):
+                walks = self._brute_force(g, a, length)
+                for b in range(g.n_vertices):
+                    assert enumerate_paths(g, g.label(a), g.label(b), length) == [
+                        w for w in walks if w[-1] == b]
 
     def test_negative_length(self):
         with pytest.raises(InputError):
