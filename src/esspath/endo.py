@@ -7,7 +7,7 @@ composition.  Together they form a weak bialgebra: the coproduct is an
 algebra homomorphism for the convolution product exactly when the Gram
 matrices of the structure constants are the identity, the unit is not
 group-like, comonoidality holds, and no antipode can exist (verified here
-as a least-squares infeasibility).
+by a closed-form obstruction).
 
 Coefficients are stored over the canonical essential bases, so composition
 is a plain blockwise matrix product and the coproduct is a literal basis
@@ -766,18 +766,28 @@ def check_unit_not_grouplike(g: SpaceLike, floor: float = 0.5) -> CheckReport:
 
 
 def antipode_infeasibility(g: SpaceLike, n: int = 1, floor: float = 0.5,
-                           monomials: Optional[Sequence[tuple[int, int]]] = None,
-                           max_length: Optional[int] = None) -> CheckReport:
-    """Least-squares infeasibility of the antipode axiom on grade-n inputs.
+                           monomials: Optional[Sequence[tuple[int, int]]] = None
+                           ) -> CheckReport:
+    """Closed-form obstruction to the antipode axiom on grade-n inputs.
 
     The axiom S(x_(1)) * x_(2) = 1_(1) eps(x 1_(2)) is imposed for the chosen
-    basis monomials x of grade n >= 1, with the action of S on every monomial
-    (i, I) as unknowns.  The system separates exactly by the first index of x
-    and by output grade (each unknown of grade m feeds only grade m+n), so
-    each sub-block is solved independently; pass means the minimal residual
-    stays ABOVE the floor.  A length cap only drops blocks whose right-hand
-    side is structurally zero (the right side lives in grade 0), so it does
-    not change the minimal residual.
+    basis monomials x of grade n >= 1.  Delta(x) has both legs in grade n,
+    so for every linear S the left side lies in grades >= n >= 1.  Delta(1)
+    has both legs in grade 0, so the right side lies in grade 0.  The two
+    sides share no grade, and the smallest residual over all S is the norm of
+    the right side, attained by S = 0; pass means it stays ABOVE the floor.
+
+    The right side is built from Delta(1) by the machinery, and two facts
+    are asserted on it, either failure being a FAIL:
+
+    1. Delta(1) has no leg outside grade 0 (the grade argument needs it).
+    2. residual^2 = |V| * #{diagonal monomials (i, i)}.  Delta(1) is
+       sum_{v,u,w} (e_v (x) e^u) (x) (e_u (x) e^w) over vertices, and
+       e_i * [u] = delta(u, end(e_i)) e_i, so
+       eps((e_i (x) e^j) * (e_u (x) e^w)) = delta_ij delta(u, end e_i)
+       delta(w, end e_i).  The right side of x = e_i (x) e^j is therefore
+       delta_ij times the grade-0 block whose column end(e_i) is all ones,
+       of squared norm |V|.
     """
     sp = as_space(g)
     if n < 1:
@@ -792,65 +802,34 @@ def antipode_infeasibility(g: SpaceLike, n: int = 1, floor: float = 0.5,
         if not (0 <= i < dn and 0 <= j < dn):
             raise InputError(f"monomial index {(i, j)} out of range for grade {n}")
 
-    # right-hand sides: rhs_{ij} = sum over Delta(1) terms (t1, t2) of
-    # t1 * eps(rho_ij [conv] t2), from the machinery, no shortcut.  The
-    # counit of (e_i (x) e^j) * (e_k (x) e^l) is sum_K mul[i,k,K] mul[j,l,K],
-    # so each grade profile (g1, g2) of Delta(1) is one contraction that
-    # yields the grade-g1 blocks rhs[g1][i, j] of every monomial at once.
-    rhs: dict[int, np.ndarray] = {}
-    for (g1, g2), one in coproduct(unit_endo(sp)).dense_blocks().items():
-        mul = sp.structure_constants(n, g2)
-        if mul.shape[2] == 0:
-            continue
-        eps = np.einsum("ikK,jlK->ijkl", mul, mul, optimize=True)
-        part = np.einsum("vxkl,ijkl->ijvx", one, eps, optimize=True)
-        rhs[g1] = rhs[g1] + part if g1 in rhs else part
-
-    sizes = sp.dims(max_length)
-    residual_sq = 0.0
-    unreachable_sq = 0.0
-    by_i: dict[int, list[int]] = {}
-    for i, j in mono:
-        by_i.setdefault(i, []).append(j)
-
-    out_grades = sorted({0} | {m + n for m, d in enumerate(sizes) if d > 0
-                              and m + n < len(sizes) and sizes[m + n] > 0})
-    for gout in out_grades:
-        d_out = sizes[gout] if gout < len(sizes) else 0
-        if d_out == 0:
-            continue
-        m = gout - n
-        has_cols = 0 <= m < len(sizes) and sizes[m] > 0
-        if has_cols:
-            mul = sp.structure_constants(m, n)  # (dm, dn, d_out)
-            dm = sizes[m]
-        for i, js in sorted(by_i.items()):
-            b = (rhs[gout][i, js].ravel() if gout in rhs
-                 else np.zeros(len(js) * d_out * d_out))
-            if not has_cols:
-                residual_sq += float(b @ b)
-                unreachable_sq += float(b @ b)
-                continue
-            if not np.any(np.abs(b) > _CUT):
-                continue  # least squares attains 0 exactly (S-block = 0)
-            design = np.einsum("PIK,QjL->jKLIPQ",
-                               mul, mul, optimize=True)
-            design = design[np.array(js)].reshape(len(js) * d_out * d_out,
-                                                  dn * dm * dm)
-            sol, *_ = np.linalg.lstsq(design, b, rcond=None)
-            resid = design @ sol - b
-            residual_sq += float(resid @ resid)
+    # right side rhs[i, j] = sum over Delta(1) terms t1 (x) t2 of
+    # t1 eps(x * t2), from the machinery, no shortcut.  The counit of
+    # (e_i (x) e^j) * (e_k (x) e^l) is sum_K mul[i,k,K] mul[j,l,K], so the
+    # grade-(0, 0) block of Delta(1) is one contraction for every monomial.
+    d0 = sp.grade_basis(0).dim
+    blocks = coproduct(unit_endo(sp)).dense_blocks()
+    one = blocks.pop((0, 0), np.zeros((d0,) * 4))
+    mul = sp.structure_constants(n, 0)
+    eps = np.einsum("ikK,jlK->ijkl", mul, mul, optimize=True)
+    rhs = np.einsum("vxkl,ijkl->ijvx", one, eps, optimize=True)
+    picked = rhs[[i for i, _ in mono], [j for _, j in mono]]
+    residual_sq = float(np.sum(picked ** 2))
     residual = math.sqrt(residual_sq)
+    expected = d0 * sum(i == j for i, j in mono)
+    faults = [f"Delta(1) has a leg outside grade 0, grade profile {p}"
+              for p in sorted(blocks)]
+    if abs(residual_sq - expected) > 1e-9 * max(expected, 1):
+        faults.append(f"residual^2 {residual_sq:.12g} != |V| * diagonal "
+                      f"monomials = {expected}")
     return CheckReport(
         name=f"antipode_infeasibility[n={n}] (pass iff residual > tolerance)",
         residual=residual,
         tolerance=floor,
-        passed=residual > floor,
-        witness=(
-            f"{len(mono)} grade-{n} monomial conditions; norm "
-            f"{math.sqrt(unreachable_sq):.6f} of the right-hand side sits in "
-            "grades no product can reach"
-        ),
+        passed=residual > floor and not faults,
+        witness="; ".join([
+            f"{len(mono)} grade-{n} monomial conditions; norm {residual:.6f} "
+            "of the right-hand side sits in grades no product can reach",
+            *faults]),
     )
 
 

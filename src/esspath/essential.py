@@ -153,10 +153,8 @@ class GradeBasis:
         return None, 0
 
     def vector(self, i: int) -> PathVector:
-        for cell, off in zip(self.cells, self.offsets):
-            if off <= i < off + cell.dim:
-                return cell.vector(i - off)
-        raise IndexError(i)
+        cell, k = self.locate(i)
+        return cell.vector(k)
 
     def locate(self, i: int) -> tuple[EssentialCellBasis, int]:
         for cell, off in zip(self.cells, self.offsets):

@@ -50,7 +50,6 @@ class VerifyConfig:
     samples: int = 50
     max_length: Optional[int] = None
     decomposition_cap: int = 6
-    antipode_floor: float = 0.5
 
     def __post_init__(self):
         if self.samples < 1:
@@ -439,8 +438,7 @@ def _run_unit_not_grouplike(sp, cfg):
 
 
 def _run_antipode(sp, cfg):
-    return antipode_infeasibility(sp, n=1, floor=cfg.antipode_floor,
-                                  max_length=cfg.max_length)
+    return antipode_infeasibility(sp)
 
 
 def _run_star(sp, cfg):

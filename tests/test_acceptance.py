@@ -132,7 +132,7 @@ def test_criterion_08_antipode_nonexistence():
         got[name] = rep.residual
         ok = ok and rep.passed and rep.residual >= floor
     ok = ok and got["A2"] >= 1.0
-    _criterion(8, "antipode least-squares residual >= 1.0 on A2, > 0.5 on "
+    _criterion(8, "antipode residual >= 1.0 on A2, > 0.5 on "
                   "A3 and D4", ok,
                ", ".join(f"{k}={v:.3f}" for k, v in got.items()))
 

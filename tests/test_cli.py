@@ -249,6 +249,14 @@ class TestVerify:
             assert [float(x) for x in NUMBER.findall(gw)] == pytest.approx(
                 [float(x) for x in NUMBER.findall(ew)], rel=0, abs=1e-12), e["name"]
 
+    def test_e8_antipode_at_full_length(self, capsys):
+        code, out, err = run(capsys, "verify", "--graph", "E8", "--suite",
+                             "antipode", "--format", "json")
+        assert (code, err) == (0, "")
+        (report,) = json.loads(out)
+        assert report["pass"]
+        assert report["residual"] == 10.5830052443  # sqrt(|V| * d_1) = sqrt(8 * 14)
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "verify", "--graph", "A3", "--suite", "core")
         _, out2, _ = run(capsys, "verify", "--graph", "A3", "--suite", "core")

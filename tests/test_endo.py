@@ -2,12 +2,14 @@
 antipode obstruction, star operation."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from esspath import (
     EndoTensor,
+    EssentialSpace,
     GradedEndo,
     InputError,
     antipode_infeasibility,
@@ -28,7 +30,9 @@ from esspath import (
     truncated_paths_algebra,
     unit_endo,
 )
+from esspath import endo
 from esspath.endo import check_coalgebra_axioms, check_convolution_coproduct
+from esspath.graphs import fused_matrices
 
 TOL = 1e-9
 
@@ -242,6 +246,19 @@ class TestComonoidality:
         assert counit_weak_multiplicativity_residual(sp_a2) >= 0.5
 
 
+ANTIPODE_GRAPHS = ("A2", "A3", "A4", "D4", "D5", "A6", "E6", "D7", "D8")
+
+
+@lru_cache(maxsize=None)
+def fused_sums(name):
+    return fused_matrices(build_ade(name[0], int(name[1:]))).sums
+
+
+@lru_cache(maxsize=None)
+def shared_space(name):
+    return space(build_ade(name[0], int(name[1:])))
+
+
 class TestAntipode:
     def test_a2_full_system(self, sp_a2):
         rep = antipode_infeasibility(sp_a2, 1)
@@ -270,12 +287,43 @@ class TestAntipode:
         # residual equals the norm of the unreachable grade-zero right side
         assert rep.residual == pytest.approx(expect, abs=1e-10)
 
-    def test_higher_grade_input(self, sp_a3):
-        # same obstruction at grade 2: unreachable right side of norm
-        # sqrt(dim E_2 * |V|) = 3
-        rep = antipode_infeasibility(sp_a3, 2)
+    @pytest.mark.parametrize("name,n", [
+        (name, n) for name in ANTIPODE_GRAPHS
+        for n in range(1, len(fused_sums(name)))])
+    def test_higher_grade_input(self, name, n):
+        # same obstruction at every grade: the right side lies in grade 0,
+        # of squared norm |V| = d_0 for each of the d_n diagonal monomials
+        sums = fused_sums(name)
+        rep = antipode_infeasibility(shared_space(name), n)
         assert rep.passed
-        assert rep.residual == pytest.approx(3.0, abs=1e-10)
+        assert rep.residual ** 2 == pytest.approx(sums[0] * sums[n], rel=1e-12)
+
+    def test_scaled_unit_coproduct_fails(self, sp_a3, monkeypatch):
+        # 2 Delta(1) still clears the floor; only the closed form catches it
+        real = endo.coproduct
+        monkeypatch.setattr(endo, "coproduct", lambda r: real(r) * 2.0)
+        rep = antipode_infeasibility(sp_a3, 1)
+        assert rep.residual == pytest.approx(2 * math.sqrt(12), abs=1e-12)
+        assert not rep.passed
+        assert rep.witness.endswith("!= |V| * diagonal monomials = 12")
+
+    @pytest.mark.parametrize("stray", [((1, 0, 0), (0, 0, 0)),
+                                       ((0, 0, 0), (1, 0, 0))])
+    def test_unit_coproduct_leg_outside_grade_zero_fails(self, sp_a3,
+                                                         monkeypatch, stray):
+        real = endo.coproduct
+        extra = EndoTensor(sp_a3, 2, {stray: 1.0})
+        monkeypatch.setattr(endo, "coproduct", lambda r: real(r) + extra)
+        rep = antipode_infeasibility(sp_a3, 1)
+        assert not rep.passed
+        profile = tuple(n for n, _, _ in stray)
+        assert rep.witness.endswith(
+            f"Delta(1) has a leg outside grade 0, grade profile {profile}")
+
+    def test_builds_one_structure_constant_block(self):
+        sp = EssentialSpace(build_ade("E", 6))
+        antipode_infeasibility(sp, 1)
+        assert list(sp._mul) == [(1, 0)]
 
     def test_grade_zero_rejected(self, sp_a2):
         with pytest.raises(InputError):
