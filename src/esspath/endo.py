@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InputError
-from .essential import EssentialSpace, space
+from .essential import EssentialSpace, planned_einsum, space
 from .graphs import Graph
 from .paths import Path, enumerate_paths
 
@@ -152,8 +152,7 @@ def conv_bullet(r: GradedEndo, s: GradedEndo) -> GradedEndo:
             mul = sp.structure_constants(n, m)
             if mul.shape[2] == 0:
                 continue
-            block = np.einsum("ij,kl,ikK,jlL->KL", rn, sm, mul, mul,
-                              optimize=True)
+            block = planned_einsum("ij,kl,ikK,jlL->KL", rn, sm, mul, mul)
             tgt = n + m
             if tgt in out:
                 out[tgt] = out[tgt] + block
@@ -438,8 +437,8 @@ class EndoTensor:
                 if any(mul.shape[2] == 0 for mul in muls):
                     continue
                 out += _nonzero_terms(tuple(n + m for n, m in zip(p, q)), [
-                    _all_pairs(np.einsum("tij,skl,ikK,jlL->tsKL", _dense(x),
-                                         _dense(y), mul, mul, optimize=True))
+                    _all_pairs(planned_einsum("tij,skl,ikK,jlL->tsKL", _dense(x),
+                                              _dense(y), mul, mul))
                     for x, y, mul in zip(xs, ys, muls)
                 ])
         return EndoTensor._of(sp, self.legs, out)
@@ -465,7 +464,7 @@ class EndoTensor:
         out = []
         for p, xs in self._batches:
             out += _nonzero_terms(p, [
-                np.einsum("pi,tij,qj->tpq", t, _dense(x), t, optimize=True)
+                planned_einsum("pi,tij,qj->tpq", t, _dense(x), t)
                 for t, x in zip(map(sp.star_matrix, p), xs)
             ])
         return EndoTensor._of(sp, self.legs, out)
@@ -493,7 +492,7 @@ def convolution_coproduct(r: GradedEndo) -> EndoTensor:
                 continue
             # coeff[(i,k),(j,l)] = sum_{a,b} mat[a,b] mul[i,j,a] mul[k,l,b],
             # one term (e_i (x) e^k) (x) coeff[i,k] per populated (i,k)
-            coeff = np.einsum("ab,ija,klb->ikjl", mat, mul, mul, optimize=True)
+            coeff = planned_einsum("ab,ija,klb->ikjl", mat, mul, mul)
             i, k = np.nonzero(np.any(np.abs(coeff) > _CUT, axis=(2, 3)))
             if len(i):
                 eye = np.eye(len(coeff))
@@ -591,7 +590,7 @@ def gram_condition_residual(alg: GradedBasisAlgebra) -> tuple[float, Optional[tu
             if dt == 0:
                 continue
             mul = alg.mul(n, k)
-            gram = np.einsum("ijK,ijL->KL", mul, mul, optimize=True)
+            gram = planned_einsum("ijK,ijL->KL", mul, mul)
             res = float(np.max(np.abs(gram - np.eye(dt))))
             if res > worst:
                 worst, worst_pair = res, (n, k)
@@ -634,6 +633,7 @@ def check_delta_homomorphism(g: SpaceLike, pairs: int = 100, seed: int = 7,
     gram_res, worst_pair = gram_condition_residual(essential_algebra(sp, max_length))
     rng = np.random.default_rng(seed)
     spot = 0.0
+    dual_grams: dict[tuple[int, int], np.ndarray] = {}
     for (n, i, j), (m, k, l) in _monomial_pairs(sp, rng, pairs, max_length):
         mul = sp.structure_constants(n, m)
         dt = mul.shape[2]
@@ -643,11 +643,11 @@ def check_delta_homomorphism(g: SpaceLike, pairs: int = 100, seed: int = 7,
             spot = max(spot, lhs_zero)
             continue
         # lhs[K,I,Ip,L] of Delta(rho * rho'); the middle legs carry delta_{I,Ip}
-        lhs = np.einsum("K,L,Ii->KIiL", mul[i, k], mul[j, l], np.eye(dt),
-                        optimize=True)
-        dual_gram = np.einsum("ABQ,ABR->QR", mul, mul, optimize=True)
-        rhs = np.einsum("P,QR,S->PQRS", mul[i, k], dual_gram, mul[j, l],
-                        optimize=True)
+        lhs = planned_einsum("K,L,Ii->KIiL", mul[i, k], mul[j, l], np.eye(dt))
+        dual_gram = dual_grams.get((n, m))
+        if dual_gram is None:
+            dual_gram = dual_grams[(n, m)] = planned_einsum("ABQ,ABR->QR", mul, mul)
+        rhs = planned_einsum("P,QR,S->PQRS", mul[i, k], dual_gram, mul[j, l])
         spot = max(spot, float(np.max(np.abs(lhs - rhs))))
     residual = max(gram_res, spot)
     return CheckReport(
@@ -688,38 +688,39 @@ def check_convolution_coproduct(g: SpaceLike, pairs: int = 100, seed: int = 11,
 def counit_weak_multiplicativity_residual(g: SpaceLike, max_grade: int = 1,
                                           index_cap: int = 3) -> float:
     """Largest deviation of eps(x * y * z) from the split forms
-    sum eps(x y_(1)) eps(y_(2) z), scanned over small monomial triples.
-    This identity genuinely fails here, so the value is informational."""
+    sum eps(x y_(1)) eps(y_(2) z), scanned over the monomials e_i (x) e^j of
+    grades <= max_grade with i, j < index_cap.  This identity genuinely
+    fails here, so the value is informational.
+
+    The counit of (e_i (x) e^j) * (e_k (x) e^l) is sum_A m[i,k,A] m[j,l,A],
+    so for x, y, z of grades (n, m, s) every triple is read from a few
+    contractions of the capped structure constants: with
+    U[i,k,p,C] = sum_A m_nm[i,k,A] m_ts[A,p,C], eps(x y z) is
+    sum_C U[i,k,p,C] U[j,l,q,C], and both Sweedler orders of the split
+    forms are sum_x left[.,x,.,.] right[x,.,.,.] with
+    left[j,x,i,k] = sum_A m_nm[j,x,A] m_nm[i,k,A] and
+    right[x,p,l,q] = sum_B m_ms[x,p,B] m_ms[l,q,B]."""
     sp = as_space(g)
-    sizes = [sp.grade_basis(n).dim for n in range(max_grade + 1)]
-    monos = [
-        (n, i, j)
-        for n in range(max_grade + 1)
-        for i in range(min(sizes[n], index_cap))
-        for j in range(min(sizes[n], index_cap))
-    ]
+    caps = [min(sp.grade_basis(n).dim, index_cap) for n in range(max_grade + 1)]
+    grades = [n for n, c in enumerate(caps) if c]
     worst = 0.0
-    for n, i, j in monos:
-        for m, k, l in monos:
-            m_nm = sp.structure_constants(n, m)
-            for s, p, q in monos:
-                m_ts = sp.structure_constants(n + m, s)
-                if m_ts.shape[2]:
-                    full = float((m_nm[i, k] @ m_ts[:, p, :])
-                                 @ (m_nm[j, l] @ m_ts[:, q, :]))
-                else:
-                    full = 0.0
-                m_ms = sp.structure_constants(m, s)
-                if m_ms.shape[2]:
-                    # eps(x y_(1)) eps(y_(2) z) summed over the middle index
-                    split1 = float((m_nm[j] @ m_nm[i, k])
-                                   @ (m_ms[:, p, :] @ m_ms[l, q]))
-                    # the flipped Sweedler order
-                    split2 = float((m_nm[i] @ m_nm[j, l])
-                                   @ (m_ms[:, q, :] @ m_ms[k, p]))
-                else:
-                    split1 = split2 = 0.0
-                worst = max(worst, abs(full - split1), abs(full - split2))
+    for n in grades:
+        for m in grades:
+            m_nm = sp.structure_constants(n, m)[:caps[n]]
+            corner = m_nm[:, :caps[m]]
+            left = np.einsum("jxA,ikA->jxik", m_nm, corner)
+            for s in grades:
+                m_ts = sp.structure_constants(n + m, s)[:, :caps[s]]
+                m_ms = sp.structure_constants(m, s)[:, :caps[s]]
+                u = np.einsum("ikA,ApC->ikpC", corner, m_ts)
+                full = np.einsum("ikpC,jlqC->ijklpq", u, u)
+                right = np.einsum("xpB,lqB->xplq", m_ms, m_ms[:caps[m]])
+                # eps(x y_(1)) eps(y_(2) z) summed over the middle index
+                split1 = np.einsum("jxik,xplq->ijklpq", left, right)
+                # the flipped Sweedler order
+                split2 = np.einsum("ixjl,xqkp->ijklpq", left, right)
+                worst = max(worst, float(np.max(np.abs(full - split1))),
+                            float(np.max(np.abs(full - split2))))
     return worst
 
 
@@ -810,8 +811,8 @@ def antipode_infeasibility(g: SpaceLike, n: int = 1, floor: float = 0.5,
     blocks = coproduct(unit_endo(sp)).dense_blocks()
     one = blocks.pop((0, 0), np.zeros((d0,) * 4))
     mul = sp.structure_constants(n, 0)
-    eps = np.einsum("ikK,jlK->ijkl", mul, mul, optimize=True)
-    rhs = np.einsum("vxkl,ijkl->ijvx", one, eps, optimize=True)
+    eps = planned_einsum("ikK,jlK->ijkl", mul, mul)
+    rhs = planned_einsum("vxkl,ijkl->ijvx", one, eps)
     picked = rhs[[i for i, _ in mono], [j for _, j in mono]]
     residual_sq = float(np.sum(picked ** 2))
     residual = math.sqrt(residual_sq)

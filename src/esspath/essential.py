@@ -28,6 +28,7 @@ P(P(p)P(q)) = P(pq).
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 import weakref
@@ -49,6 +50,23 @@ from .paths import (
 )
 
 DEFAULT_RANK_TOL = 1e-7
+
+_EINSUM_PATHS: dict[tuple, list] = {}  # see planned_einsum
+
+
+def planned_einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """np.einsum over the contraction path that its greedy optimizer picks,
+    planned once per subscripts and operand shapes.  The greedy search (the
+    one einsum runs when asked to optimize) reads only the shapes, so the
+    stored path gives the same contraction order, and the same bits, as
+    planning on every call.  A stored path is a function of its key alone,
+    so one memo serves every space and caller in the process."""
+    key = (subscripts, *(np.shape(x) for x in operands))
+    path = _EINSUM_PATHS.get(key)
+    if path is None:
+        path = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+        _EINSUM_PATHS[key] = path
+    return np.einsum(subscripts, *operands, optimize=path)
 
 
 @dataclass(frozen=True)
@@ -123,6 +141,13 @@ class EssentialCellBasis:
     @cached_property
     def annihilator_residual(self) -> float:
         return self._in_paths.annihilator_residual
+
+    def row(self, path: Path) -> Optional[int]:
+        """Position of ``path`` in ``paths``, or None when it is not a path
+        of the cell.  ``paths`` is in lex order (checked where it is made),
+        so the lookup is a binary search and the cell keeps no index."""
+        i = bisect.bisect_left(self.paths, path)
+        return i if i < len(self.paths) and self.paths[i] == path else None
 
     def vector(self, i: int) -> PathVector:
         row = self.coordinates[i]
@@ -500,32 +525,36 @@ class EssentialSpace:
 
     # -- projector and graded product ------------------------------------
 
-    def project(self, p: PathVector) -> PathVector:
-        """Orthogonal projection onto the essential subspace, cell by cell."""
+    def _is_path(self, pp: Path) -> bool:
         nbrs = self.graph.neighbors
+        return (bool(pp) and all(0 <= x < self.graph.n_vertices for x in pp)
+                and all(y in nbrs[x] for x, y in zip(pp, pp[1:])))
+
+    def project(self, p: PathVector) -> PathVector:
+        """Orthogonal projection onto the essential subspace, cell by cell.
+        Raises InputError on a term that is not an elementary path: a term
+        of a populated cell must be one of the cell's paths (`row`), and
+        any other term must pass the elementarity test."""
         nverts = self.graph.n_vertices
-        by_cell: dict[tuple[int, int, int], dict[Path, float]] = {}
+        by_cell: dict[tuple[int, int, int], list[tuple[Path, float]]] = {}
         for pp, c in p.items():
-            if (not all(0 <= x < nverts for x in pp)
-                    or any(y not in nbrs[x] for x, y in zip(pp, pp[1:]))):
-                raise InputError(
-                    f"term {pp} is not an elementary path of the graph"
-                )
-            by_cell.setdefault((pp[0], pp[-1], path_length(pp)), {})[pp] = c
-        out = PathVector()
-        for (a, b, length), terms in by_cell.items():
-            cell = self._cell(a, b, length)
-            if not cell.dim:
-                continue
+            if not (pp and 0 <= pp[0] < nverts and 0 <= pp[-1] < nverts):
+                raise InputError(f"term {pp} is not an elementary path of the graph")
+            by_cell.setdefault((pp[0], pp[-1], path_length(pp)), []).append((pp, c))
+        out: dict[Path, float] = {}
+        for key, terms in by_cell.items():
+            cell = self._cell(*key)
             x = np.zeros(len(cell.paths))
-            index = {q: i for i, q in enumerate(cell.paths)}
-            for pp, c in terms.items():
-                x[index[pp]] = c
-            y = cell.coordinates.T @ (cell.coordinates @ x)
-            out = out + PathVector(
-                {q: y[i] for i, q in enumerate(cell.paths)}
-            )
-        return out
+            for pp, c in terms:
+                i = cell.row(pp)
+                if i is not None:
+                    x[i] = c
+                elif cell.dim or not self._is_path(pp):
+                    raise InputError(f"term {pp} is not an elementary path of the graph")
+            if cell.dim:
+                y = cell.coordinates.T @ (cell.coordinates @ x)
+                out.update(zip(cell.paths, y.tolist()))
+        return PathVector(out)
 
     def is_essential(self, p: PathVector) -> bool:
         return (self.project(p) - p).norm() <= self.tol * (1.0 + p.norm())
@@ -575,8 +604,8 @@ class EssentialSpace:
                     if c3 is None:
                         continue
                     gathered = _through(c3.coordinates, c3, c1, c2)  # (d3, P1, P2)
-                    block = np.einsum("ip,jq,Kpq->ijK", c1.coordinates,
-                                      c2.coordinates, gathered, optimize=True)
+                    block = planned_einsum("ip,jq,Kpq->ijK", c1.coordinates,
+                                           c2.coordinates, gathered)
                     out[o1:o1 + c1.dim, o2:o2 + c2.dim, o3:o3 + c3.dim] = block
         out.setflags(write=False)
         self._mul[key] = out
@@ -585,6 +614,8 @@ class EssentialSpace:
     # -- decomposition -----------------------------------------------------
 
     def _homogeneous_cell_of(self, e: PathVector, who: str) -> tuple[int, int, int]:
+        if any(not pp for pp, _ in e.items()):
+            raise InputError(f"{who}: term () is not an elementary path of the graph")
         keys = {(pp[0], pp[-1], path_length(pp)) for pp, _ in e.items()}
         if len(keys) != 1:
             raise InputError(
@@ -604,10 +635,8 @@ class EssentialSpace:
         if not cell.dim:  # e is within tolerance of 0
             raise InputError(f"{who}: cell {'|'.join(map(str, key))} of "
                              f"{self.graph.name} holds no essential path")
-        index = {p: i for i, p in enumerate(cell.paths)}
-        x = np.zeros(len(index))
-        for p, c in e.items():
-            x[index[p]] = c
+        x = np.zeros(len(cell.paths))
+        x[[cell.row(p) for p, _ in e.items()]] = [c for _, c in e.items()]
         return cell, x
 
     def _splits(self, cell: EssentialCellBasis, x: np.ndarray, split: int):
@@ -686,12 +715,16 @@ class EssentialSpace:
             target, toff = gb.cell_at(cell.end, cell.start)
             if target is None:
                 continue
-            tindex = {p: i for i, p in enumerate(target.paths)}
-            perm = np.array([tindex[p[::-1]] for p in cell.paths], dtype=int)
-            rev_coords = np.zeros((cell.dim, len(target.paths)))
-            rev_coords[:, perm] = cell.coordinates
+            # the reversed paths, sorted by lex order, are the target's paths;
+            # take (unlike [:, order]) returns C order, so the product below
+            # runs the same BLAS call, and gives the same bits, as before
+            order = np.lexsort(cell.walks.T)
+            if not np.array_equal(cell.walks[order, ::-1], target.walks):
+                raise NumericError(f"cell {cell.start}|{cell.end}|{length}: its "
+                                   "reversed paths are not the paths of "
+                                   f"{target.start}|{target.end}|{length}")
             t[toff:toff + target.dim, off:off + cell.dim] = (
-                target.coordinates @ rev_coords.T
+                target.coordinates @ cell.coordinates.take(order, axis=1).T
             )
         t.setflags(write=False)
         self._star[length] = t

@@ -30,7 +30,7 @@ from esspath import (
     truncated_paths_algebra,
     unit_endo,
 )
-from esspath import endo
+from esspath import endo, essential
 from esspath.endo import check_coalgebra_axioms, check_convolution_coproduct
 from esspath.graphs import fused_matrices
 
@@ -79,6 +79,31 @@ class TestCompose:
 
 
 class TestConvBullet:
+    def test_same_shapes_plan_once(self, monkeypatch):
+        # einsum plans a contraction path when it is asked to optimize and
+        # given no explicit path, or when einsum_path is called
+        plans = []
+        einsum, einsum_path = np.einsum, np.einsum_path
+
+        def counting_einsum(*args, optimize=False, **kwargs):
+            if optimize is not False and not isinstance(optimize, list):
+                plans.append(args[0])
+            return einsum(*args, optimize=optimize, **kwargs)
+
+        def counting_path(*args, **kwargs):
+            plans.append(args[0])
+            return einsum_path(*args, **kwargs)
+
+        sp = shared_space("A6")
+        sp.structure_constants(1, 2)
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        monkeypatch.setattr(np, "einsum_path", counting_path)
+        monkeypatch.setattr(essential, "_EINSUM_PATHS", {}, raising=False)
+        conv_bullet(GradedEndo.monomial(sp, 1, 0, 1), GradedEndo.monomial(sp, 2, 3, 2))
+        assert plans == ["ij,kl,ikK,jlL->KL"]
+        conv_bullet(GradedEndo.monomial(sp, 1, 2, 3), GradedEndo.monomial(sp, 2, 0, 5))
+        assert plans == ["ij,kl,ikK,jlL->KL"]
+
     def test_grade_one_squares_vanish_on_a2(self, sp_a2):
         for x in ("rr", "rl", "lr", "ll"):
             for y in ("rr", "rl", "lr", "ll"):
@@ -244,6 +269,46 @@ class TestComonoidality:
     def test_weak_counit_multiplicativity_fails(self, sp_a2):
         from esspath.endo import counit_weak_multiplicativity_residual
         assert counit_weak_multiplicativity_residual(sp_a2) >= 0.5
+
+    @pytest.mark.parametrize("caps", [(1, 3), (2, 4), (3, 3), (0, 4)])
+    @pytest.mark.parametrize("name", ["A2", "A3", "D4", "A6", "E6"])
+    def test_counit_scan_matches_triple_loop(self, name, caps):
+        from esspath.endo import counit_weak_multiplicativity_residual
+        sp = shared_space(name)
+        assert (counit_weak_multiplicativity_residual(sp, *caps)
+                == reference_counit_weak_mult(sp, *caps))
+
+
+def reference_counit_weak_mult(sp, max_grade, index_cap):
+    """The counit scan as one Python loop over monomial triples."""
+    sizes = [sp.grade_basis(n).dim for n in range(max_grade + 1)]
+    monos = [
+        (n, i, j)
+        for n in range(max_grade + 1)
+        for i in range(min(sizes[n], index_cap))
+        for j in range(min(sizes[n], index_cap))
+    ]
+    worst = 0.0
+    for n, i, j in monos:
+        for m, k, l in monos:
+            m_nm = sp.structure_constants(n, m)
+            for s, p, q in monos:
+                m_ts = sp.structure_constants(n + m, s)
+                if m_ts.shape[2]:
+                    full = float((m_nm[i, k] @ m_ts[:, p, :])
+                                 @ (m_nm[j, l] @ m_ts[:, q, :]))
+                else:
+                    full = 0.0
+                m_ms = sp.structure_constants(m, s)
+                if m_ms.shape[2]:
+                    split1 = float((m_nm[j] @ m_nm[i, k])
+                                   @ (m_ms[:, p, :] @ m_ms[l, q]))
+                    split2 = float((m_nm[i] @ m_nm[j, l])
+                                   @ (m_ms[:, q, :] @ m_ms[k, p]))
+                else:
+                    split1 = split2 = 0.0
+                worst = max(worst, abs(full - split1), abs(full - split2))
+    return worst
 
 
 ANTIPODE_GRAPHS = ("A2", "A3", "A4", "D4", "D5", "A6", "E6", "D7", "D8")

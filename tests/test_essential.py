@@ -183,6 +183,41 @@ class TestProjector:
         with pytest.raises(InputError):
             sp_a2.project(PathVector({(0, 0): 1.0}))
 
+    @pytest.mark.parametrize("term", [
+        (2, 0, 2),  # a non-edge whose cell 2|2|2 is populated
+        (0, 2),  # a non-edge whose cell 0|2|1 is empty
+        (-1, 0),
+        (0, 9),
+        (),
+    ])
+    def test_rejects_non_path_terms_a6(self, term):
+        sp = space(build_ade("A", 6))
+        assert sp.grade_basis(2).cell_at(2, 2)[0] is not None
+        assert sp.grade_basis(1).cell_at(0, 2)[0] is None
+        with pytest.raises(InputError, match="not an elementary path"):
+            sp.project(PathVector({(2, 1, 2): 0.5, term: 1.0}))
+
+    def test_row_finds_exactly_the_cell_paths(self, sp_e6):
+        cell = sp_e6.cell(2, 2, 4)
+        assert [cell.row(p) for p in cell.paths] == list(range(len(cell.paths)))
+        for bad in [(2, 0, 2, 0, 2), (2, 2, 2, 2, 2), (2, 3, 2), (), (9, 9, 9, 9, 9)]:
+            assert bad not in cell.paths and cell.row(bad) is None
+
+    @pytest.mark.parametrize("name", ["A3", "D4", "E6", "D7"])
+    def test_star_matrix_matches_reversal_lookup(self, name):
+        sp = space(builtin_graph(name))
+        for length in range(sp.max_length + 1):
+            gb = sp.grade_basis(length)
+            expect = np.zeros((gb.dim, gb.dim))
+            for cell, off in zip(gb.cells, gb.offsets):
+                target, toff = gb.cell_at(cell.end, cell.start)
+                index = {p: i for i, p in enumerate(target.paths)}
+                rev = np.zeros((cell.dim, len(target.paths)))
+                rev[:, [index[p[::-1]] for p in cell.paths]] = cell.coordinates
+                expect[toff:toff + target.dim, off:off + cell.dim] = (
+                    target.coordinates @ rev.T)
+            assert np.array_equal(sp.star_matrix(length), expect)
+
 
 class TestBullet:
     def test_unit_law(self, sp_e6):
@@ -374,6 +409,10 @@ class TestDecomposition:
         with pytest.raises(InputError, match="homogeneous"):
             sp_e6.decompose(v, 1)
 
+    def test_empty_path_rejected(self, sp_a3):
+        with pytest.raises(InputError, match="not an elementary path"):
+            sp_a3.decompose(PathVector({(): 1.0}), 1)
+
     def test_reconstruction_random_a3(self, sp_a3):
         rng = np.random.default_rng(3)
         gb = sp_a3.grade_basis(2)
@@ -410,6 +449,10 @@ class TestDecomposition:
 
 
 class TestCoproductPaths:
+    def test_empty_path_rejected(self, sp_a3):
+        with pytest.raises(InputError, match="not an elementary path"):
+            sp_a3.coproduct_paths(PathVector({(): 1.0}))
+
     def test_includes_trivial_end_cuts(self, sp_e6):
         g = sp_e6.graph
         _, _, e4 = e6_closed_form_vectors(g)
