@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import InputError
-from .essential import EssentialSpace, planned_einsum, space
+from .essential import EssentialSpace, space
 from .graphs import Graph
 from .paths import Path, enumerate_paths
 
@@ -142,6 +142,22 @@ def compose(r: GradedEndo, s: GradedEndo) -> GradedEndo:
     return GradedEndo(sp, out)
 
 
+def _convolve(x: np.ndarray, y: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """The convolution products of every term pair of the batches x, shape
+    (T, dn, dn), and y, shape (S, dm, dm), over the structure constants mul,
+    shape (dn, dm, dt): out[t, s, K, L] is the sum over i, j, k, l of
+    x[t, i, j] y[s, k, l] mul[i, k, K] mul[j, l, L].  Each batch meets mul
+    alone first, so no intermediate grows with T * S; three matmuls."""
+    (nt, dn, _), (ns, dm, _), dt = x.shape, y.shape, mul.shape[2]
+    # xm[t, (j, k), K] = sum_i x[t, i, j] mul[i, k, K]
+    xm = np.swapaxes(x, 1, 2).reshape(-1, dn) @ mul.reshape(dn, -1)
+    xm = np.swapaxes(xm.reshape(nt, dn * dm, dt), 1, 2).reshape(-1, dn * dm)
+    # ym[(j, k), (s, L)] = sum_l y[s, k, l] mul[j, l, L]
+    ym = y.reshape(-1, dm) @ np.swapaxes(mul, 0, 1).reshape(dm, -1)
+    ym = ym.reshape(ns, dm, dn, dt).transpose(2, 1, 0, 3).reshape(dn * dm, -1)
+    return (xm @ ym).reshape(nt, dt, ns, dt).transpose(0, 2, 1, 3)
+
+
 def conv_bullet(r: GradedEndo, s: GradedEndo) -> GradedEndo:
     """Graded convolution: on monomials, (e_i (x) e^j) * (e_k (x) e^l) =
     (e_i * e_k) (x) (e^j * e^l), expanded through the structure constants."""
@@ -152,7 +168,7 @@ def conv_bullet(r: GradedEndo, s: GradedEndo) -> GradedEndo:
             mul = sp.structure_constants(n, m)
             if mul.shape[2] == 0:
                 continue
-            block = planned_einsum("ij,kl,ikK,jlL->KL", rn, sm, mul, mul)
+            block = _convolve(rn[None], sm[None], mul)[0, 0]
             tgt = n + m
             if tgt in out:
                 out[tgt] = out[tgt] + block
@@ -437,8 +453,7 @@ class EndoTensor:
                 if any(mul.shape[2] == 0 for mul in muls):
                     continue
                 out += _nonzero_terms(tuple(n + m for n, m in zip(p, q)), [
-                    _all_pairs(planned_einsum("tij,skl,ikK,jlL->tsKL", _dense(x),
-                                              _dense(y), mul, mul))
+                    _all_pairs(_convolve(_dense(x), _dense(y), mul))
                     for x, y, mul in zip(xs, ys, muls)
                 ])
         return EndoTensor._of(sp, self.legs, out)
@@ -464,7 +479,7 @@ class EndoTensor:
         out = []
         for p, xs in self._batches:
             out += _nonzero_terms(p, [
-                planned_einsum("pi,tij,qj->tpq", t, _dense(x), t)
+                t @ _dense(x) @ t.T
                 for t, x in zip(map(sp.star_matrix, p), xs)
             ])
         return EndoTensor._of(sp, self.legs, out)
@@ -492,7 +507,8 @@ def convolution_coproduct(r: GradedEndo) -> EndoTensor:
                 continue
             # coeff[(i,k),(j,l)] = sum_{a,b} mat[a,b] mul[i,j,a] mul[k,l,b],
             # one term (e_i (x) e^k) (x) coeff[i,k] per populated (i,k)
-            coeff = planned_einsum("ab,ija,klb->ikjl", mat, mul, mul)
+            flat = mul.reshape(-1, mul.shape[2])  # rows (i, j)
+            coeff = (flat @ mat @ flat.T).reshape(mul.shape[:2] * 2).swapaxes(1, 2)
             i, k = np.nonzero(np.any(np.abs(coeff) > _CUT, axis=(2, 3)))
             if len(i):
                 eye = np.eye(len(coeff))
@@ -579,6 +595,13 @@ def truncated_paths_algebra(g: Graph, cap: int) -> GradedBasisAlgebra:
     )
 
 
+def _gram(mul: np.ndarray) -> np.ndarray:
+    """gram[K, L] = sum_{i, j} mul[i, j, K] mul[i, j, L], one matmul over the
+    rows (i, j)."""
+    flat = mul.reshape(-1, mul.shape[2])
+    return flat.T @ flat
+
+
 def gram_condition_residual(alg: GradedBasisAlgebra) -> tuple[float, Optional[tuple[int, int]]]:
     """Worst deviation of sum_{IJ} m_{IJ}^K m_{IJ}^L from delta^{KL} over all
     grade pairs whose target grade is populated."""
@@ -590,8 +613,7 @@ def gram_condition_residual(alg: GradedBasisAlgebra) -> tuple[float, Optional[tu
             if dt == 0:
                 continue
             mul = alg.mul(n, k)
-            gram = planned_einsum("ijK,ijL->KL", mul, mul)
-            res = float(np.max(np.abs(gram - np.eye(dt))))
+            res = float(np.max(np.abs(_gram(mul) - np.eye(dt))))
             if res > worst:
                 worst, worst_pair = res, (n, k)
     return worst, worst_pair
@@ -643,11 +665,12 @@ def check_delta_homomorphism(g: SpaceLike, pairs: int = 100, seed: int = 7,
             spot = max(spot, lhs_zero)
             continue
         # lhs[K,I,Ip,L] of Delta(rho * rho'); the middle legs carry delta_{I,Ip}
-        lhs = planned_einsum("K,L,Ii->KIiL", mul[i, k], mul[j, l], np.eye(dt))
+        outer = mul[i, k][:, None, None, None]
+        lhs = outer * np.eye(dt)[:, :, None] * mul[j, l]
         dual_gram = dual_grams.get((n, m))
         if dual_gram is None:
-            dual_gram = dual_grams[(n, m)] = planned_einsum("ABQ,ABR->QR", mul, mul)
-        rhs = planned_einsum("P,QR,S->PQRS", mul[i, k], dual_gram, mul[j, l])
+            dual_gram = dual_grams[(n, m)] = _gram(mul)
+        rhs = outer * dual_gram[:, :, None] * mul[j, l]
         spot = max(spot, float(np.max(np.abs(lhs - rhs))))
     residual = max(gram_res, spot)
     return CheckReport(
@@ -811,8 +834,11 @@ def antipode_infeasibility(g: SpaceLike, n: int = 1, floor: float = 0.5,
     blocks = coproduct(unit_endo(sp)).dense_blocks()
     one = blocks.pop((0, 0), np.zeros((d0,) * 4))
     mul = sp.structure_constants(n, 0)
-    eps = planned_einsum("ikK,jlK->ijkl", mul, mul)
-    rhs = planned_einsum("vxkl,ijkl->ijvx", one, eps)
+    # eps[i, j, k, l] = sum_K mul[i, k, K] mul[j, l, K], over rows (i, k)
+    flat = mul.reshape(-1, dn)
+    eps = (flat @ flat.T).reshape(dn, d0, dn, d0).transpose(0, 2, 1, 3)
+    # rhs[i, j, v, x] = sum_{k, l} eps[i, j, k, l] one[v, x, k, l]
+    rhs = (eps.reshape(dn * dn, -1) @ one.reshape(d0 * d0, -1).T).reshape(eps.shape)
     picked = rhs[[i for i, _ in mono], [j for _, j in mono]]
     residual_sq = float(np.sum(picked ** 2))
     residual = math.sqrt(residual_sq)

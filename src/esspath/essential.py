@@ -19,7 +19,9 @@ orthonormality, and annihilation by its constraints.  Path coordinates are
 read by gathers over the lex order: the paths of cell (a, b, l) at v after s
 steps are, in lex order, the paths of (a, v, s) times those of (v, b, l - s),
 so decompositions, the coproduct and the structure constants read them as
-one block per v.
+one block per v.  Every contraction with such a block is a plain matmul: a
+structure-constant block is two, (d3 P1, P2) @ (P2, d2) and then
+(d1, P1) @ (P1, d2) for each of the d3 target vectors.
 
 The graded product is e * f = P(concat(e, f)) where P is the orthogonal
 projector onto the essential subspace; it is associative because
@@ -50,23 +52,6 @@ from .paths import (
 )
 
 DEFAULT_RANK_TOL = 1e-7
-
-_EINSUM_PATHS: dict[tuple, list] = {}  # see planned_einsum
-
-
-def planned_einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """np.einsum over the contraction path that its greedy optimizer picks,
-    planned once per subscripts and operand shapes.  The greedy search (the
-    one einsum runs when asked to optimize) reads only the shapes, so the
-    stored path gives the same contraction order, and the same bits, as
-    planning on every call.  A stored path is a function of its key alone,
-    so one memo serves every space and caller in the process."""
-    key = (subscripts, *(np.shape(x) for x in operands))
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = np.einsum_path(subscripts, *operands, optimize="greedy")[0]
-        _EINSUM_PATHS[key] = path
-    return np.einsum(subscripts, *operands, optimize=path)
 
 
 @dataclass(frozen=True)
@@ -150,8 +135,7 @@ class EssentialCellBasis:
         return i if i < len(self.paths) and self.paths[i] == path else None
 
     def vector(self, i: int) -> PathVector:
-        row = self.coordinates[i]
-        return PathVector({p: row[j] for j, p in enumerate(self.paths)})
+        return PathVector._of(self.paths, self.coordinates[i].tolist())
 
     @property
     def vectors(self) -> list[PathVector]:
@@ -525,36 +509,45 @@ class EssentialSpace:
 
     # -- projector and graded product ------------------------------------
 
-    def _is_path(self, pp: Path) -> bool:
-        nbrs = self.graph.neighbors
-        return (bool(pp) and all(0 <= x < self.graph.n_vertices for x in pp)
-                and all(y in nbrs[x] for x, y in zip(pp, pp[1:])))
+    def _check_walks(self, walks: list[Path]) -> None:
+        """Raise InputError on the first of ``walks``, tuples of one length,
+        that is not an elementary path: one test of the vertex indices and
+        one adjacency lookup for all of them."""
+        w = np.array(walks)
+        ok = ((w >= 0) & (w < self.graph.n_vertices) & (w % 1 == 0)).all(axis=1)
+        steps = w[ok].astype(np.intp)
+        ok[ok] = self.graph.adjacency[steps[:, :-1], steps[:, 1:]].all(axis=1)
+        if not ok.all():
+            raise InputError(f"term {walks[int(np.argmin(ok))]} is not an "
+                             "elementary path of the graph")
 
     def project(self, p: PathVector) -> PathVector:
         """Orthogonal projection onto the essential subspace, cell by cell.
         Raises InputError on a term that is not an elementary path: a term
         of a populated cell must be one of the cell's paths (`row`), and
-        any other term must pass the elementarity test."""
+        the terms of an empty cell must pass `_check_walks`."""
         nverts = self.graph.n_vertices
         by_cell: dict[tuple[int, int, int], list[tuple[Path, float]]] = {}
         for pp, c in p.items():
             if not (pp and 0 <= pp[0] < nverts and 0 <= pp[-1] < nverts):
                 raise InputError(f"term {pp} is not an elementary path of the graph")
             by_cell.setdefault((pp[0], pp[-1], path_length(pp)), []).append((pp, c))
-        out: dict[Path, float] = {}
+        paths: list[Path] = []
+        values: list[float] = []
         for key, terms in by_cell.items():
             cell = self._cell(*key)
+            if not cell.dim:
+                self._check_walks([pp for pp, _ in terms])
+                continue
             x = np.zeros(len(cell.paths))
             for pp, c in terms:
                 i = cell.row(pp)
-                if i is not None:
-                    x[i] = c
-                elif cell.dim or not self._is_path(pp):
+                if i is None:
                     raise InputError(f"term {pp} is not an elementary path of the graph")
-            if cell.dim:
-                y = cell.coordinates.T @ (cell.coordinates @ x)
-                out.update(zip(cell.paths, y.tolist()))
-        return PathVector(out)
+                x[i] = c
+            paths += cell.paths
+            values += (cell.coordinates.T @ (cell.coordinates @ x)).tolist()
+        return PathVector._of(paths, values)
 
     def is_essential(self, p: PathVector) -> bool:
         return (self.project(p) - p).norm() <= self.tol * (1.0 + p.norm())
@@ -588,7 +581,10 @@ class EssentialSpace:
         concatenation inner product equal the graded-product one, so no
         projection is applied: each block contracts the two factor cells'
         coordinates with the target cell's coordinates on the spliced paths,
-        gathered by `_through`."""
+        gathered by `_through` as an array G of shape (d3, P1, P2).  Two
+        matmuls do it: G, seen as (d3 P1, P2), times the (P2, d2) transpose
+        of the right factor's coordinates, then the (d1, P1) left factor's
+        coordinates times each of the d3 resulting (P1, d2) slices."""
         key = (n, m)
         got = self._mul.get(key)
         if got is not None:
@@ -604,9 +600,10 @@ class EssentialSpace:
                     if c3 is None:
                         continue
                     gathered = _through(c3.coordinates, c3, c1, c2)  # (d3, P1, P2)
-                    block = planned_einsum("ip,jq,Kpq->ijK", c1.coordinates,
-                                           c2.coordinates, gathered)
-                    out[o1:o1 + c1.dim, o2:o2 + c2.dim, o3:o3 + c3.dim] = block
+                    half = gathered.reshape(-1, gathered.shape[2]) @ c2.coordinates.T
+                    block = c1.coordinates @ half.reshape(c3.dim, -1, c2.dim)
+                    out[o1:o1 + c1.dim, o2:o2 + c2.dim, o3:o3 + c3.dim] = (
+                        block.transpose(1, 2, 0))
         out.setflags(write=False)
         self._mul[key] = out
         return out
@@ -689,17 +686,19 @@ class EssentialSpace:
         key = self._homogeneous_cell_of(e, "coproduct_paths")
         cell, x = self._cell_vector(e, key, "coproduct_paths")
         a, b, total = key
-        # at length 0 the two end pieces are the same term [a] (x) [a]
-        out = {((a,), p): c for p, c in e.items()}
-        out.update(((p, (b,)), c) for p, c in e.items())
+        paths, values = map(list, zip(*e.items()))
+        pairs = [((a,), p) for p in paths]
+        if total:  # at length 0 the two end pieces are the same term [a] (x) [a]
+            pairs += [(p, (b,)) for p in paths]
+            values += values
         for split in range(1, total):
             for _, left, right, gam in self._splits(cell, x, split):
                 block = left.coordinates.T @ gam @ right.coordinates
                 i, j = np.nonzero(block)
-                out.update(zip(zip(map(left.paths.__getitem__, i.tolist()),
-                                   map(right.paths.__getitem__, j.tolist())),
-                               block[i, j].tolist()))
-        return TensorPathVector(out)
+                pairs += zip(map(left.paths.__getitem__, i.tolist()),
+                             map(right.paths.__getitem__, j.tolist()))
+                values += block[i, j].tolist()
+        return TensorPathVector._of(pairs, values)
 
     # -- star -------------------------------------------------------------
 

@@ -11,7 +11,7 @@ and a group-like coalgebra structure.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
 from .graphs import DEFAULT_TOL, Graph, PerronData, perron_frobenius
@@ -23,6 +23,15 @@ DROP_TOL = 1e-14
 
 def path_length(p: Path) -> int:
     return len(p) - 1
+
+
+def _trusted(cls, keys: Iterable, values: Iterable[float]):
+    """The vector sum_r values[r] keys[r], for distinct keys already in
+    tuple form and values that are Python floats (from ndarray.tolist): what
+    the public constructor builds, with its drop test but no conversions."""
+    out = cls.__new__(cls)
+    out._terms = {k: c for k, c in zip(keys, values) if abs(c) > DROP_TOL}
+    return out
 
 
 class PathVector:
@@ -41,6 +50,8 @@ class PathVector:
                 if abs(c) > DROP_TOL:
                     clean[tuple(p)] = float(c)
         self._terms = clean
+
+    _of = classmethod(_trusted)  # keys are path tuples
 
     @classmethod
     def zero(cls) -> "PathVector":
@@ -122,6 +133,8 @@ class TensorPathVector:
                 if abs(c) > DROP_TOL:
                     clean[(tuple(p), tuple(q))] = float(c)
         self._terms = clean
+
+    _of = classmethod(_trusted)  # keys are pairs of path tuples
 
     @property
     def terms(self) -> dict[tuple[Path, Path], float]:

@@ -107,7 +107,7 @@ def _random_essential(sp, rng, cell) -> PathVector:
     basis = sp._cell(*cell)
     weights = rng.standard_normal(basis.dim)
     coords = (weights / np.linalg.norm(weights)) @ basis.coordinates
-    return PathVector(dict(zip(basis.paths, coords)))
+    return PathVector._of(basis.paths, coords.tolist())
 
 
 def check_pf_eigen(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:

@@ -79,31 +79,6 @@ class TestCompose:
 
 
 class TestConvBullet:
-    def test_same_shapes_plan_once(self, monkeypatch):
-        # einsum plans a contraction path when it is asked to optimize and
-        # given no explicit path, or when einsum_path is called
-        plans = []
-        einsum, einsum_path = np.einsum, np.einsum_path
-
-        def counting_einsum(*args, optimize=False, **kwargs):
-            if optimize is not False and not isinstance(optimize, list):
-                plans.append(args[0])
-            return einsum(*args, optimize=optimize, **kwargs)
-
-        def counting_path(*args, **kwargs):
-            plans.append(args[0])
-            return einsum_path(*args, **kwargs)
-
-        sp = shared_space("A6")
-        sp.structure_constants(1, 2)
-        monkeypatch.setattr(np, "einsum", counting_einsum)
-        monkeypatch.setattr(np, "einsum_path", counting_path)
-        monkeypatch.setattr(essential, "_EINSUM_PATHS", {}, raising=False)
-        conv_bullet(GradedEndo.monomial(sp, 1, 0, 1), GradedEndo.monomial(sp, 2, 3, 2))
-        assert plans == ["ij,kl,ikK,jlL->KL"]
-        conv_bullet(GradedEndo.monomial(sp, 1, 2, 3), GradedEndo.monomial(sp, 2, 0, 5))
-        assert plans == ["ij,kl,ikK,jlL->KL"]
-
     def test_grade_one_squares_vanish_on_a2(self, sp_a2):
         for x in ("rr", "rl", "lr", "ll"):
             for y in ("rr", "rl", "lr", "ll"):
@@ -309,6 +284,101 @@ def reference_counit_weak_mult(sp, max_grade, index_cap):
                     split1 = split2 = 0.0
                 worst = max(worst, abs(full - split1), abs(full - split2))
     return worst
+
+
+MATMUL_GRAPHS = ("A2", "A3", "D4", "A6", "E6", "D7")
+
+
+def populated_pairs(sp, budget=None):
+    """The grade pairs (n, m) with a populated target grade n + m; with a
+    budget, only those where dn^2 dm^2 dt^2, the size of an unoptimized
+    einsum over two endomorphisms and two structure-constant tensors, is
+    within it."""
+    d = sp.dims()
+    return [(n, m) for n in range(len(d)) for m in range(len(d) - n)
+            if budget is None or (d[n] * d[m] * d[n + m]) ** 2 <= budget]
+
+
+def monomial_batch(sp, rng, n, count):
+    """``count`` random-coefficient matrix units of grade n, shape (count, d, d)."""
+    d = sp.grade_basis(n).dim
+    out = np.zeros((count, d, d))
+    out[np.arange(count), rng.integers(d, size=count), rng.integers(d, size=count)] = (
+        rng.standard_normal(count))
+    return out
+
+
+def einsum_ref(subscripts, *operands):
+    return np.einsum(subscripts, *operands, optimize=False)
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("name", MATMUL_GRAPHS)
+class TestContractionsAsMatmuls:
+    """Each structure-constant contraction, written as reshapes and matmuls,
+    against np.einsum of its subscripts without optimization, within 1e-13."""
+
+    def test_structure_constants(self, name):
+        sp = shared_space(name)
+        for n, m in populated_pairs(sp):
+            gn, gm, gt = sp.grade_basis(n), sp.grade_basis(m), sp.grade_basis(n + m)
+            want = np.zeros((gn.dim, gm.dim, gt.dim))
+            for c1, o1 in zip(gn.cells, gn.offsets):
+                for c2, o2 in zip(gm.cells, gm.offsets):
+                    c3, o3 = gt.cell_at(c1.start, c2.end)
+                    if c1.end == c2.start and c3 is not None:
+                        want[o1:o1 + c1.dim, o2:o2 + c2.dim, o3:o3 + c3.dim] = einsum_ref(
+                            "ip,jq,Kpq->ijK", c1.coordinates, c2.coordinates,
+                            essential._through(c3.coordinates, c3, c1, c2))
+            assert_close(sp.structure_constants(n, m), want)
+
+    def test_conv_bullet_and_batched_bullet(self, name):
+        sp = shared_space(name)
+        rng = np.random.default_rng(40)
+        for n, m in populated_pairs(sp, budget=2e6):
+            mul = sp.structure_constants(n, m)
+            x, y = monomial_batch(sp, rng, n, 3), monomial_batch(sp, rng, m, 2)
+            got = conv_bullet(GradedEndo(sp, {n: x[0]}), GradedEndo(sp, {m: y[0]}))
+            want = einsum_ref("ij,kl,ikK,jlL->KL", x[0], y[0], mul, mul)
+            assert_close(got.block(n + m), want)
+            # EndoTensor.bullet runs this contraction once per leg
+            want = einsum_ref("tij,skl,ikK,jlL->tsKL", x, y, mul, mul)
+            assert_close(endo._convolve(x, y, mul), want)
+
+    def test_tensor_star(self, name):
+        sp = shared_space(name)
+        rng = np.random.default_rng(41)
+        dims = sp.dims()
+        for n in range(len(dims)):
+            m = len(dims) - 1 - n
+            x, y = monomial_batch(sp, rng, n, 3), monomial_batch(sp, rng, m, 3)
+            got = EndoTensor._of(sp, 2, [((n, m), (x, y))]).star().dense_blocks()
+            tn, tm = sp.star_matrix(n), sp.star_matrix(m)
+            want = einsum_ref("tij,tkl->ijkl", einsum_ref("pi,tij,qj->tpq", tn, x, tn),
+                              einsum_ref("pi,tij,qj->tpq", tm, y, tm))
+            assert_close(got.get((n, m), np.zeros_like(want)), want)
+
+    def test_convolution_coproduct(self, name):
+        sp = shared_space(name)
+        rng = np.random.default_rng(42)
+        cheap = populated_pairs(sp, budget=2e6)
+        for n in range(len(sp.dims())):
+            mat = monomial_batch(sp, rng, n, 1)[0]
+            got = convolution_coproduct(GradedEndo(sp, {n: mat})).dense_blocks()
+            for s in (s for s in range(n + 1) if (n - s, s) in cheap):
+                mul = sp.structure_constants(n - s, s)
+                want = einsum_ref("ab,ija,klb->ikjl", mat, mul, mul)
+                assert_close(got.get((n - s, s), np.zeros_like(want)), want)
+
+    def test_gram_matrices(self, name):
+        sp = shared_space(name)
+        for n, m in populated_pairs(sp):
+            mul = sp.structure_constants(n, m)
+            assert_close(endo._gram(mul), einsum_ref("ijK,ijL->KL", mul, mul))
 
 
 ANTIPODE_GRAPHS = ("A2", "A3", "A4", "D4", "D5", "A6", "E6", "D7", "D8")

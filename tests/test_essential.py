@@ -196,6 +196,11 @@ class TestProjector:
         assert sp.grade_basis(1).cell_at(0, 2)[0] is None
         with pytest.raises(InputError, match="not an elementary path"):
             sp.project(PathVector({(2, 1, 2): 0.5, term: 1.0}))
+        # (0, 1, 0) is a path of the empty cell 0|0|2: dropped, not rejected
+        assert sp.grade_basis(2).cell_at(0, 0)[0] is None
+        assert not sp.project(PathVector({(0, 1, 0): 1.0}))
+        assert (sp.project(PathVector({(2, 1, 2): 0.5, (0, 1, 0): 1.0}))
+                == sp.project(PathVector({(2, 1, 2): 0.5})))
 
     def test_row_finds_exactly_the_cell_paths(self, sp_e6):
         cell = sp_e6.cell(2, 2, 4)
