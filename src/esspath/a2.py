@@ -452,11 +452,6 @@ def check_endo_products_vs_generic(tol: float = 1e-12) -> CheckReport:
     )
 
 
-def filtered_coproduct_endo(name: str) -> tuple[tuple[str, str], ...]:
-    """Coproduct table entry of the filtered structure (golden)."""
-    return FILTERED_ENDO_COPRODUCT[name]
-
-
 def check_filtered_coproducts_consistent(tol: float = 0.0) -> CheckReport:
     """The filtered coproduct goldens agree with the cut construction run on
     the filtered product table (grade-mismatched cross terms dropped), and

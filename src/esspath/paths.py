@@ -103,9 +103,6 @@ class PathVector:
     def lengths(self) -> set[int]:
         return {path_length(p) for p in self._terms}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.lengths()) <= 1
-
     def sorted_terms(self) -> list[tuple[Path, float]]:
         return sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0]))
 

@@ -15,6 +15,7 @@ import numpy as np
 from .endo import (
     CheckReport,
     GradedEndo,
+    _gram,
     antipode_infeasibility,
     check_coalgebra_axioms,
     check_comonoidality,
@@ -276,21 +277,20 @@ def check_decomposition(sp: EssentialSpace, cfg: VerifyConfig,
 def check_gamma_orthonormality(sp: EssentialSpace, cfg: VerifyConfig,
                                cap: Optional[int] = None) -> CheckReport:
     """For each cell and split, the decomposition coefficient vectors of the
-    canonical basis form an orthonormal family."""
+    canonical basis form an orthonormal family.  At split s, basis vector
+    K of a length-L cell has coefficients gamma_K[i, j] = m[i, j, K] with
+    m = structure_constants(s, L - s), i and j running over the factor
+    cells through every intermediate vertex, so the family's Gram matrix is
+    the cell's diagonal block of _gram(m).  The blocks between different
+    cells vanish exactly (their coefficients have disjoint supports), so
+    the whole Gram matrix of each split is compared with the identity."""
     lmax = min(cfg.cap(sp), cap if cap is not None else cfg.decomposition_cap)
     worst = 0.0
     for total in range(2, lmax + 1):
-        for cell in sp.grade_basis(total).cells:
-            for split in range(1, total):
-                rows = []
-                for k in range(cell.dim):
-                    d = sp.decompose(cell.vector(k), split)
-                    rows.append({(v, i, j): g for v, i, j, g in d.entries})
-                keys = sorted({key for row in rows for key in row})
-                mat = np.array([[row.get(key, 0.0) for key in keys]
-                                for row in rows])
-                gram = mat @ mat.T
-                worst = max(worst, float(np.max(np.abs(gram - np.eye(cell.dim)))))
+        eye = np.eye(sp.grade_basis(total).dim)
+        for split in range(1, total):
+            gram = _gram(sp.structure_constants(split, total - split))
+            worst = max(worst, float(np.max(np.abs(gram - eye))))
     return CheckReport(
         name="decomposition_gamma_orthonormality",
         residual=worst,
@@ -413,14 +413,12 @@ def check_conv_unit(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
 
 
 def _run_delta_hom(sp, cfg):
-    return check_delta_homomorphism(sp, pairs=cfg.samples, seed=cfg.seed,
-                                    tol=max(cfg.tolerance, 1e-8),
+    return check_delta_homomorphism(sp, tol=max(cfg.tolerance, 1e-8),
                                     max_length=cfg.max_length)
 
 
 def _run_conv_coproduct(sp, cfg):
-    return check_convolution_coproduct(sp, pairs=cfg.samples, seed=cfg.seed,
-                                       tol=max(cfg.tolerance, 1e-8),
+    return check_convolution_coproduct(sp, tol=max(cfg.tolerance, 1e-8),
                                        max_length=cfg.max_length)
 
 
@@ -442,8 +440,7 @@ def _run_antipode(sp, cfg):
 
 
 def _run_star(sp, cfg):
-    return check_star(sp, pairs=cfg.samples, seed=cfg.seed, tol=cfg.tolerance,
-                      max_length=cfg.max_length)
+    return check_star(sp, tol=cfg.tolerance, max_length=cfg.max_length)
 
 
 CHECKS: dict[str, Callable[[EssentialSpace, VerifyConfig], CheckReport]] = {

@@ -1,0 +1,108 @@
+"""Sampled references for the checks that are read from the structure
+constants: the monomial loops that `verify` once ran, kept to confirm that
+the derived residuals bound what the loops measure.
+
+Each function draws its monomials with `endo._monomial_pairs`, as the loops
+did, so a (pairs, seed) pair reproduces an earlier run's samples.
+"""
+
+import numpy as np
+
+from esspath import EndoTensor, GradedEndo
+from esspath.endo import (
+    _all_pairs,
+    _dense,
+    _gram,
+    _monomial_pairs,
+    _nonzero_terms,
+    conv_bullet,
+    convolution_coproduct,
+    compose,
+    coproduct,
+    counit,
+    star_endo,
+)
+
+
+def compose_legwise(x: EndoTensor, y: EndoTensor) -> EndoTensor:
+    """Legwise composition product; terms of different grade profiles
+    compose to zero."""
+    assert x.legs == y.legs
+    out = []
+    for p, xs in x._batches:
+        for q, ys in y._batches:
+            if p == q:
+                out += _nonzero_terms(p, [
+                    _all_pairs(np.einsum("tij,sjk->tsik", _dense(a), _dense(b)))
+                    for a, b in zip(xs, ys)
+                ])
+    return EndoTensor._of(x.space, x.legs, out)
+
+
+def delta_spot_residual(sp, pairs, seed, max_length=None):
+    """Largest entry of Delta(r * s) - Delta(r) * Delta(s) over random
+    monomial pairs, each side written out through the structure constants
+    and the Gram matrix of the pair's grades."""
+    rng = np.random.default_rng(seed)
+    spot = 0.0
+    for (n, i, j), (m, k, l) in _monomial_pairs(sp, rng, pairs, max_length):
+        mul = sp.structure_constants(n, m)
+        dt = mul.shape[2]
+        if dt == 0:
+            spot = max(spot, conv_bullet(GradedEndo.monomial(sp, n, i, j),
+                                         GradedEndo.monomial(sp, m, k, l)).norm())
+            continue
+        # lhs[K,I,Ip,L] of Delta(rho * rho'); the middle legs carry delta_{I,Ip}
+        outer = mul[i, k][:, None, None, None]
+        lhs = outer * np.eye(dt)[:, :, None] * mul[j, l]
+        rhs = outer * _gram(mul)[:, :, None] * mul[j, l]
+        spot = max(spot, float(np.max(np.abs(lhs - rhs))))
+    return spot
+
+
+def convolution_coproduct_residual(sp, pairs, seed, max_length=None):
+    """Largest norm of Delta'(r o s) - Delta'(r) o Delta'(s) over random
+    monomial pairs, Delta' the coproduct dual to the graded product."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for (n, i, j), (m, k, l) in _monomial_pairs(sp, rng, pairs, max_length):
+        rho = GradedEndo.monomial(sp, n, i, j)
+        sig = GradedEndo.monomial(sp, m, k, l)
+        lhs = convolution_coproduct(compose(rho, sig))
+        rhs = compose_legwise(convolution_coproduct(rho), convolution_coproduct(sig))
+        worst = max(worst, (lhs - rhs).norm())
+    return worst
+
+
+def gamma_orthonormality_residual(sp, lmax):
+    """Largest entry of G - I, G the Gram matrix of the decomposition
+    coefficient vectors of one cell's basis at one split, from `decompose`."""
+    worst = 0.0
+    for total in range(2, lmax + 1):
+        for cell in sp.grade_basis(total).cells:
+            for split in range(1, total):
+                rows = []
+                for k in range(cell.dim):
+                    d = sp.decompose(cell.vector(k), split)
+                    rows.append({(v, i, j): g for v, i, j, g in d.entries})
+                keys = sorted({key for row in rows for key in row})
+                mat = np.array([[row.get(key, 0.0) for key in keys]
+                                for row in rows])
+                gram = mat @ mat.T
+                worst = max(worst, float(np.max(np.abs(gram - np.eye(cell.dim)))))
+    return worst
+
+
+def star_sampled_residuals(sp, pairs, seed, max_length=None):
+    """(anti-homomorphism, coproduct, counit) residuals of the star on random
+    monomial pairs with random coefficients."""
+    rng = np.random.default_rng(seed)
+    anti = co = eps = 0.0
+    for (na, ia, ja), (nb, ib, jb) in _monomial_pairs(sp, rng, pairs, max_length):
+        rho = GradedEndo.monomial(sp, na, ia, ja, float(rng.standard_normal()))
+        sig = GradedEndo.monomial(sp, nb, ib, jb, float(rng.standard_normal()))
+        anti = max(anti, (star_endo(conv_bullet(rho, sig))
+                          - conv_bullet(star_endo(sig), star_endo(rho))).norm())
+        co = max(co, (coproduct(star_endo(rho)) - coproduct(rho).star()).norm())
+        eps = max(eps, abs(counit(star_endo(rho)) - counit(rho)))
+    return anti, co, eps
