@@ -382,8 +382,8 @@ def check_bullet_table_vs_generic(tol: float = 1e-12) -> CheckReport:
 
 
 def check_path_coproducts_vs_generic(tol: float = 1e-12) -> CheckReport:
-    """Dr = a1 (x) r + r (x) a2 and its companions, recomputed from the
-    decomposition machinery."""
+    """Dr = a1 (x) r + r (x) a2 and its companions, recomputed by
+    `coproduct_paths` as the deconcatenation of each projected vector."""
     sp = a2_space()
     vec = _element_vectors(sp)
     worst = 0.0

@@ -19,9 +19,10 @@ orthonormality, and annihilation by its constraints.  Path coordinates are
 read by gathers over the lex order: the paths of cell (a, b, l) at v after s
 steps are, in lex order, the paths of (a, v, s) times those of (v, b, l - s),
 so decompositions, the coproduct and the structure constants read them as
-one block per v.  Every contraction with such a block is a plain matmul: a
-structure-constant block is two, (d3 P1, P2) @ (P2, d2) and then
-(d1, P1) @ (P1, d2) for each of the d3 target vectors.
+one block per v.  The coproduct takes each block of the projected vector as
+it is; every other contraction with a block is a plain matmul, two for a
+structure-constant block: (d3 P1, P2) @ (P2, d2), then (d1, P1) @ (P1, d2)
+per target vector.
 
 The graded product is e * f = P(concat(e, f)) where P is the orthogonal
 projector onto the essential subspace; it is associative because
@@ -36,6 +37,7 @@ import warnings
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress, product
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,6 +45,7 @@ import numpy as np
 from .errors import EsspathError, InputError, NonEssentialInputWarning, NumericError
 from .graphs import DEFAULT_TOL, Graph, PerronData, fused_matrices, perron_frobenius
 from .paths import (
+    DROP_TOL,
     Path,
     PathVector,
     TensorPathVector,
@@ -636,21 +639,6 @@ class EssentialSpace:
         x[[cell.row(p) for p, _ in e.items()]] = [c for _, c in e.items()]
         return cell, x
 
-    def _splits(self, cell: EssentialCellBasis, x: np.ndarray, split: int):
-        """(v, left, right, gamma) for each vertex v where a path of ``cell``
-        can sit after ``split`` steps, with left and right the cells (start,
-        v, split) and (v, end, length - split) and
-        gamma[i, j] = <left_i (x) right_j, x> under concatenation; entries
-        up to 1e-14 in size are set to 0."""
-        for v in range(self.graph.n_vertices):
-            left = self._cell(cell.start, v, split)
-            right = self._cell(v, cell.end, cell.length - split)
-            if left.dim and right.dim:
-                block = _through(x, cell, left, right)
-                gam = left.coordinates @ block @ right.coordinates.T
-                gam[np.abs(gam) <= 1e-14] = 0.0
-                yield v, left, right, gam
-
     def decompose(self, e: PathVector, split: int) -> Decomposition:
         """Write an essential vector of length L as a combination of graded
         products of essential paths of lengths split and L - split:
@@ -663,9 +651,14 @@ class EssentialSpace:
                 f"split must satisfy 0 < split < {total}, got {split}"
             )
         cell, x = self._cell_vector(e, (a, b, total), "decompose")
-        entries = [(v, int(i), int(j), float(gam[i, j]))
-                   for v, _, _, gam in self._splits(cell, x, split)
-                   for i, j in zip(*np.nonzero(gam))]
+        entries = []
+        for v in range(self.graph.n_vertices):
+            left, right = self._cell(a, v, split), self._cell(v, b, total - split)
+            if left.dim and right.dim:
+                gam = left.coordinates @ _through(x, cell, left, right) @ right.coordinates.T
+                gam[np.abs(gam) <= 1e-14] = 0.0
+                entries += [(v, int(i), int(j), float(gam[i, j]))
+                            for i, j in zip(*np.nonzero(gam))]
         return Decomposition(a, b, total, split, tuple(entries))
 
     def reconstruct(self, d: Decomposition) -> PathVector:
@@ -678,27 +671,37 @@ class EssentialSpace:
 
     def coproduct_paths(self, e: PathVector) -> TensorPathVector:
         """Coproduct dual to the graded product, for a homogeneous essential
-        vector: the direct sum over splits of its decompositions, including
-        the trivial end pieces [a] (x) e and e (x) [b].  The piece of split
-        s over a vertex v is left.coordinates^T gamma right.coordinates on
-        the path pairs, with gamma as in `decompose`; all splits read one
-        coordinate vector of e."""
-        key = self._homogeneous_cell_of(e, "coproduct_paths")
-        cell, x = self._cell_vector(e, key, "coproduct_paths")
-        a, b, total = key
-        paths, values = map(list, zip(*e.items()))
-        pairs = [((a,), p) for p in paths]
-        if total:  # at length 0 the two end pieces are the same term [a] (x) [a]
-            pairs += [(p, (b,)) for p in paths]
+        vector x of length L from a to b: <Delta x, p (x) q> = <P x, pq> for
+        essential p, q, P being self-adjoint, so Delta x is the
+        deconcatenation of y = P x over the splits s = 0, ..., L; the end
+        splits are [a] (x) y and y (x) [b].  No split needs a decomposition:
+        a C_k with k < s acts inside the first s steps and keeps the vertex v
+        at step s, so it kills the slice of y through v as it kills y (and
+        likewise for k > s); the slice therefore already lies in
+        E(a, v, s) (x) E(v, b, L - s) and is its own sum over gamma as in
+        `decompose`.  A coefficient of y up to DROP_TOL is dropped once, so
+        its path is missing at every split; the legs are the factor cells'
+        own path tuples."""
+        a, b, total = self._homogeneous_cell_of(e, "coproduct_paths")
+        cell, x = self._cell_vector(e, (a, b, total), "coproduct_paths")
+        y = cell.coordinates.T @ (cell.coordinates @ x)
+        y[np.abs(y) <= DROP_TOL] = 0.0
+        kept = y != 0.0
+        paths, values = list(compress(cell.paths, kept.tolist())), y[kept].tolist()
+        first, last = self._cell(a, a, 0).paths[0], self._cell(b, b, 0).paths[0]
+        pairs = [(first, p) for p in paths]
+        if total:  # at length 0 the two end splits are the same term [a] (x) [a]
+            pairs += [(p, last) for p in paths]
             values += values
         for split in range(1, total):
-            for _, left, right, gam in self._splits(cell, x, split):
-                block = left.coordinates.T @ gam @ right.coordinates
-                i, j = np.nonzero(block)
-                pairs += zip(map(left.paths.__getitem__, i.tolist()),
-                             map(right.paths.__getitem__, j.tolist()))
-                values += block[i, j].tolist()
-        return TensorPathVector._of(pairs, values)
+            for v in range(self.graph.n_vertices):
+                left, right = self._cell(a, v, split), self._cell(v, b, total - split)
+                if left.dim and right.dim:
+                    block = _through(y, cell, left, right).ravel()
+                    kept = block != 0.0
+                    pairs += compress(product(left.paths, right.paths), kept.tolist())
+                    values += block[kept].tolist()
+        return TensorPathVector._of(pairs, values, dropped=True)
 
     # -- star -------------------------------------------------------------
 

@@ -25,12 +25,14 @@ def path_length(p: Path) -> int:
     return len(p) - 1
 
 
-def _trusted(cls, keys: Iterable, values: Iterable[float]):
+def _trusted(cls, keys: Iterable, values: Iterable[float], dropped: bool = False):
     """The vector sum_r values[r] keys[r], for distinct keys already in
     tuple form and values that are Python floats (from ndarray.tolist): what
-    the public constructor builds, with its drop test but no conversions."""
+    the public constructor builds, with no conversions and, unless every
+    |value| is known to exceed DROP_TOL (``dropped``), its drop test."""
     out = cls.__new__(cls)
-    out._terms = {k: c for k, c in zip(keys, values) if abs(c) > DROP_TOL}
+    out._terms = (dict(zip(keys, values)) if dropped else
+                  {k: c for k, c in zip(keys, values) if abs(c) > DROP_TOL})
     return out
 
 

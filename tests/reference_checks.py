@@ -1,14 +1,18 @@
-"""Sampled references for the checks that are read from the structure
-constants: the monomial loops that `verify` once ran, kept to confirm that
-the derived residuals bound what the loops measure.
+"""References for computations that now take a shorter route.
 
-Each function draws its monomials with `endo._monomial_pairs`, as the loops
-did, so a (pairs, seed) pair reproduces an earlier run's samples.
+The sampled references are the monomial loops that `verify` once ran for the
+checks now read from the structure constants, kept to confirm that the
+derived residuals bound what the loops measure.  Each draws its monomials
+with `endo._monomial_pairs`, as the loops did, so a (pairs, seed) pair
+reproduces an earlier run's samples.
+
+`gamma_coproduct_paths` is the path coproduct as it was computed from the
+decompositions of every split, before it became a deconcatenation.
 """
 
 import numpy as np
 
-from esspath import EndoTensor, GradedEndo
+from esspath import EndoTensor, GradedEndo, TensorPathVector
 from esspath.endo import (
     _all_pairs,
     _dense,
@@ -22,6 +26,7 @@ from esspath.endo import (
     counit,
     star_endo,
 )
+from esspath.essential import _through
 
 
 def compose_legwise(x: EndoTensor, y: EndoTensor) -> EndoTensor:
@@ -106,3 +111,32 @@ def star_sampled_residuals(sp, pairs, seed, max_length=None):
         co = max(co, (coproduct(star_endo(rho)) - coproduct(rho).star()).norm())
         eps = max(eps, abs(counit(star_endo(rho)) - counit(rho)))
     return anti, co, eps
+
+
+def gamma_coproduct_paths(sp, e):
+    """The coproduct of a homogeneous essential vector e from a to b as the
+    direct sum over splits of its decompositions: [a] (x) e and e (x) [b],
+    then for each inner split s and vertex v the block
+    left.coordinates^T gamma right.coordinates on the path pairs, gamma as
+    in `decompose` with entries up to 1e-14 set to 0."""
+    key = sp._homogeneous_cell_of(e, "coproduct_paths")
+    cell, x = sp._cell_vector(e, key, "coproduct_paths")
+    a, b, total = key
+    paths, values = map(list, zip(*e.items()))
+    pairs = [((a,), p) for p in paths]
+    if total:  # at length 0 the two end pieces are the same term [a] (x) [a]
+        pairs += [(p, (b,)) for p in paths]
+        values += values
+    for split in range(1, total):
+        for v in range(sp.graph.n_vertices):
+            left, right = sp._cell(a, v, split), sp._cell(v, b, total - split)
+            if not (left.dim and right.dim):
+                continue
+            gam = left.coordinates @ _through(x, cell, left, right) @ right.coordinates.T
+            gam[np.abs(gam) <= 1e-14] = 0.0
+            block = left.coordinates.T @ gam @ right.coordinates
+            i, j = np.nonzero(block)
+            pairs += zip(map(left.paths.__getitem__, i.tolist()),
+                         map(right.paths.__getitem__, j.tolist()))
+            values += block[i, j].tolist()
+    return TensorPathVector._of(pairs, values)

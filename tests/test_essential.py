@@ -26,6 +26,9 @@ from esspath import (
     reverse_star,
     space,
 )
+from esspath import essential as essential_module
+from esspath.paths import DROP_TOL
+from reference_checks import gamma_coproduct_paths
 
 TOL = 1e-9
 S3 = math.sqrt(3)
@@ -517,6 +520,78 @@ class TestCoproductPaths:
         assert len(calls) == 1
         sp.decompose(e, 2)
         assert len(calls) == 2
+
+
+def basis_vectors(sp, max_length=None):
+    top = sp.max_length if max_length is None else max_length
+    return [cell.vector(i) for n in range(top + 1)
+            for cell in sp.grade_basis(n).cells for i in range(cell.dim)]
+
+
+def agrees_with_gamma_reference(sp, e) -> bool:
+    got, want = sp.coproduct_paths(e).terms, gamma_coproduct_paths(sp, e).terms
+    return got.keys() == want.keys() and max(abs(got[k] - want[k]) for k in got) <= 1e-12
+
+
+class TestCoproductAsDeconcatenation:
+    """coproduct_paths reads the projected vector at every split instead of
+    rebuilding each split from its decomposition; both give the same terms."""
+
+    @pytest.mark.parametrize("name,max_length", [
+        ("A2", None), ("A3", None), ("D4", None), ("A6", None), ("E6", None),
+        ("D7", None), ("D8", None), ("E7", 11)])
+    def test_matches_gamma_reference(self, name, max_length):
+        sp = space(build_ade(name[0], int(name[1:])))
+        for e in basis_vectors(sp, max_length):
+            assert agrees_with_gamma_reference(sp, e)
+
+    @pytest.mark.parametrize("name", ["E6", "D7"])
+    def test_legs_are_cell_path_objects(self, name):
+        sp = space(build_ade(name[0], int(name[1:])))
+        for e in basis_vectors(sp):
+            for legs, _ in sp.coproduct_paths(e).items():
+                for p in legs:
+                    cell = sp._cell(p[0], p[-1], len(p) - 1)
+                    i = cell.row(p)
+                    assert i is not None and cell.paths[i] is p
+
+    def test_small_projected_coefficient_dropped_at_every_split(self, sp_e6):
+        rounding_level = 0
+        for e in basis_vectors(sp_e6):
+            (a, b, total), = {(p[0], p[-1], len(p) - 1) for p, _ in e.items()}
+            cell = sp_e6._cell(a, b, total)
+            x = np.zeros(len(cell.paths))
+            for p, c in e.items():
+                x[cell.row(p)] = c
+            y = cell.coordinates.T @ (cell.coordinates @ x)
+            small = {cell.paths[i] for i in np.flatnonzero(np.abs(y) <= DROP_TOL)}
+            rounding_level += int(np.count_nonzero((np.abs(y) <= DROP_TOL) & (y != 0)))
+            assert not any(p1 + p2[1:] in small
+                           for (p1, p2), _ in sp_e6.coproduct_paths(e).items())
+        assert rounding_level  # some small coefficients are not exact zeros
+
+    @pytest.mark.parametrize("name,key,shape", [
+        ("D4", (1, 1, 4), (3, 3)), ("E6", (1, 2, 5), (2, 4))])
+    def test_transposed_legs_fail_reference(self, name, key, shape, monkeypatch):
+        # a block of shape (P1, P2) paired in column-major order, not lex
+        sp = EssentialSpace(build_ade(name[0], int(name[1:])))
+        cell = sp._cell(*key)
+        a, b, total = key
+        assert any((len(sp._cell(a, v, s).paths), len(sp._cell(v, b, total - s).paths))
+                   == shape for s in range(total + 1)
+                   for v in range(sp.graph.n_vertices))
+        assert all(agrees_with_gamma_reference(sp, e) for e in cell.vectors)
+        monkeypatch.setattr(essential_module, "product",
+                            lambda left, right: ((p, q) for q in right for p in left))
+        assert not any(agrees_with_gamma_reference(sp, e) for e in cell.vectors)
+
+    def test_path_count_mismatch_raises(self, e6, monkeypatch):
+        sp = EssentialSpace(e6)
+        e = sp.cell(1, 2, 5).vector(0)
+        left = sp._cell(1, 1, 2)
+        monkeypatch.setitem(left.__dict__, "paths", left.paths[:-1])
+        with pytest.raises(NumericError, match="through 1 are not 1 x 4"):
+            sp.coproduct_paths(e)
 
 
 def reference_decompose(sp, e, split):
