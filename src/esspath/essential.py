@@ -19,14 +19,18 @@ orthonormality, and annihilation by its constraints.  Path coordinates are
 read by gathers over the lex order: the paths of cell (a, b, l) at v after s
 steps are, in lex order, the paths of (a, v, s) times those of (v, b, l - s),
 so decompositions, the coproduct and the structure constants read them as
-one block per v.  The coproduct takes each block of the projected vector as
-it is; every other contraction with a block is a plain matmul, two for a
-structure-constant block: (d3 P1, P2) @ (P2, d2), then (d1, P1) @ (P1, d2)
-per target vector.
+one block per v, and the graded product writes into them the same way.  The
+coproduct takes each block of the projected vector as it is; every other
+contraction with a block is a plain matmul, two for a structure-constant
+block: (d3 P1, P2) @ (P2, d2), then (d1, P1) @ (P1, d2) per target vector.
 
 The graded product is e * f = P(concat(e, f)) where P is the orthogonal
 projector onto the essential subspace; it is associative because
-P(P(p)P(q)) = P(pq).
+P(P(p)P(q)) = P(pq).  Queries work in cell coordinates: each input is
+gathered once into the coordinates of its cells, with one binary search per
+term, and each cell is projected once.  A product adds the outer product of
+two projected factor cells into its target cell's block and projects each
+target cell once, so no spliced path is built.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .paths import (
     Path,
     PathVector,
     TensorPathVector,
-    concat,
     enumerate_paths,
     path_length,
 )
@@ -225,20 +228,44 @@ def _gram_schmidt(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _split_mask(cell: EssentialCellBasis, left: EssentialCellBasis,
+                right: EssentialCellBasis) -> np.ndarray:
+    """The paths of ``cell`` that are p1 + p2[1:] with p1 in left.paths and
+    p2 in right.paths, as a mask over ``cell.paths``.  Those are the paths
+    of ``cell`` at left.end after left.length steps, and lex order lists
+    them as left.paths x right.paths in row-major order.  Raises
+    NumericError unless there are len(left.paths) * len(right.paths)."""
+    hit = cell.walks[:, left.length] == left.end
+    if np.count_nonzero(hit) != len(left.paths) * len(right.paths):
+        raise NumericError(f"cell {cell.start}|{cell.end}|{cell.length}: its paths "
+                           f"through {left.end} are not {len(left.paths)} x "
+                           f"{len(right.paths)}")
+    return hit
+
+
 def _through(x: np.ndarray, cell: EssentialCellBasis, left: EssentialCellBasis,
              right: EssentialCellBasis) -> np.ndarray:
     """The entries of ``x``, whose last axis runs over the paths of
-    ``cell``, on the paths p1 + p2[1:] with p1 in left.paths and p2 in
-    right.paths, as an array of shape (..., len(left.paths),
-    len(right.paths)).  Those are the paths of ``cell`` at left.end after
-    left.length steps, and lex order lists them as left.paths x right.paths
-    in row-major order, so one mask gathers them."""
-    hit = cell.walks[:, left.length] == left.end
-    shape = (len(left.paths), len(right.paths))
-    if np.count_nonzero(hit) != shape[0] * shape[1]:
-        raise NumericError(f"cell {cell.start}|{cell.end}|{cell.length}: its paths "
-                           f"through {left.end} are not {shape[0]} x {shape[1]}")
-    return x[..., hit].reshape(x.shape[:-1] + shape)
+    ``cell``, on the paths of `_split_mask`, as an array of shape (...,
+    len(left.paths), len(right.paths))."""
+    return x[..., _split_mask(cell, left, right)].reshape(
+        x.shape[:-1] + (len(left.paths), len(right.paths)))
+
+
+# A vector in cell coordinates: (cell, x) for each populated cell, x over
+# the cell's paths; projected, (cell, x, y) with y the projection of x.
+Gathered = list[tuple[EssentialCellBasis, np.ndarray]]
+Projected = list[tuple[EssentialCellBasis, np.ndarray, np.ndarray]]
+
+
+def _path_vector(projected: Projected) -> PathVector:
+    """The vector with coefficients y in each (cell, x, y)."""
+    paths: list[Path] = []
+    values: list[float] = []
+    for cell, _, y in projected:
+        paths += cell.paths
+        values += y.tolist()
+    return PathVector._of(paths, values)
 
 
 class EssentialSpace:
@@ -524,8 +551,9 @@ class EssentialSpace:
             raise InputError(f"term {walks[int(np.argmin(ok))]} is not an "
                              "elementary path of the graph")
 
-    def project(self, p: PathVector) -> PathVector:
-        """Orthogonal projection onto the essential subspace, cell by cell.
+    def _gather(self, p: PathVector) -> tuple[Gathered, float]:
+        """The terms of ``p`` in cell coordinates, cells in the order of
+        their first term, and the squared norm of its terms in empty cells.
         Raises InputError on a term that is not an elementary path: a term
         of a populated cell must be one of the cell's paths (`row`), and
         the terms of an empty cell must pass `_check_walks`."""
@@ -535,12 +563,13 @@ class EssentialSpace:
             if not (pp and 0 <= pp[0] < nverts and 0 <= pp[-1] < nverts):
                 raise InputError(f"term {pp} is not an elementary path of the graph")
             by_cell.setdefault((pp[0], pp[-1], path_length(pp)), []).append((pp, c))
-        paths: list[Path] = []
-        values: list[float] = []
+        cells = []
+        rest = 0.0
         for key, terms in by_cell.items():
             cell = self._cell(*key)
             if not cell.dim:
                 self._check_walks([pp for pp, _ in terms])
+                rest += sum(c * c for _, c in terms)
                 continue
             x = np.zeros(len(cell.paths))
             for pp, c in terms:
@@ -548,29 +577,86 @@ class EssentialSpace:
                 if i is None:
                     raise InputError(f"term {pp} is not an elementary path of the graph")
                 x[i] = c
-            paths += cell.paths
-            values += (cell.coordinates.T @ (cell.coordinates @ x)).tolist()
-        return PathVector._of(paths, values)
+            cells.append((cell, x))
+        return cells, rest
+
+    @staticmethod
+    def _projected(cells: Gathered) -> Projected:
+        """The orthogonal projection y = C^T (C x) of each (cell, x), C the
+        cell's coordinates.  The projector is the identity on a cell whose
+        paths are all essential (its C is the identity), so y is x there."""
+        return [(cell, x, x if cell.dim == len(cell.paths)
+                 else cell.coordinates.T @ (cell.coordinates @ x)) for cell, x in cells]
+
+    def _checked(self, p: PathVector) -> tuple[Projected, bool]:
+        """``p`` in cell coordinates (`_gather`), projected (`_projected`),
+        with entries of y up to DROP_TOL set to 0 as `project` drops them,
+        and whether ``p`` is essential: |y - x| <= tol (1 + |x|), its terms
+        in empty cells counted in both norms.  Cells whose paths are all
+        essential are skipped: y is x there, and a PathVector holds no term
+        up to DROP_TOL."""
+        cells, rest = self._gather(p)
+        projected = self._projected(cells)
+        off_sq = rest
+        for cell, x, y in projected:
+            if cell.dim < len(cell.paths):
+                y[np.abs(y) <= DROP_TOL] = 0.0
+                d = y - x
+                off_sq += float(d @ d)
+        if not off_sq:
+            return projected, True
+        norm = math.sqrt(rest + sum(float(x @ x) for _, x, _ in projected))
+        return projected, math.sqrt(off_sq) <= self.tol * (1.0 + norm)
+
+    def project(self, p: PathVector) -> PathVector:
+        """Orthogonal projection onto the essential subspace, cell by cell.
+        Raises InputError on a term that is not an elementary path
+        (`_gather`)."""
+        return _path_vector(self._projected(self._gather(p)[0]))
 
     def is_essential(self, p: PathVector) -> bool:
-        return (self.project(p) - p).norm() <= self.tol * (1.0 + p.norm())
+        return self._checked(p)[1]
 
-    def _ensure_essential(self, p: PathVector, who: str) -> PathVector:
-        proj = self.project(p)
-        if (proj - p).norm() > self.tol * (1.0 + p.norm()):
-            warnings.warn(
-                f"{who}: input was not essential and has been projected",
-                NonEssentialInputWarning,
-                stacklevel=3,
-            )
-        return proj
+    def _ensure_essential(self, p: PathVector, who: str) -> Projected:
+        """``p`` projected, in cell coordinates (`_checked`); warns
+        NonEssentialInputWarning, naming the caller's caller, if ``p`` is not
+        essential."""
+        projected, essential = self._checked(p)
+        if not essential:
+            warnings.warn(f"{who}: input was not essential and has been projected",
+                          NonEssentialInputWarning, stacklevel=3)
+        return projected
 
     def bullet(self, e: PathVector, f: PathVector) -> PathVector:
-        """Graded product P(concat(e, f)); non-essential inputs are projected
-        first (with a warning), which cannot change the result."""
-        e = self._ensure_essential(e, "bullet")
-        f = self._ensure_essential(f, "bullet")
-        return self.project(concat(e, f))
+        """Graded product P(concat(e, f)) in cell coordinates.  Each factor
+        is projected once (a non-essential one with a warning, which cannot
+        change the result); each pair of a cell (a, v, n) of e and (v, b, m)
+        of f adds the outer product of their projections to the block of
+        cell (a, b, n + m) on its paths through v after n steps
+        (`_split_mask`, the block `_through` gathers), in the order of e's
+        cells, so a path reached at several splits sums its terms in the
+        order concat does.  Entries up to DROP_TOL are then set to 0, as
+        concat drops them, and the target cells are projected once."""
+        lefts = self._ensure_essential(e, "bullet")
+        rights = self._ensure_essential(f, "bullet")
+        sums: dict[EssentialCellBasis, np.ndarray] = {}
+        for c1, _, y1 in lefts:
+            for c2, _, y2 in rights:
+                if c1.end != c2.start:
+                    continue
+                cell = self._cell(c1.start, c2.end, c1.length + c2.length)
+                if cell.dim:
+                    block = np.multiply.outer(y1, y2).ravel()
+                    mask = _split_mask(cell, c1, c2)
+                    z = sums.get(cell)
+                    if z is None:  # a cell's first block is set, as 0 + v is v
+                        sums[cell] = z = np.zeros(len(cell.paths))
+                        z[mask] = block
+                    else:
+                        z[mask] += block
+        for z in sums.values():
+            z[np.abs(z) <= DROP_TOL] = 0.0
+        return _path_vector(self._projected(list(sums.items())))
 
     def unit_essential(self) -> PathVector:
         """Sum of the zero-length paths: the unit for the graded product."""
@@ -624,20 +710,19 @@ class EssentialSpace:
             )
         return keys.pop()
 
-    def _cell_vector(self, e: PathVector, key: tuple[int, int, int],
-                     who: str) -> tuple[EssentialCellBasis, np.ndarray]:
-        """The cell ``key`` of a homogeneous vector and the vector's
-        coefficients over the cell's paths.  Raises InputError unless the
-        vector is essential, checked by one projection."""
-        if not self.is_essential(e):
+    def _cell_vector(self, e: PathVector, key: tuple[int, int, int], who: str
+                     ) -> tuple[EssentialCellBasis, np.ndarray, np.ndarray]:
+        """The cell ``key`` of a homogeneous vector, the vector's
+        coefficients x over the cell's paths and their projection y, from
+        one `_projected` call.  Raises InputError unless the vector is
+        essential and its cell populated."""
+        projected, essential = self._checked(e)
+        if not essential:
             raise InputError(f"{who} needs an essential input vector")
-        cell = self._cell(*key)
-        if not cell.dim:  # e is within tolerance of 0
+        if not projected:  # e is within tolerance of 0
             raise InputError(f"{who}: cell {'|'.join(map(str, key))} of "
                              f"{self.graph.name} holds no essential path")
-        x = np.zeros(len(cell.paths))
-        x[[cell.row(p) for p, _ in e.items()]] = [c for _, c in e.items()]
-        return cell, x
+        return projected[0]
 
     def decompose(self, e: PathVector, split: int) -> Decomposition:
         """Write an essential vector of length L as a combination of graded
@@ -650,7 +735,7 @@ class EssentialSpace:
             raise InputError(
                 f"split must satisfy 0 < split < {total}, got {split}"
             )
-        cell, x = self._cell_vector(e, (a, b, total), "decompose")
+        cell, x, _ = self._cell_vector(e, (a, b, total), "decompose")
         entries = []
         for v in range(self.graph.n_vertices):
             left, right = self._cell(a, v, split), self._cell(v, b, total - split)
@@ -683,9 +768,7 @@ class EssentialSpace:
         its path is missing at every split; the legs are the factor cells'
         own path tuples."""
         a, b, total = self._homogeneous_cell_of(e, "coproduct_paths")
-        cell, x = self._cell_vector(e, (a, b, total), "coproduct_paths")
-        y = cell.coordinates.T @ (cell.coordinates @ x)
-        y[np.abs(y) <= DROP_TOL] = 0.0
+        cell, _, y = self._cell_vector(e, (a, b, total), "coproduct_paths")
         kept = y != 0.0
         paths, values = list(compress(cell.paths, kept.tolist())), y[kept].tolist()
         first, last = self._cell(a, a, 0).paths[0], self._cell(b, b, 0).paths[0]

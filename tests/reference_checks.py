@@ -7,12 +7,22 @@ with `endo._monomial_pairs`, as the loops did, so a (pairs, seed) pair
 reproduces an earlier run's samples.
 
 `gamma_coproduct_paths` is the path coproduct as it was computed from the
-decompositions of every split, before it became a deconcatenation.
+decompositions of every split, before it became a deconcatenation, and
+`path_vector_bullet` the graded product as it was computed on path vectors,
+before it moved to cell coordinates.
 """
+
+import warnings
 
 import numpy as np
 
-from esspath import EndoTensor, GradedEndo, TensorPathVector
+from esspath import (
+    EndoTensor,
+    GradedEndo,
+    NonEssentialInputWarning,
+    TensorPathVector,
+    concat,
+)
 from esspath.endo import (
     _all_pairs,
     _dense,
@@ -120,7 +130,7 @@ def gamma_coproduct_paths(sp, e):
     left.coordinates^T gamma right.coordinates on the path pairs, gamma as
     in `decompose` with entries up to 1e-14 set to 0."""
     key = sp._homogeneous_cell_of(e, "coproduct_paths")
-    cell, x = sp._cell_vector(e, key, "coproduct_paths")
+    cell, x, _ = sp._cell_vector(e, key, "coproduct_paths")
     a, b, total = key
     paths, values = map(list, zip(*e.items()))
     pairs = [((a,), p) for p in paths]
@@ -140,3 +150,17 @@ def gamma_coproduct_paths(sp, e):
                          map(right.paths.__getitem__, j.tolist()))
             values += block[i, j].tolist()
     return TensorPathVector._of(pairs, values)
+
+
+def path_vector_bullet(sp, e, f):
+    """The graded product P(concat(e, f)) on path vectors: each factor is
+    projected, with a warning if it is not essential, the two are
+    concatenated and the concatenation is projected."""
+    def ensure_essential(p):
+        proj = sp.project(p)
+        if (proj - p).norm() > sp.tol * (1.0 + p.norm()):
+            warnings.warn("bullet: input was not essential and has been projected",
+                          NonEssentialInputWarning, stacklevel=3)
+        return proj
+
+    return sp.project(concat(ensure_essential(e), ensure_essential(f)))

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from esspath import (
 )
 from esspath import essential as essential_module
 from esspath.paths import DROP_TOL
-from reference_checks import gamma_coproduct_paths
+from reference_checks import gamma_coproduct_paths, path_vector_bullet
 
 TOL = 1e-9
 S3 = math.sqrt(3)
@@ -272,6 +274,96 @@ class TestBullet:
             rhs = sp_e6.project(concat(p1, p2))
             assert (lhs - rhs).norm() <= TOL * max(1.0, rhs.norm())
 
+    @pytest.mark.parametrize("left", [True, False])
+    def test_non_path_factor_rejected(self, sp_e6, left):
+        bad = PathVector({(2, 1, 2): 0.5, (2, 0, 2): 1.0})  # 0 and 2 are not adjacent
+        good = sp_e6.cell(2, 2, 2).vector(0)
+        with pytest.raises(InputError,
+                           match=re.escape("term (2, 0, 2) is not an elementary path")):
+            sp_e6.bullet(*((bad, good) if left else (good, bad)))
+
+
+def test_small_product_term_dropped_before_projection(sp_e6):
+    # (1, 2, 1) gets only 1e-8 * 1e-7, which concat drops: the projection
+    # of (1, 0, 1) must not see it
+    e = PathVector({(1, 0): 1.0, (1, 2): 1e-8})
+    f = PathVector({(0, 1): 1.0, (2, 1): 1e-7})
+    assert sp_e6.bullet(e, f).terms == path_vector_bullet(sp_e6, e, f).terms
+
+
+def test_small_factor_term_dropped_before_product(sp_e6):
+    # projected basis vectors hold rounding-level entries up to DROP_TOL,
+    # which project drops; times 1e6 they would exceed it
+    big = 1e6 * sp_e6.unit_essential()
+    for n in range(sp_e6.max_length + 1):
+        for cell in sp_e6.grade_basis(n).cells:
+            for e in cell.vectors:
+                assert sp_e6.bullet(e, big).terms == path_vector_bullet(sp_e6, e, big).terms
+
+
+def test_products_summed_in_left_factor_order():
+    # (0, 1, 2, 3) on A6 is reached at three splits, and every cell here has
+    # only essential paths: 2^20 + 2^-33 + 2^-33 is 2^20 summed in the left
+    # factor's order, as concat sums, and 2^20 + 2^-32 in the right one's
+    sp = space(build_ade("A", 6))
+    e = PathVector({(0,): 1.0, (0, 1): 1.0, (0, 1, 2): 1.0})
+    f = PathVector({(2, 3): 2.0**-33, (1, 2, 3): 2.0**-33, (0, 1, 2, 3): 2.0**20})
+    want = {(0, 1, 2, 3): 2.0**20}
+    assert sp.bullet(e, f).terms == path_vector_bullet(sp, e, f).terms == want
+
+
+def random_cell_vector(rng, cell):
+    """A random essential vector of one cell, over all of its paths."""
+    coords = rng.standard_normal(cell.dim) @ cell.coordinates
+    return PathVector(dict(zip(cell.paths, coords.tolist())))
+
+
+def bullet_cases(sp, rng, count):
+    """Random homogeneous pairs of composable cells, sums over three random
+    cells on each side, and the unit on either side of a cell vector."""
+    cells = [c for n in range(sp.max_length + 1) for c in sp.grade_basis(n).cells]
+    one = sp.unit_essential()
+    cases = []
+    for _ in range(count):
+        c1 = cells[rng.integers(len(cells))]
+        right = [c for c in cells if c.start == c1.end]
+        e = random_cell_vector(rng, c1)
+        cases.append((e, random_cell_vector(rng, right[rng.integers(len(right))])))
+        sums = [sum((random_cell_vector(rng, cells[rng.integers(len(cells))])
+                     for _ in range(3)), PathVector()) for _ in range(2)]
+        cases += [tuple(sums), (one, e), (e, one)]
+    return cases
+
+
+def warnings_of(call, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call(*args)
+    return out, sum(issubclass(w.category, NonEssentialInputWarning) for w in caught)
+
+
+@pytest.mark.parametrize("name", ["A2", "A6", "E6", "D7"])
+class TestBulletInCellCoordinates:
+    """bullet scatters outer products of the projected factors' cells into
+    the target cells; it gives the same bits as projecting the
+    concatenation of the projected factors as path vectors."""
+
+    def test_same_terms_as_path_vector_bullet(self, name):
+        sp = space(build_ade(name[0], int(name[1:])))
+        for e, f in bullet_cases(sp, np.random.default_rng(11), 25):
+            assert sp.bullet(e, f).terms == path_vector_bullet(sp, e, f).terms
+
+    def test_same_warnings_as_path_vector_bullet(self, name):
+        sp = space(build_ade(name[0], int(name[1:])))
+        cell = sp.grade_basis(1).cells[0]
+        raw = PathVector({cell.paths[0] + cell.paths[0][-2::-1]: 1.0})  # backtracks
+        good = sp.unit_essential()
+        for e, f, count in [(raw, good, 1), (good, raw, 1), (raw, raw, 2)]:
+            got, got_warned = warnings_of(sp.bullet, e, f)
+            want, want_warned = warnings_of(path_vector_bullet, sp, e, f)
+            assert got_warned == want_warned == count
+            assert got.terms == want.terms
+
 
 # the six coefficients of the worked length-4 example: products of
 # length-2 generators hitting the second basis vector of the (2 -> 2)
@@ -511,15 +603,51 @@ class TestCoproductPaths:
                         == (scale * sp_e6.coproduct_paths(e)).terms)
 
     def test_one_projection_per_call(self, e6, monkeypatch):
+        # the read path projects each vector once, in cell coordinates
         sp = EssentialSpace(e6)
         calls = []
-        project = sp.project
-        monkeypatch.setattr(sp, "project", lambda p: calls.append(p) or project(p))
+        projected = sp._projected
+        monkeypatch.setattr(sp, "_projected",
+                            lambda *a, **k: calls.append(a) or projected(*a, **k))
         e = sp.cell(2, 2, 4).vector(1)
         sp.coproduct_paths(e)
         assert len(calls) == 1
         sp.decompose(e, 2)
         assert len(calls) == 2
+        sp.bullet(sp.cell(2, 1, 1).vector(0), sp.cell(1, 2, 3).vector(0))
+        assert len(calls) == 5  # each factor once, the product once
+
+
+class TestReadPathInputErrors:
+    """Each InputError branch of the two homogeneous read-path queries."""
+
+    @staticmethod
+    def query(sp, which, e):
+        return sp.coproduct_paths(e) if which == "coproduct_paths" else sp.decompose(e, 1)
+
+    @pytest.mark.parametrize("which", ["coproduct_paths", "decompose"])
+    def test_non_essential(self, sp_e6, which):
+        with pytest.raises(InputError, match=f"{which} needs an essential input vector"):
+            self.query(sp_e6, which, PathVector({(2, 1, 2): 1.0}))
+
+    @pytest.mark.parametrize("which", ["coproduct_paths", "decompose"])
+    def test_tiny_vector_in_empty_cell(self, sp_e6, which):
+        # within tolerance of 0, so essential, but its cell 0|1|11 is empty
+        assert sp_e6._cell(0, 1, 11).dim == 0
+        with pytest.raises(InputError, match=re.escape(
+                f"{which}: cell 0|1|11 of E6 holds no essential path")):
+            self.query(sp_e6, which, PathVector({(0, 1) * 6: 1e-12}))
+
+    @pytest.mark.parametrize("which", ["coproduct_paths", "decompose"])
+    @pytest.mark.parametrize("terms,bad,populated", [
+        ({(2, 1, 2): 0.5, (2, 0, 2): 1.0}, (2, 0, 2), True),
+        ({(0, 2, 0): 1.0}, (0, 2, 0), False),
+    ])
+    def test_non_path_term(self, sp_e6, which, terms, bad, populated):
+        assert bool(sp_e6._cell(bad[0], bad[-1], 2).dim) == populated
+        with pytest.raises(InputError, match=re.escape(
+                f"term {bad} is not an elementary path")):
+            self.query(sp_e6, which, PathVector(terms))
 
 
 def basis_vectors(sp, max_length=None):
