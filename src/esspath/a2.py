@@ -41,6 +41,13 @@ ENDO_GRADE_INDEX = {
     "r11": (0, 0, 0), "r12": (0, 0, 1), "r21": (0, 1, 0), "r22": (0, 1, 1),
     "rrr": (1, 0, 0), "rrl": (1, 0, 1), "rlr": (1, 1, 0), "rll": (1, 1, 1),
 }
+# the two legs of each endomorphism generator, and the generator of each pair
+ENDO_LEGS = {
+    "r11": ("a1", "a1"), "r12": ("a1", "a2"), "r21": ("a2", "a1"),
+    "r22": ("a2", "a2"), "rrr": ("r", "r"), "rrl": ("r", "l"),
+    "rlr": ("l", "r"), "rll": ("l", "l"),
+}
+ENDO_OF_LEGS = {v: k for k, v in ENDO_LEGS.items()}
 
 
 def _element_table(products: dict[tuple[str, str], str]) -> np.ndarray:
@@ -89,14 +96,8 @@ def _endo_square(table: np.ndarray) -> np.ndarray:
     grade-matched results (both legs must land in the same grade)."""
     out = np.zeros((8, 8, 8), dtype=np.int64)
     names = ENDO_NAMES
-    legs = {
-        "r11": ("a1", "a1"), "r12": ("a1", "a2"), "r21": ("a2", "a1"),
-        "r22": ("a2", "a2"), "rrr": ("r", "r"), "rrl": ("r", "l"),
-        "rlr": ("l", "r"), "rll": ("l", "l"),
-    }
-    rev = {v: k for k, v in legs.items()}
     for x, y in itertools.product(names, repeat=2):
-        (u, v), (w, z) = legs[x], legs[y]
+        (u, v), (w, z) = ENDO_LEGS[x], ENDO_LEGS[y]
         iu, iv = ELEMENT_NAMES.index(u), ELEMENT_NAMES.index(v)
         iw, iz = ELEMENT_NAMES.index(w), ELEMENT_NAMES.index(z)
         for iu2 in range(4):
@@ -107,7 +108,7 @@ def _endo_square(table: np.ndarray) -> np.ndarray:
                 n1, n2 = ELEMENT_NAMES[iu2], ELEMENT_NAMES[iv2]
                 if _grade_of(n1) != _grade_of(n2):
                     continue
-                out[names.index(x), names.index(y), names.index(rev[(n1, n2)])] += c
+                out[names.index(x), names.index(y), names.index(ENDO_OF_LEGS[(n1, n2)])] += c
     return out
 
 
@@ -457,15 +458,8 @@ def check_filtered_coproducts_consistent(tol: float = 0.0) -> CheckReport:
     the filtered product table (grade-mismatched cross terms dropped), and
     the coproduct of the composition unit matches its expanded golden."""
     failures = []
-    legs = {nm: None for nm in ENDO_NAMES}
-    pair_of = {
-        "r11": ("a1", "a1"), "r12": ("a1", "a2"), "r21": ("a2", "a1"),
-        "r22": ("a2", "a2"), "rrr": ("r", "r"), "rrl": ("r", "l"),
-        "rlr": ("l", "r"), "rll": ("l", "l"),
-    }
-    name_of = {v: k for k, v in pair_of.items()}
     for nm in ENDO_NAMES:
-        u, v = pair_of[nm]
+        u, v = ENDO_LEGS[nm]
         got: dict[tuple[str, str], int] = {}
         for (i, j, a) in zip(*np.nonzero(STAR_TABLE)):
             if ELEMENT_NAMES[a] != u:
@@ -477,7 +471,7 @@ def check_filtered_coproducts_consistent(tol: float = 0.0) -> CheckReport:
                 m1, m2 = ELEMENT_NAMES[j], ELEMENT_NAMES[l]
                 if _grade_of(n1) != _grade_of(n2) or _grade_of(m1) != _grade_of(m2):
                     continue
-                key = (name_of[(n1, n2)], name_of[(m1, m2)])
+                key = (ENDO_OF_LEGS[(n1, n2)], ENDO_OF_LEGS[(m1, m2)])
                 got[key] = got.get(key, 0) + 1
         golden = {pair: 1 for pair in FILTERED_ENDO_COPRODUCT[nm]}
         if got != golden:

@@ -28,9 +28,12 @@ The graded product is e * f = P(concat(e, f)) where P is the orthogonal
 projector onto the essential subspace; it is associative because
 P(P(p)P(q)) = P(pq).  Queries work in cell coordinates: each input is
 gathered once into the coordinates of its cells, with one binary search per
-term, and each cell is projected once.  A product adds the outer product of
-two projected factor cells into its target cell's block and projects each
-target cell once, so no spliced path is built.
+term, and each cell is projected once; a homogeneous query counts its cells
+from the same keys.  Writing into a cell is one scatter: a product adds the
+outer product of two projected factor cells into its target cell's block
+through each intermediate vertex, a reconstruction the block
+C_left^T gamma_v C_right, and each target cell is projected once, so no
+spliced path is built.
 """
 
 from __future__ import annotations
@@ -255,6 +258,7 @@ def _through(x: np.ndarray, cell: EssentialCellBasis, left: EssentialCellBasis,
 # A vector in cell coordinates: (cell, x) for each populated cell, x over
 # the cell's paths; projected, (cell, x, y) with y the projection of x.
 Gathered = list[tuple[EssentialCellBasis, np.ndarray]]
+Empty = list[tuple[EssentialCellBasis, float]]  # an empty cell, |terms|^2
 Projected = list[tuple[EssentialCellBasis, np.ndarray, np.ndarray]]
 
 
@@ -551,12 +555,13 @@ class EssentialSpace:
             raise InputError(f"term {walks[int(np.argmin(ok))]} is not an "
                              "elementary path of the graph")
 
-    def _gather(self, p: PathVector) -> tuple[Gathered, float]:
+    def _gather(self, p: PathVector) -> tuple[Gathered, Empty]:
         """The terms of ``p`` in cell coordinates, cells in the order of
-        their first term, and the squared norm of its terms in empty cells.
-        Raises InputError on a term that is not an elementary path: a term
-        of a populated cell must be one of the cell's paths (`row`), and
-        the terms of an empty cell must pass `_check_walks`."""
+        their first term, and each empty cell it meets with the squared norm
+        of its terms there; each term is keyed once.  Raises InputError on a
+        term that is not an elementary path: a term of a populated cell must
+        be one of the cell's paths (`row`), and the terms of an empty cell
+        must pass `_check_walks`."""
         nverts = self.graph.n_vertices
         by_cell: dict[tuple[int, int, int], list[tuple[Path, float]]] = {}
         for pp, c in p.items():
@@ -564,12 +569,12 @@ class EssentialSpace:
                 raise InputError(f"term {pp} is not an elementary path of the graph")
             by_cell.setdefault((pp[0], pp[-1], path_length(pp)), []).append((pp, c))
         cells = []
-        rest = 0.0
+        empty = []
         for key, terms in by_cell.items():
             cell = self._cell(*key)
             if not cell.dim:
                 self._check_walks([pp for pp, _ in terms])
-                rest += sum(c * c for _, c in terms)
+                empty.append((cell, sum(c * c for _, c in terms)))
                 continue
             x = np.zeros(len(cell.paths))
             for pp, c in terms:
@@ -578,7 +583,7 @@ class EssentialSpace:
                     raise InputError(f"term {pp} is not an elementary path of the graph")
                 x[i] = c
             cells.append((cell, x))
-        return cells, rest
+        return cells, empty
 
     @staticmethod
     def _projected(cells: Gathered) -> Projected:
@@ -588,14 +593,14 @@ class EssentialSpace:
         return [(cell, x, x if cell.dim == len(cell.paths)
                  else cell.coordinates.T @ (cell.coordinates @ x)) for cell, x in cells]
 
-    def _checked(self, p: PathVector) -> tuple[Projected, bool]:
-        """``p`` in cell coordinates (`_gather`), projected (`_projected`),
-        with entries of y up to DROP_TOL set to 0 as `project` drops them,
-        and whether ``p`` is essential: |y - x| <= tol (1 + |x|), its terms
-        in empty cells counted in both norms.  Cells whose paths are all
+    def _checked(self, cells: Gathered, empty: Empty) -> tuple[Projected, bool]:
+        """A vector gathered by `_gather`, projected (`_projected`), with
+        entries of y up to DROP_TOL set to 0 as `project` drops them, and
+        whether it is essential: |y - x| <= tol (1 + |x|), its terms in
+        empty cells counted in both norms.  Cells whose paths are all
         essential are skipped: y is x there, and a PathVector holds no term
         up to DROP_TOL."""
-        cells, rest = self._gather(p)
+        rest = sum(s for _, s in empty)
         projected = self._projected(cells)
         off_sq = rest
         for cell, x, y in projected:
@@ -615,48 +620,55 @@ class EssentialSpace:
         return _path_vector(self._projected(self._gather(p)[0]))
 
     def is_essential(self, p: PathVector) -> bool:
-        return self._checked(p)[1]
+        return self._checked(*self._gather(p))[1]
 
     def _ensure_essential(self, p: PathVector, who: str) -> Projected:
         """``p`` projected, in cell coordinates (`_checked`); warns
         NonEssentialInputWarning, naming the caller's caller, if ``p`` is not
         essential."""
-        projected, essential = self._checked(p)
+        projected, essential = self._checked(*self._gather(p))
         if not essential:
             warnings.warn(f"{who}: input was not essential and has been projected",
                           NonEssentialInputWarning, stacklevel=3)
         return projected
 
+    def _scatter(self, blocks) -> Projected:
+        """The sum of the (cell, left, right, block) of ``blocks``, each
+        block flat over left.paths x right.paths and written to the paths of
+        ``cell`` through left.end after left.length steps (`_split_mask`),
+        projected.  A cell's first block is set, as 0 + v is v, later ones
+        are added in order, entries up to DROP_TOL are set to 0 as a
+        PathVector drops them, and one `_projected` call projects all."""
+        sums: dict[EssentialCellBasis, np.ndarray] = {}
+        for cell, left, right, block in blocks:
+            mask = _split_mask(cell, left, right)
+            z = sums.get(cell)
+            if z is None:
+                sums[cell] = z = np.zeros(len(cell.paths))
+                z[mask] = block
+            else:
+                z[mask] += block
+        for z in sums.values():
+            z[np.abs(z) <= DROP_TOL] = 0.0
+        return self._projected(list(sums.items()))
+
     def bullet(self, e: PathVector, f: PathVector) -> PathVector:
         """Graded product P(concat(e, f)) in cell coordinates.  Each factor
         is projected once (a non-essential one with a warning, which cannot
         change the result); each pair of a cell (a, v, n) of e and (v, b, m)
-        of f adds the outer product of their projections to the block of
-        cell (a, b, n + m) on its paths through v after n steps
-        (`_split_mask`, the block `_through` gathers), in the order of e's
-        cells, so a path reached at several splits sums its terms in the
-        order concat does.  Entries up to DROP_TOL are then set to 0, as
-        concat drops them, and the target cells are projected once."""
+        of f scatters the outer product of their projections into cell
+        (a, b, n + m) (`_scatter`), in the order of e's cells, so a path
+        reached at several splits sums its terms in the order concat does."""
         lefts = self._ensure_essential(e, "bullet")
         rights = self._ensure_essential(f, "bullet")
-        sums: dict[EssentialCellBasis, np.ndarray] = {}
+        blocks = []
         for c1, _, y1 in lefts:
             for c2, _, y2 in rights:
-                if c1.end != c2.start:
-                    continue
-                cell = self._cell(c1.start, c2.end, c1.length + c2.length)
-                if cell.dim:
-                    block = np.multiply.outer(y1, y2).ravel()
-                    mask = _split_mask(cell, c1, c2)
-                    z = sums.get(cell)
-                    if z is None:  # a cell's first block is set, as 0 + v is v
-                        sums[cell] = z = np.zeros(len(cell.paths))
-                        z[mask] = block
-                    else:
-                        z[mask] += block
-        for z in sums.values():
-            z[np.abs(z) <= DROP_TOL] = 0.0
-        return _path_vector(self._projected(list(sums.items())))
+                if c1.end == c2.start:
+                    cell = self._cell(c1.start, c2.end, c1.length + c2.length)
+                    if cell.dim:
+                        blocks.append((cell, c1, c2, np.multiply.outer(y1, y2).ravel()))
+        return _path_vector(self._scatter(blocks))
 
     def unit_essential(self) -> PathVector:
         """Sum of the zero-length paths: the unit for the graded product."""
@@ -699,28 +711,28 @@ class EssentialSpace:
 
     # -- decomposition -----------------------------------------------------
 
-    def _homogeneous_cell_of(self, e: PathVector, who: str) -> tuple[int, int, int]:
-        if any(not pp for pp, _ in e.items()):
+    def _cell_vector(self, e: PathVector, who: str
+                     ) -> tuple[EssentialCellBasis, np.ndarray, np.ndarray]:
+        """The one cell of a homogeneous vector, the vector's coefficients x
+        over the cell's paths and their projection y, from one `_gather`,
+        whose cells (empty ones included) are the cells counted, and one
+        `_projected` call.  Raises InputError on a term that is not an
+        elementary path, unless there is exactly one cell, and unless the
+        vector is essential and its cell populated."""
+        if e.coefficient(()):  # stored terms are nonzero
             raise InputError(f"{who}: term () is not an elementary path of the graph")
-        keys = {(pp[0], pp[-1], path_length(pp)) for pp, _ in e.items()}
-        if len(keys) != 1:
+        cells, empty = self._gather(e)
+        if len(cells) + len(empty) != 1:
             raise InputError(
                 f"{who} needs a vector with fixed endpoints and homogeneous "
-                f"length; found {len(keys)} cells"
+                f"length; found {len(cells) + len(empty)} cells"
             )
-        return keys.pop()
-
-    def _cell_vector(self, e: PathVector, key: tuple[int, int, int], who: str
-                     ) -> tuple[EssentialCellBasis, np.ndarray, np.ndarray]:
-        """The cell ``key`` of a homogeneous vector, the vector's
-        coefficients x over the cell's paths and their projection y, from
-        one `_projected` call.  Raises InputError unless the vector is
-        essential and its cell populated."""
-        projected, essential = self._checked(e)
+        projected, essential = self._checked(cells, empty)
         if not essential:
             raise InputError(f"{who} needs an essential input vector")
         if not projected:  # e is within tolerance of 0
-            raise InputError(f"{who}: cell {'|'.join(map(str, key))} of "
+            cell = empty[0][0]
+            raise InputError(f"{who}: cell {cell.start}|{cell.end}|{cell.length} of "
                              f"{self.graph.name} holds no essential path")
         return projected[0]
 
@@ -730,12 +742,12 @@ class EssentialSpace:
         gamma_{vij} = <e_i^{(split)}(a, v) e_j^{(L-split)}(v, b), e>, with
         the coefficients of e on the paths through v gathered as one block
         (`_through`).  The entries are ordered by v, then i, then j."""
-        a, b, total = self._homogeneous_cell_of(e, "decompose")
+        cell, x, _ = self._cell_vector(e, "decompose")
+        a, b, total = cell.start, cell.end, cell.length
         if not (0 < split < total):
             raise InputError(
                 f"split must satisfy 0 < split < {total}, got {split}"
             )
-        cell, x, _ = self._cell_vector(e, (a, b, total), "decompose")
         entries = []
         for v in range(self.graph.n_vertices):
             left, right = self._cell(a, v, split), self._cell(v, b, total - split)
@@ -747,12 +759,21 @@ class EssentialSpace:
         return Decomposition(a, b, total, split, tuple(entries))
 
     def reconstruct(self, d: Decomposition) -> PathVector:
-        out = PathVector()
+        """The sum over v of gamma_{vij} e_i(a, v) e_j(v, b): the gamma_v
+        of each intermediate vertex v give the block
+        C_left^T gamma_v C_right of the target cell on its paths through v,
+        so the sum is one scatter and one projection (`_scatter`)."""
+        inner = d.total_length - d.split
+        factors: dict[int, tuple[EssentialCellBasis, EssentialCellBasis, np.ndarray]] = {}
         for v, i, j, gamma in d.entries:
-            left = self._cell(d.start, v, d.split).vector(i)
-            right = self._cell(v, d.end, d.total_length - d.split).vector(j)
-            out = out + gamma * self.bullet(left, right)
-        return out
+            if v not in factors:
+                left, right = self._cell(d.start, v, d.split), self._cell(v, d.end, inner)
+                factors[v] = left, right, np.zeros((left.dim, right.dim))
+            factors[v][2][i, j] = gamma
+        cell = self._cell(d.start, d.end, d.total_length)
+        return _path_vector(self._scatter(
+            (cell, left, right, (left.coordinates.T @ gam @ right.coordinates).ravel())
+            for left, right, gam in factors.values()))
 
     def coproduct_paths(self, e: PathVector) -> TensorPathVector:
         """Coproduct dual to the graded product, for a homogeneous essential
@@ -767,8 +788,8 @@ class EssentialSpace:
         `decompose`.  A coefficient of y up to DROP_TOL is dropped once, so
         its path is missing at every split; the legs are the factor cells'
         own path tuples."""
-        a, b, total = self._homogeneous_cell_of(e, "coproduct_paths")
-        cell, _, y = self._cell_vector(e, (a, b, total), "coproduct_paths")
+        cell, _, y = self._cell_vector(e, "coproduct_paths")
+        a, b, total = cell.start, cell.end, cell.length
         kept = y != 0.0
         paths, values = list(compress(cell.paths, kept.tolist())), y[kept].tolist()
         first, last = self._cell(a, a, 0).paths[0], self._cell(b, b, 0).paths[0]

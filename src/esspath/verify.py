@@ -50,7 +50,6 @@ class VerifyConfig:
     seed: int = 2024
     samples: int = 50
     max_length: Optional[int] = None
-    decomposition_cap: int = 6
 
     def __post_init__(self):
         if self.samples < 1:
@@ -65,6 +64,11 @@ class VerifyConfig:
                 "graph has spectral radius >= 2; supply a max path length cap"
             )
         return self.max_length
+
+
+# longest cell decomposed, or whose gamma Gram matrices are formed, by
+# `check_decomposition` and `check_gamma_orthonormality`
+DECOMPOSITION_CAP = 6
 
 
 def _path_cells(sp: EssentialSpace, cap: int) -> list[tuple[int, int, int]]:
@@ -150,15 +154,13 @@ def check_dims_vs_fused(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     )
 
 
-def check_projector_identity(sp: EssentialSpace, cfg: VerifyConfig,
-                             pairs: Optional[int] = None) -> CheckReport:
+def check_projector_identity(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     """P(P(p1) P(p2)) = P(p1 p2) on random homogeneous path vectors."""
     rng = np.random.default_rng(cfg.seed)
     cap = cfg.cap(sp)
     cells = _path_cells(sp, cap)
-    count = pairs if pairs is not None else cfg.samples
     worst = 0.0
-    for _ in range(count):
+    for _ in range(cfg.samples):
         c1 = _draw_cell(rng, cells, cap)
         c2 = _draw_cell(rng, cells, cap - c1[2], start=c1[1])
         p1 = _random_cell_paths(sp, rng, c1)
@@ -171,7 +173,7 @@ def check_projector_identity(sp: EssentialSpace, cfg: VerifyConfig,
         residual=worst,
         tolerance=cfg.tolerance,
         passed=worst <= cfg.tolerance,
-        witness=f"{count} random homogeneous pairs",
+        witness=f"{cfg.samples} random homogeneous pairs",
     )
 
 
@@ -238,15 +240,11 @@ def check_projector_star_commute(sp: EssentialSpace, cfg: VerifyConfig) -> Check
     )
 
 
-def check_decomposition(sp: EssentialSpace, cfg: VerifyConfig,
-                        cap: Optional[int] = None,
-                        recon_tol: Optional[float] = None,
-                        norm_tol: Optional[float] = None) -> CheckReport:
+def check_decomposition(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     """Every canonical basis vector decomposes through every split with unit
     coefficient-square sum and exact reconstruction."""
-    lmax = min(cfg.cap(sp), cap if cap is not None else cfg.decomposition_cap)
-    recon_tol = recon_tol if recon_tol is not None else 1e-8
-    norm_tol = norm_tol if norm_tol is not None else cfg.tolerance
+    lmax = min(cfg.cap(sp), DECOMPOSITION_CAP)
+    recon_tol, norm_tol = 1e-8, cfg.tolerance
     worst_recon = 0.0
     worst_norm = 0.0
     count = 0
@@ -274,8 +272,7 @@ def check_decomposition(sp: EssentialSpace, cfg: VerifyConfig,
     )
 
 
-def check_gamma_orthonormality(sp: EssentialSpace, cfg: VerifyConfig,
-                               cap: Optional[int] = None) -> CheckReport:
+def check_gamma_orthonormality(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     """For each cell and split, the decomposition coefficient vectors of the
     canonical basis form an orthonormal family.  At split s, basis vector
     K of a length-L cell has coefficients gamma_K[i, j] = m[i, j, K] with
@@ -284,7 +281,7 @@ def check_gamma_orthonormality(sp: EssentialSpace, cfg: VerifyConfig,
     the cell's diagonal block of _gram(m).  The blocks between different
     cells vanish exactly (their coefficients have disjoint supports), so
     the whole Gram matrix of each split is compared with the identity."""
-    lmax = min(cfg.cap(sp), cap if cap is not None else cfg.decomposition_cap)
+    lmax = min(cfg.cap(sp), DECOMPOSITION_CAP)
     worst = 0.0
     for total in range(2, lmax + 1):
         eye = np.eye(sp.grade_basis(total).dim)
@@ -412,37 +409,6 @@ def check_conv_unit(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
 # suite registry
 
 
-def _run_delta_hom(sp, cfg):
-    return check_delta_homomorphism(sp, tol=max(cfg.tolerance, 1e-8),
-                                    max_length=cfg.max_length)
-
-
-def _run_conv_coproduct(sp, cfg):
-    return check_convolution_coproduct(sp, tol=max(cfg.tolerance, 1e-8),
-                                       max_length=cfg.max_length)
-
-
-def _run_coalgebra(sp, cfg):
-    return check_coalgebra_axioms(sp, samples=cfg.samples, seed=cfg.seed,
-                                  tol=cfg.tolerance, max_length=cfg.max_length)
-
-
-def _run_comonoidality(sp, cfg):
-    return check_comonoidality(sp, tol=cfg.tolerance)
-
-
-def _run_unit_not_grouplike(sp, cfg):
-    return check_unit_not_grouplike(sp)
-
-
-def _run_antipode(sp, cfg):
-    return antipode_infeasibility(sp)
-
-
-def _run_star(sp, cfg):
-    return check_star(sp, tol=cfg.tolerance, max_length=cfg.max_length)
-
-
 CHECKS: dict[str, Callable[[EssentialSpace, VerifyConfig], CheckReport]] = {
     "perron_frobenius": check_pf_eigen,
     "dims_vs_fused": check_dims_vs_fused,
@@ -455,14 +421,18 @@ CHECKS: dict[str, Callable[[EssentialSpace, VerifyConfig], CheckReport]] = {
     "grouplike_coalgebra": check_grouplike_coalgebra,
     "concat_inner": check_concat_inner,
     "truncated_paths": check_truncated_paths,
-    "delta_homomorphism": _run_delta_hom,
-    "convolution_coproduct": _run_conv_coproduct,
-    "coalgebra_axioms": _run_coalgebra,
-    "comonoidality": _run_comonoidality,
-    "unit_not_grouplike": _run_unit_not_grouplike,
+    "delta_homomorphism": lambda sp, cfg: check_delta_homomorphism(
+        sp, tol=max(cfg.tolerance, 1e-8), max_length=cfg.max_length),
+    "convolution_coproduct": lambda sp, cfg: check_convolution_coproduct(
+        sp, tol=max(cfg.tolerance, 1e-8), max_length=cfg.max_length),
+    "coalgebra_axioms": lambda sp, cfg: check_coalgebra_axioms(
+        sp, samples=cfg.samples, seed=cfg.seed, tol=cfg.tolerance,
+        max_length=cfg.max_length),
+    "comonoidality": lambda sp, cfg: check_comonoidality(sp, tol=cfg.tolerance),
+    "unit_not_grouplike": lambda sp, cfg: check_unit_not_grouplike(sp),
     "convolution_unit": check_conv_unit,
-    "antipode": _run_antipode,
-    "star": _run_star,
+    "antipode": lambda sp, cfg: antipode_infeasibility(sp),
+    "star": lambda sp, cfg: check_star(sp, tol=cfg.tolerance, max_length=cfg.max_length),
 }
 
 SUITES: dict[str, tuple[str, ...]] = {
@@ -480,7 +450,22 @@ SUITES["all"] = (SUITES["core"] + SUITES["paths"] + SUITES["bialgebra"]
                  + SUITES["antipode"] + SUITES["star"])
 
 
+def _not_applicable(sp: EssentialSpace, name: str) -> Optional[str]:
+    """Why check ``name`` does not apply to the graph of ``sp``, or None."""
+    if name == "dims_vs_fused" and sp.pf.kappa is None:
+        return "a graph without a Coxeter number has no fused matrices"
+    if name == "antipode" and sp.grade_basis(1).dim < 1:
+        return "the obstruction argument needs a populated grade 1"
+    if name == "unit_not_grouplike" and sp.graph.n_vertices < 2:
+        return "on one vertex the unit is group-like"
+    return None
+
+
 def run_suite(sp: EssentialSpace, suite: str, cfg: VerifyConfig) -> list[CheckReport]:
+    """The reports of the checks of ``suite`` that apply to the graph.
+    Raises InputError on an unknown suite, or naming each check and why it
+    does not apply when none does, as a suite of no checks passes
+    vacuously."""
     names = SUITES.get(suite)
     if names is None:
         if suite in CHECKS:
@@ -490,13 +475,8 @@ def run_suite(sp: EssentialSpace, suite: str, cfg: VerifyConfig) -> list[CheckRe
                 f"unknown suite {suite!r}; choose one of "
                 f"{', '.join(sorted(SUITES))} or a single check name"
             )
-    reports = []
-    for name in names:
-        if name == "dims_vs_fused" and sp.pf.kappa is None:
-            continue  # no fused matrices without a Coxeter number
-        if name == "antipode" and sp.grade_basis(1).dim < 1:
-            continue  # the obstruction argument needs a populated grade 1
-        if name == "unit_not_grouplike" and sp.graph.n_vertices < 2:
-            continue  # on one vertex the unit IS group-like
-        reports.append(CHECKS[name](sp, cfg))
+    reports = [CHECKS[n](sp, cfg) for n in names if _not_applicable(sp, n) is None]
+    if not reports:
+        raise InputError("; ".join(f"check {n!r} does not apply to {sp.graph.name}: "
+                                   f"{_not_applicable(sp, n)}" for n in names))
     return reports

@@ -7,9 +7,11 @@ with `endo._monomial_pairs`, as the loops did, so a (pairs, seed) pair
 reproduces an earlier run's samples.
 
 `gamma_coproduct_paths` is the path coproduct as it was computed from the
-decompositions of every split, before it became a deconcatenation, and
+decompositions of every split, before it became a deconcatenation,
 `path_vector_bullet` the graded product as it was computed on path vectors,
-before it moved to cell coordinates.
+before it moved to cell coordinates, and `bullet_reconstruct` the sum of a
+decomposition as it was computed with one graded product per coefficient,
+before it became one scatter into the target cell.
 """
 
 import warnings
@@ -20,6 +22,7 @@ from esspath import (
     EndoTensor,
     GradedEndo,
     NonEssentialInputWarning,
+    PathVector,
     TensorPathVector,
     concat,
 )
@@ -129,9 +132,8 @@ def gamma_coproduct_paths(sp, e):
     then for each inner split s and vertex v the block
     left.coordinates^T gamma right.coordinates on the path pairs, gamma as
     in `decompose` with entries up to 1e-14 set to 0."""
-    key = sp._homogeneous_cell_of(e, "coproduct_paths")
-    cell, x, _ = sp._cell_vector(e, key, "coproduct_paths")
-    a, b, total = key
+    cell, x, _ = sp._cell_vector(e, "coproduct_paths")
+    a, b, total = cell.start, cell.end, cell.length
     paths, values = map(list, zip(*e.items()))
     pairs = [((a,), p) for p in paths]
     if total:  # at length 0 the two end pieces are the same term [a] (x) [a]
@@ -164,3 +166,15 @@ def path_vector_bullet(sp, e, f):
         return proj
 
     return sp.project(concat(ensure_essential(e), ensure_essential(f)))
+
+
+def bullet_reconstruct(sp, d):
+    """The vector sum gamma_{vij} e_i(a, v) * e_j(v, b) of a decomposition,
+    one graded product of two basis vectors per coefficient, summed as path
+    vectors."""
+    out = PathVector()
+    for v, i, j, gamma in d.entries:
+        left = sp._cell(d.start, v, d.split).vector(i)
+        right = sp._cell(v, d.end, d.total_length - d.split).vector(j)
+        out = out + gamma * sp.bullet(left, right)
+    return out

@@ -79,8 +79,8 @@ def test_criterion_04_projector_identity():
     worst = {}
     for name in GRAPH_SET:
         sp = space(graph_of(name))
-        cfg = VerifyConfig(tolerance=1e-9, seed=41)
-        rep = check_projector_identity(sp, cfg, pairs=200)
+        cfg = VerifyConfig(tolerance=1e-9, seed=41, samples=200)
+        rep = check_projector_identity(sp, cfg)
         worst[name] = rep.residual
     ok = all(r <= 1e-9 for r in worst.values())
     detail = ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
@@ -91,7 +91,7 @@ def test_criterion_04_projector_identity():
 def test_criterion_05_decomposition_lemma_e6():
     sp = space(build_ade("E", 6))
     cfg = VerifyConfig(tolerance=1e-9)
-    rep = check_decomposition(sp, cfg, cap=6, recon_tol=1e-8, norm_tol=1e-9)
+    rep = check_decomposition(sp, cfg)  # lengths <= 6, tolerances 1e-8 and 1e-9
     _criterion(5, "decomposition of every E6 basis vector, lengths <= 6",
                rep.passed, rep.witness)
 

@@ -248,6 +248,34 @@ class TestVerify:
         assert out == ""
         assert err.splitlines() == [f"error: samples must be >= 1, got {samples}"]
 
+    @pytest.mark.parametrize("graph,suite,why", [
+        ("A1", "antipode", "the obstruction argument needs a populated grade 1"),
+        ("A1", "unit_not_grouplike", "on one vertex the unit is group-like"),
+        ("C3", "dims_vs_fused",
+         "a graph without a Coxeter number has no fused matrices"),
+    ])
+    def test_suite_of_no_applicable_check_exits_two(self, capsys, tmp_path,
+                                                   graph, suite, why):
+        args = ["--graph", graph]
+        if graph == "C3":  # the triangle, of spectral radius 2
+            path = tmp_path / "c3.json"
+            path.write_text(json.dumps({
+                "name": "C3", "vertices": ["a", "b", "c"],
+                "edges": [["a", "b"], ["b", "c"], ["c", "a"]],
+            }))
+            args = ["--graph", str(path), "--allow-cycles", "--max-length", "3"]
+        code, out, err = run(capsys, "verify", *args, "--suite", suite)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: check {suite!r} does not apply to {graph}: {why}"]
+
+    def test_a1_all_reports_the_applicable_checks(self, capsys):
+        code, out, _ = run(capsys, "verify", "--graph", "A1", "--suite", "all")
+        assert code == 0
+        names = [r["name"] for r in json.loads(out)]
+        assert len(names) == 17
+        assert not any(n.startswith(("antipode", "unit_not_grouplike")) for n in names)
+
     def test_all_matches_golden(self, capsys):
         # recorded `verify --graph A3 --suite all` output; bullet_unit's
         # witness reports drawn/requested samples

@@ -14,7 +14,12 @@ from esspath.endo import (
     check_delta_homomorphism,
     check_star,
 )
-from esspath.verify import VerifyConfig, check_gamma_orthonormality, run_suite
+from esspath.verify import (
+    DECOMPOSITION_CAP,
+    VerifyConfig,
+    check_gamma_orthonormality,
+    run_suite,
+)
 
 import reference_checks as ref
 
@@ -39,7 +44,7 @@ class TestDerivedBoundsReferences:
     def test_gamma_orthonormality(self, name):
         sp = space(build_ade(name[0], int(name[1:])))
         loop = ref.gamma_orthonormality_residual(
-            sp, min(CFG.cap(sp), CFG.decomposition_cap))
+            sp, min(CFG.cap(sp), DECOMPOSITION_CAP))
         assert loop <= check_gamma_orthonormality(sp, CFG).residual + 1e-15
 
     def test_star(self, name):

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from esspath import (
 )
 from esspath import essential as essential_module
 from esspath.paths import DROP_TOL
-from reference_checks import gamma_coproduct_paths, path_vector_bullet
+from esspath.verify import VerifyConfig, check_decomposition
+from reference_checks import bullet_reconstruct, gamma_coproduct_paths, path_vector_bullet
 
 TOL = 1e-9
 S3 = math.sqrt(3)
@@ -639,6 +641,26 @@ class TestReadPathInputErrors:
             self.query(sp_e6, which, PathVector({(0, 1) * 6: 1e-12}))
 
     @pytest.mark.parametrize("which", ["coproduct_paths", "decompose"])
+    def test_populated_and_empty_cell(self, sp_e6, which):
+        # the empty cell 0|1|11 counts as one of the cells
+        assert sp_e6._cell(2, 2, 2).dim and not sp_e6._cell(0, 1, 11).dim
+        with pytest.raises(InputError, match=re.escape(
+                f"{which} needs a vector with fixed endpoints and homogeneous "
+                "length; found 2 cells")):
+            self.query(sp_e6, which, PathVector({(2, 1, 2): 1.0, (0, 1) * 6: 1.0}))
+
+    @pytest.mark.parametrize("which", ["coproduct_paths", "decompose"])
+    def test_terms_keyed_once(self, e6, which, monkeypatch):
+        sp = EssentialSpace(e6)
+        e = sp.cell(2, 2, 4).vector(1)
+        self.query(sp, which, e)  # the cells are built before counting
+        calls = []
+        monkeypatch.setattr(essential_module, "path_length",
+                            lambda p: calls.append(p) or len(p) - 1)
+        self.query(sp, which, e)
+        assert len(calls) == len(e) > 1
+
+    @pytest.mark.parametrize("which", ["coproduct_paths", "decompose"])
     @pytest.mark.parametrize("terms,bad,populated", [
         ({(2, 1, 2): 0.5, (2, 0, 2): 1.0}, (2, 0, 2), True),
         ({(0, 2, 0): 1.0}, (0, 2, 0), False),
@@ -720,6 +742,57 @@ class TestCoproductAsDeconcatenation:
         monkeypatch.setitem(left.__dict__, "paths", left.paths[:-1])
         with pytest.raises(NumericError, match="through 1 are not 1 x 4"):
             sp.coproduct_paths(e)
+
+
+class TestReconstructAsOneScatter:
+    """reconstruct writes the block C_left^T gamma_v C_right of every
+    intermediate vertex v into the target cell and projects once."""
+
+    @pytest.mark.parametrize("name", ["A3", "D4", "A6", "E6", "D7", "D8"])
+    def test_matches_bullet_reference(self, name):
+        sp = space(build_ade(name[0], int(name[1:])))
+        for total in range(2, sp.max_length + 1):
+            for cell in sp.grade_basis(total).cells:
+                for e, split in product(cell.vectors, range(1, total)):
+                    d = sp.decompose(e, split)
+                    got, want = sp.reconstruct(d).terms, bullet_reconstruct(sp, d).terms
+                    assert max((abs(got.get(k, 0.0) - want.get(k, 0.0))
+                                for k in got.keys() | want.keys()), default=0.0) <= 1e-12
+
+    def test_one_projection_and_no_product(self, e6, monkeypatch):
+        sp = EssentialSpace(e6)
+        ds = [sp.decompose(e, s) for e in sp.cell(2, 2, 4).vectors for s in (1, 2, 3)]
+
+        def fail(*_):
+            raise AssertionError("reconstruct called a product or a sum")
+
+        calls = []
+        projected = sp._projected
+        monkeypatch.setattr(sp, "_projected",
+                            lambda *a: calls.append(a) or projected(*a))
+        monkeypatch.setattr(sp, "bullet", fail)
+        monkeypatch.setattr(PathVector, "__add__", fail)
+        for k, d in enumerate(ds, 1):
+            sp.reconstruct(d)
+            assert len(calls) == k
+
+    @pytest.mark.parametrize("name", ["A6", "E6"])
+    @pytest.mark.parametrize("fault", ["dropped", "negated"])
+    def test_planted_fault_fails_decomposition(self, name, fault, monkeypatch):
+        # the block of the first intermediate vertex is left out or negated
+        sp = EssentialSpace(build_ade(name[0], int(name[1:])))
+        assert check_decomposition(sp, VerifyConfig()).passed
+        scatter = sp._scatter
+
+        def planted(blocks):
+            (cell, left, right, block), *rest = blocks
+            first = [] if fault == "dropped" else [(cell, left, right, -block)]
+            return scatter(first + rest)
+
+        monkeypatch.setattr(sp, "_scatter", planted)
+        rep = check_decomposition(sp, VerifyConfig())
+        assert not rep.passed
+        assert rep.residual >= 0.5
 
 
 def reference_decompose(sp, e, split):
@@ -836,7 +909,7 @@ class TestBulletAlgebraLaws:
     def test_gamma_gram_identity(self, sp_e6):
         # coefficient vectors of one cell's basis are orthonormal per split
         from esspath.verify import VerifyConfig, check_gamma_orthonormality
-        cfg = VerifyConfig(tolerance=1e-9, decomposition_cap=4)
+        cfg = VerifyConfig(tolerance=1e-9)
         rep = check_gamma_orthonormality(sp_e6, cfg)
         assert rep.passed, rep.witness
 
