@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -157,57 +157,44 @@ FILTERED_COPRODUCT_OF_COMPOSE_UNIT = (
 
 
 @dataclass(frozen=True)
-class A2Element:
-    """Real combination of the four essential paths a1, a2, r, l."""
-
-    coeffs: tuple[float, float, float, float]
-
-    @classmethod
-    def basis(cls, name: str) -> "A2Element":
-        if name not in ELEMENT_NAMES:
-            raise InputError(f"unknown basis element {name!r}")
-        c = [0.0] * 4
-        c[ELEMENT_NAMES.index(name)] = 1.0
-        return cls(tuple(c))
-
-    def __add__(self, other: "A2Element") -> "A2Element":
-        return A2Element(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, s: float) -> "A2Element":
-        return A2Element(tuple(a * s for a in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        bits = [f"{c:+g}*{n}" for c, n in zip(self.coeffs, ELEMENT_NAMES) if c]
-        return " ".join(bits) or "0"
-
-
-@dataclass(frozen=True)
-class A2Endo:
-    """Real combination of the eight endomorphism generators."""
+class _A2Combination:
+    """Real combination of a subclass's named basis elements."""
 
     coeffs: tuple[float, ...]
+    names: ClassVar[tuple[str, ...]]
+    kind: ClassVar[str]  # what a name is, for the unknown-name error
 
     @classmethod
-    def basis(cls, name: str) -> "A2Endo":
-        if name not in ENDO_NAMES:
-            raise InputError(f"unknown generator {name!r}")
-        c = [0.0] * 8
-        c[ENDO_NAMES.index(name)] = 1.0
+    def basis(cls, name: str):
+        if name not in cls.names:
+            raise InputError(f"unknown {cls.kind} {name!r}")
+        c = [0.0] * len(cls.names)
+        c[cls.names.index(name)] = 1.0
         return cls(tuple(c))
 
-    def __add__(self, other: "A2Endo") -> "A2Endo":
-        return A2Endo(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+    def __add__(self, other):
+        return type(self)(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __mul__(self, s: float) -> "A2Endo":
-        return A2Endo(tuple(a * s for a in self.coeffs))
+    def __mul__(self, s: float):
+        return type(self)(tuple(a * s for a in self.coeffs))
 
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        bits = [f"{c:+g}*{n}" for c, n in zip(self.coeffs, ENDO_NAMES) if c]
+        bits = [f"{c:+g}*{n}" for c, n in zip(self.coeffs, self.names) if c]
         return " ".join(bits) or "0"
+
+
+class A2Element(_A2Combination):
+    """Real combination of the four essential paths a1, a2, r, l."""
+
+    names, kind = ELEMENT_NAMES, "basis element"
+
+
+class A2Endo(_A2Combination):
+    """Real combination of the eight endomorphism generators."""
+
+    names, kind = ENDO_NAMES, "generator"
 
 
 def _bilinear(table: np.ndarray, x, y, wrap):
@@ -541,25 +528,13 @@ def a2_reports() -> list[CheckReport]:
     ]
 
 
-def element_product_rows(table: np.ndarray) -> list[list[str]]:
-    """Rows of a printable multiplication table."""
-    rows = [[""] + list(ELEMENT_NAMES)]
-    for x in range(4):
-        row = [ELEMENT_NAMES[x]]
-        for y in range(4):
-            terms = [ELEMENT_NAMES[z] for z in np.nonzero(table[x, y])[0]]
-            row.append(" + ".join(terms) or "0")
-        rows.append(row)
-    return rows
-
-
-def endo_product_rows(table: np.ndarray) -> list[list[str]]:
-    rows = [[""] + list(ENDO_NAMES)]
-    for x in range(8):
-        row = [ENDO_NAMES[x]]
-        for y in range(8):
-            terms = [ENDO_NAMES[z] for z in np.nonzero(table[x, y])[0]]
-            row.append(" + ".join(terms) or "0")
+def product_rows(table: np.ndarray, names: tuple[str, ...]) -> list[list[str]]:
+    """Rows of a printable multiplication table over the named basis."""
+    rows = [[""] + list(names)]
+    for x, name in enumerate(names):
+        row = [name]
+        for y in range(len(names)):
+            row.append(" + ".join(names[z] for z in np.nonzero(table[x, y])[0]) or "0")
         rows.append(row)
     return rows
 

@@ -28,6 +28,7 @@ from .graphs import (
     DEFAULT_TOL,
     Graph,
     builtin_graph,
+    check_tolerances,
     fused_matrices,
     parse_graph,
 )
@@ -50,8 +51,7 @@ class RunConfig:
     suite: str = "all"
 
     def __post_init__(self):
-        if self.tolerance <= 0 or self.rank_tol <= 0:
-            raise InputError("tolerances must be positive")
+        check_tolerances(self.tolerance, self.rank_tol)
         if self.max_length is not None and self.max_length < 0:
             raise InputError("max length cap must be >= 0")
         if self.jobs < 1:
@@ -317,15 +317,16 @@ def cmd_a2_compare(args) -> int:
     cfg = _config(args)
     _no_csv(cfg, "a2-compare")
     reports = a2mod.a2_reports()
+    elements, endos = a2mod.ELEMENT_NAMES, a2mod.ENDO_NAMES
     payload = {
         "element_products": {
-            "bullet": a2mod.element_product_rows(a2mod.BULLET_TABLE),
-            "filtered": a2mod.element_product_rows(a2mod.STAR_TABLE),
+            "bullet": a2mod.product_rows(a2mod.BULLET_TABLE, elements),
+            "filtered": a2mod.product_rows(a2mod.STAR_TABLE, elements),
         },
         "endo_products": {
-            "compose": a2mod.endo_product_rows(a2mod.COMPOSE_ENDO_TABLE),
-            "bullet": a2mod.endo_product_rows(a2mod.BULLET_ENDO_TABLE),
-            "filtered": a2mod.endo_product_rows(a2mod.STAR_ENDO_TABLE),
+            "compose": a2mod.product_rows(a2mod.COMPOSE_ENDO_TABLE, endos),
+            "bullet": a2mod.product_rows(a2mod.BULLET_ENDO_TABLE, endos),
+            "filtered": a2mod.product_rows(a2mod.STAR_ENDO_TABLE, endos),
         },
         "coproducts": {
             "graded_paths": a2mod.coproduct_rows(a2mod.GRADED_COPRODUCT),
@@ -341,16 +342,14 @@ def cmd_a2_compare(args) -> int:
             widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
             for row in rows:
                 _emit("  " + "  ".join(x.ljust(w) for x, w in zip(row, widths)))
-        table("graded product (paths):",
-              a2mod.element_product_rows(a2mod.BULLET_TABLE))
-        table("filtered product (paths):",
-              a2mod.element_product_rows(a2mod.STAR_TABLE))
-        table("composition product (endomorphisms):",
-              a2mod.endo_product_rows(a2mod.COMPOSE_ENDO_TABLE))
-        table("graded convolution (endomorphisms):",
-              a2mod.endo_product_rows(a2mod.BULLET_ENDO_TABLE))
-        table("filtered convolution (endomorphisms):",
-              a2mod.endo_product_rows(a2mod.STAR_ENDO_TABLE))
+        tables = [*payload["element_products"].values(),
+                  *payload["endo_products"].values()]
+        for title, rows in zip(("graded product (paths):",
+                                "filtered product (paths):",
+                                "composition product (endomorphisms):",
+                                "graded convolution (endomorphisms):",
+                                "filtered convolution (endomorphisms):"), tables):
+            table(title, rows)
         for title, rows in payload["coproducts"].items():
             _emit(f"coproducts ({title}):")
             for name, terms in rows:

@@ -24,11 +24,13 @@ dualization object is needed.
 Tensor powers of B (the codomain of the coproduct, and the triple tensors of
 the comonoidality identities) are kept factored, as short sums of tensor
 products of single-grade blocks (EndoTensor).  Every product in the axioms
-is legwise, (x1 (x) x2) * (y1 (x) y2) = (x1 * y1) (x) (x2 * y2), so it is a
-batch of the same structure-constant contraction that conv_bullet makes,
-one per leg; sums of entries are only formed to read a result (norm, the
-monomial ``terms`` view, dense_blocks).  The antipode right-hand sides are
-one contraction of the dense Delta(1) against the counit pairing of the
+is legwise, (x1 (x) x2) * (y1 (x) y2) = (x1 * y1) (x) (x2 * y2), so it is
+one structure-constant contraction per leg, batched over all term pairs.
+The convolution product and the reversal of B itself are the one-leg case
+(conv_bullet and star_endo run EndoTensor.bullet and EndoTensor.star).
+Sums of entries are only formed to read a result (norm, the monomial
+``terms`` view, dense_blocks).  The antipode right-hand sides are one
+contraction of the dense Delta(1) against the counit pairing of the
 structure constants.
 """
 
@@ -161,36 +163,6 @@ def _convolve(x: np.ndarray, y: np.ndarray, mul: np.ndarray) -> np.ndarray:
     ym = y.reshape(-1, dm) @ np.swapaxes(mul, 0, 1).reshape(dm, -1)
     ym = ym.reshape(ns, dm, dn, dt).transpose(2, 1, 0, 3).reshape(dn * dm, -1)
     return (xm @ ym).reshape(nt, dt, ns, dt).transpose(0, 2, 1, 3)
-
-
-def conv_bullet(r: GradedEndo, s: GradedEndo) -> GradedEndo:
-    """Graded convolution: on monomials, (e_i (x) e^j) * (e_k (x) e^l) =
-    (e_i * e_k) (x) (e^j * e^l), expanded through the structure constants."""
-    sp = r.space
-    out: dict[int, np.ndarray] = {}
-    for n, rn in r.blocks.items():
-        for m, sm in s.blocks.items():
-            mul = sp.structure_constants(n, m)
-            if mul.shape[2] == 0:
-                continue
-            block = _convolve(rn[None], sm[None], mul)[0, 0]
-            tgt = n + m
-            if tgt in out:
-                out[tgt] = out[tgt] + block
-            else:
-                out[tgt] = block
-    return GradedEndo(sp, out)
-
-
-def star_endo(r: GradedEndo) -> GradedEndo:
-    """Orientation reversal on both tensor legs, realized per grade by the
-    orthogonal change-of-basis matrix of the reversal map."""
-    sp = r.space
-    out = {}
-    for n, mat in r.blocks.items():
-        t = sp.star_matrix(n)
-        out[n] = t @ mat @ t.T
-    return GradedEndo(sp, out)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +448,18 @@ class EndoTensor:
 
     def __repr__(self) -> str:
         return f"EndoTensor(legs={self.legs}, terms={len(self)})"
+
+
+def conv_bullet(r: GradedEndo, s: GradedEndo) -> GradedEndo:
+    """Graded convolution: on monomials, (e_i (x) e^j) * (e_k (x) e^l) =
+    (e_i * e_k) (x) (e^j * e^l), the one-leg case of EndoTensor.bullet."""
+    return EndoTensor.from_graded(r).bullet(EndoTensor.from_graded(s)).to_graded()
+
+
+def star_endo(r: GradedEndo) -> GradedEndo:
+    """Orientation reversal on both tensor legs, the one-leg case of
+    EndoTensor.star."""
+    return EndoTensor.from_graded(r).star().to_graded()
 
 
 def coproduct(r: GradedEndo) -> EndoTensor:

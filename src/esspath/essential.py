@@ -50,7 +50,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EsspathError, InputError, NonEssentialInputWarning, NumericError
-from .graphs import DEFAULT_TOL, Graph, PerronData, fused_matrices, perron_frobenius
+from .graphs import (DEFAULT_TOL, Graph, PerronData, check_tolerances, fused_matrices,
+                     perron_frobenius)
 from .paths import (
     DROP_TOL,
     Path,
@@ -281,8 +282,7 @@ class EssentialSpace:
 
     def __init__(self, graph: Graph, pf: Optional[PerronData] = None,
                  tol: float = DEFAULT_TOL, rank_tol: float = DEFAULT_RANK_TOL):
-        if tol <= 0 or rank_tol <= 0:
-            raise InputError("tolerances must be positive")
+        check_tolerances(tol, rank_tol)
         self.graph = graph
         self.tol = tol
         self.rank_tol = rank_tol

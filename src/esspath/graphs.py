@@ -26,6 +26,16 @@ DEFAULT_TOL = 1e-9
 _POWER_ITER_CAP = 200_000
 
 
+def check_tolerances(*tols: float) -> None:
+    """Raise InputError unless every tolerance is finite and positive.  A nan
+    fails every comparison and an inf passes every one, so either would end
+    the power iteration at once or never, or pass a check that tested
+    nothing."""
+    for t in tols:
+        if not (math.isfinite(t) and t > 0):
+            raise InputError(f"tolerances must be finite and positive, got {t!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple unoriented graph with string-labeled vertices.
@@ -114,8 +124,6 @@ def _make_graph(name, labels, label_edges, distinguished, allow_cycles=False) ->
     index = {lbl: i for i, lbl in enumerate(labels)}
     edges: set[tuple[int, int]] = set()
     for e in label_edges:
-        if len(e) != 2:
-            raise InputError(f"edge {e!r} is not a pair")
         u, v = str(e[0]), str(e[1])
         if u not in index or v not in index:
             missing = u if u not in index else v
@@ -256,7 +264,12 @@ def parse_graph(text: str, allow_cycles: bool = False) -> Graph:
         raise InputError("'vertices' must be a list of strings")
     if not isinstance(edges, list):
         raise InputError("'edges' must be a list of label pairs")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2):
+            raise InputError(f"edge {e!r} is not a list of two labels")
     name = data.get("name", "graph")
+    if not isinstance(name, str):
+        raise InputError("'name' must be a string")
     return _make_graph(name, vertices, edges, data.get("distinguished"),
                        allow_cycles=allow_cycles)
 

@@ -6,6 +6,11 @@ vector space spanned by elementary paths carries the concatenation product
 (splice at a matching endpoint, zero otherwise), the scalar product that
 makes elementary paths orthonormal, the backtrack-removal operators C_k,
 and a group-like coalgebra structure.
+
+Vectors of paths (PathVector) and of path pairs (TensorPathVector, the
+codomain of the coproducts) share one linear-combination class, which
+holds their drop rule, arithmetic, norm and equality; they differ only in
+how a key is read and printed.
 """
 
 from __future__ import annotations
@@ -25,46 +30,36 @@ def path_length(p: Path) -> int:
     return len(p) - 1
 
 
-def _trusted(cls, keys: Iterable, values: Iterable[float], dropped: bool = False):
-    """The vector sum_r values[r] keys[r], for distinct keys already in
-    tuple form and values that are Python floats (from ndarray.tolist): what
-    the public constructor builds, with no conversions and, unless every
-    |value| is known to exceed DROP_TOL (``dropped``), its drop test."""
-    out = cls.__new__(cls)
-    out._terms = (dict(zip(keys, values)) if dropped else
-                  {k: c for k, c in zip(keys, values) if abs(c) > DROP_TOL})
-    return out
-
-
-class PathVector:
-    """Finite real linear combination of elementary paths.
+class _Combination:
+    """Finite real linear combination of distinct keys, the linear structure
+    that path vectors and path-pair vectors share.
 
     Terms with |coefficient| <= DROP_TOL are dropped, so the zero vector has
-    no terms and equality is termwise.
+    no terms and equality is termwise.  A subclass says how a key becomes a
+    tuple (``_key``).
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Optional[dict[Path, float]] = None):
-        clean: dict[Path, float] = {}
-        if terms:
-            for p, c in terms.items():
-                if abs(c) > DROP_TOL:
-                    clean[tuple(p)] = float(c)
-        self._terms = clean
-
-    _of = classmethod(_trusted)  # keys are path tuples
+    def __init__(self, terms: Optional[dict] = None):
+        key = self._key
+        self._terms = {key(k): float(c) for k, c in (terms or {}).items()
+                       if abs(c) > DROP_TOL}
 
     @classmethod
-    def zero(cls) -> "PathVector":
-        return cls()
-
-    @classmethod
-    def single(cls, p: Path, coeff: float = 1.0) -> "PathVector":
-        return cls({tuple(p): coeff})
+    def _of(cls, keys: Iterable, values: Iterable[float], dropped: bool = False):
+        """The vector sum_r values[r] keys[r], for distinct keys already in
+        tuple form and values that are Python floats (from ndarray.tolist):
+        what the public constructor builds, with no conversions and, unless
+        every |value| is known to exceed DROP_TOL (``dropped``), its drop
+        test."""
+        out = cls.__new__(cls)
+        out._terms = (dict(zip(keys, values)) if dropped else
+                      {k: c for k, c in zip(keys, values) if abs(c) > DROP_TOL})
+        return out
 
     @property
-    def terms(self) -> dict[Path, float]:
+    def terms(self) -> dict:
         return dict(self._terms)
 
     def items(self):
@@ -73,45 +68,53 @@ class PathVector:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def coefficient(self, p: Path) -> float:
-        return self._terms.get(tuple(p), 0.0)
-
-    def __add__(self, other: "PathVector") -> "PathVector":
+    def __add__(self, other):
         out = dict(self._terms)
-        for p, c in other._terms.items():
-            out[p] = out.get(p, 0.0) + c
-        return PathVector(out)
+        for k, c in other._terms.items():
+            out[k] = out.get(k, 0.0) + c
+        return type(self)(out)
 
-    def __sub__(self, other: "PathVector") -> "PathVector":
+    def __sub__(self, other):
         out = dict(self._terms)
-        for p, c in other._terms.items():
-            out[p] = out.get(p, 0.0) - c
-        return PathVector(out)
+        for k, c in other._terms.items():
+            out[k] = out.get(k, 0.0) - c
+        return type(self)(out)
 
-    def __mul__(self, scalar: float) -> "PathVector":
-        return PathVector({p: c * scalar for p, c in self._terms.items()})
+    def __mul__(self, scalar: float):
+        return type(self)({k: c * scalar for k, c in self._terms.items()})
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "PathVector":
+    def __neg__(self):
         return self * -1.0
 
     def norm(self) -> float:
         return math.sqrt(sum(c * c for c in self._terms.values()))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self - other).norm() <= DROP_TOL * max(1, len(self) + len(other))
+
+
+class PathVector(_Combination):
+    """Finite real linear combination of elementary paths."""
+
+    __slots__ = ()
+    _key = staticmethod(tuple)
+
+    @classmethod
+    def single(cls, p: Path, coeff: float = 1.0) -> "PathVector":
+        return cls({tuple(p): coeff})
+
+    def coefficient(self, p: Path) -> float:
+        return self._terms.get(tuple(p), 0.0)
 
     def lengths(self) -> set[int]:
         return {path_length(p) for p in self._terms}
 
     def sorted_terms(self) -> list[tuple[Path, float]]:
         return sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PathVector):
-            return NotImplemented
-        return (self - other).norm() <= DROP_TOL * max(1, len(self) + len(other))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -120,58 +123,18 @@ class PathVector:
         return "PathVector(" + " ".join(bits) + ")"
 
 
-class TensorPathVector:
+class TensorPathVector(_Combination):
     """Finite real linear combination of pairs of elementary paths."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Optional[dict[tuple[Path, Path], float]] = None):
-        clean: dict[tuple[Path, Path], float] = {}
-        if terms:
-            for (p, q), c in terms.items():
-                if abs(c) > DROP_TOL:
-                    clean[(tuple(p), tuple(q))] = float(c)
-        self._terms = clean
-
-    _of = classmethod(_trusted)  # keys are pairs of path tuples
-
-    @property
-    def terms(self) -> dict[tuple[Path, Path], float]:
-        return dict(self._terms)
-
-    def items(self):
-        return self._terms.items()
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __add__(self, other: "TensorPathVector") -> "TensorPathVector":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return TensorPathVector(out)
-
-    def __sub__(self, other: "TensorPathVector") -> "TensorPathVector":
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0.0) - c
-        return TensorPathVector(out)
-
-    def __mul__(self, scalar: float) -> "TensorPathVector":
-        return TensorPathVector({k: c * scalar for k, c in self._terms.items()})
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self._terms.values()))
+    @staticmethod
+    def _key(pair) -> tuple[Path, Path]:
+        p, q = pair
+        return tuple(p), tuple(q)
 
     def coefficient(self, p: Path, q: Path) -> float:
         return self._terms.get((tuple(p), tuple(q)), 0.0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorPathVector):
-            return NotImplemented
-        return (self - other).norm() <= DROP_TOL * max(1, len(self) + len(other))
 
     def __repr__(self) -> str:
         bits = [

@@ -30,7 +30,7 @@ from .endo import (
 )
 from .errors import InputError
 from .essential import EssentialSpace
-from .graphs import fused_matrices
+from .graphs import check_tolerances, fused_matrices
 from .paths import (
     PathVector,
     concat,
@@ -52,6 +52,7 @@ class VerifyConfig:
     max_length: Optional[int] = None
 
     def __post_init__(self):
+        check_tolerances(self.tolerance)
         if self.samples < 1:
             raise InputError(f"samples must be >= 1, got {self.samples}")
 

@@ -1,7 +1,9 @@
 """Two-point diagram goldens: graded vs filtered structure."""
 
 import numpy as np
+import pytest
 
+from esspath import InputError
 from esspath import a2 as a2mod
 from esspath.a2 import (
     A2Element,
@@ -9,6 +11,7 @@ from esspath.a2 import (
     BULLET_ENDO_TABLE,
     BULLET_TABLE,
     COMPOSE_ENDO_TABLE,
+    ELEMENT_NAMES,
     ENDO_NAMES,
     STAR_ENDO_TABLE,
     STAR_TABLE,
@@ -165,7 +168,26 @@ class TestAgainstGenericMachinery:
         assert np.max(np.abs(got - BULLET_TABLE)) <= 1e-12
 
     def test_rendered_tables_shape(self):
-        rows = a2mod.element_product_rows(BULLET_TABLE)
+        rows = a2mod.product_rows(BULLET_TABLE, ELEMENT_NAMES)
         assert len(rows) == 5 and all(len(r) == 5 for r in rows)
-        rows = a2mod.endo_product_rows(STAR_ENDO_TABLE)
+        rows = a2mod.product_rows(STAR_ENDO_TABLE, ENDO_NAMES)
         assert len(rows) == 9 and all(len(r) == 9 for r in rows)
+
+
+class TestCombinations:
+    """A2Element and A2Endo share one coefficient class; each keeps its
+    names and its error text."""
+
+    @pytest.mark.parametrize("cls, names, message", [
+        (A2Element, ELEMENT_NAMES, "unknown basis element 'x'"),
+        (A2Endo, ENDO_NAMES, "unknown generator 'x'"),
+    ])
+    def test_basis_arithmetic_and_errors(self, cls, names, message):
+        first, last = cls.basis(names[0]), cls.basis(names[-1])
+        assert len(first.coeffs) == len(names)
+        assert str(2 * first + last * -0.5) == f"+2*{names[0]} -0.5*{names[-1]}"
+        assert str(first * 0.0) == "0"
+        assert type(first + last) is cls and first + last == last + first
+        with pytest.raises(InputError) as exc:
+            cls.basis("x")
+        assert str(exc.value) == message

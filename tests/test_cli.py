@@ -353,6 +353,24 @@ class TestErrors:
                            "--tolerance", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--graph", "A3", "--tolerance", "inf"),
+        ("verify", "--graph", "A3", "--tolerance", "nan"),
+        ("dims", "--graph", "A3", "--rank-tol", "nan"),
+        ("a2-compare", "--tolerance", "inf"),
+    ])
+    def test_non_finite_tolerance_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tolerances must be finite and positive, got ")
+        assert len(err.splitlines()) == 1
+
+    def test_malformed_edge_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"vertices": ["a", "b"], "edges": [None]}))
+        code, out, err = run(capsys, "pf", "--graph", str(path))
+        assert (code, out, err) == (2, "", "error: edge None is not a list of two labels\n")
+
     @pytest.mark.parametrize("kind", ["directory", "binary"])
     def test_unreadable_graph_exits_two(self, capsys, tmp_path, kind):
         target = tmp_path / kind

@@ -522,12 +522,20 @@ class TestEndoTensorOps:
         assert (EndoTensor.from_graded(r).to_graded() - r).norm() <= 1e-12
 
     def test_bullet_matches_graded_product(self, sp_a3):
+        """The one-leg bullet (conv_bullet) against np.einsum over the
+        structure constants of every pair of blocks."""
         rng = np.random.default_rng(10)
         a = random_endo(sp_a3, rng, grades={0, 1})
         b = random_endo(sp_a3, rng, grades={0, 1})
-        via_tensor = EndoTensor.from_graded(a).bullet(
-            EndoTensor.from_graded(b)).to_graded()
-        assert (via_tensor - conv_bullet(a, b)).norm() <= 1e-9
+        want = GradedEndo.zero(sp_a3)
+        for n, x in a.blocks.items():
+            for m, y in b.blocks.items():
+                mul = sp_a3.structure_constants(n, m)
+                if mul.shape[2]:
+                    want = want + GradedEndo(sp_a3, {n + m: einsum_ref(
+                        "ij,kl,ikK,jlL->KL", x, y, mul, mul)})
+        assert want.grades() == [0, 1, 2]
+        assert (conv_bullet(a, b) - want).norm() <= 1e-12
 
     def test_compose_legwise_matches(self, sp_a3):
         rng = np.random.default_rng(11)
@@ -538,10 +546,14 @@ class TestEndoTensorOps:
         assert (via_tensor - compose(a, b)).norm() <= 1e-9
 
     def test_star_legwise_matches(self, sp_a3):
+        """The one-leg star (star_endo) against T_n a T_n^T per grade."""
         rng = np.random.default_rng(12)
         a = random_endo(sp_a3, rng)
-        via_tensor = EndoTensor.from_graded(a).star().to_graded()
-        assert (via_tensor - star_endo(a)).norm() <= 1e-9
+        stars = {n: sp_a3.star_matrix(n) for n in a.blocks}
+        want = GradedEndo(sp_a3, {n: einsum_ref("pi,ij,qj->pq", stars[n], x, stars[n])
+                                  for n, x in a.blocks.items()})
+        assert want.grades() == a.grades() != []
+        assert (star_endo(a) - want).norm() <= 1e-12
 
     def test_block_shape_validation(self, sp_a2):
         with pytest.raises(InputError):

@@ -932,6 +932,15 @@ class TestScaleInvariance:
                     assert np.allclose(p1, p2, atol=TOL)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-9, math.inf, math.nan])
+def test_tolerances_must_be_finite_and_positive(a3, bad):
+    for make in (lambda: EssentialSpace(a3, tol=bad),
+                 lambda: EssentialSpace(a3, rank_tol=bad),
+                 lambda: VerifyConfig(tolerance=bad)):
+        with pytest.raises(InputError, match="tolerances must be finite and positive"):
+            make()
+
+
 class TestCellInvariants:
     """Every cell is checked where it is made: its transfer matrix R when it
     is built, its path coordinates when they are first read."""

@@ -124,6 +124,23 @@ class TestParseGraph:
         g = parse_graph(text, allow_cycles=True)
         assert len(g.edges) == 3
 
+    @pytest.mark.parametrize("edge", [None, {"x": 1, "y": 2}, "ab", ["a"],
+                                      ["a", "b", "a"]])
+    def test_edge_must_be_a_list_of_two_labels(self, edge):
+        text = json.dumps({"vertices": ["a", "b"], "edges": [edge]})
+        with pytest.raises(InputError, match="is not a list of two labels"):
+            parse_graph(text)
+
+    def test_name_must_be_a_string(self):
+        text = json.dumps({"name": ["x"], "vertices": ["a", "b"],
+                           "edges": [["a", "b"]]})
+        with pytest.raises(InputError, match="'name' must be a string"):
+            parse_graph(text)
+
+    def test_edge_labels_read_through_str(self):
+        g = parse_graph(json.dumps({"vertices": ["1", "2"], "edges": [[2, 1]]}))
+        assert g.edges == ((0, 1),)
+
     def test_malformed_json(self):
         with pytest.raises(InputError, match="malformed JSON"):
             parse_graph("{not json")

@@ -26,7 +26,7 @@ from esspath import (
     tensor,
     unit,
 )
-from esspath.paths import tensor_concat
+from esspath.paths import DROP_TOL, TensorPathVector, tensor_concat
 
 TOL = 1e-9
 
@@ -328,3 +328,37 @@ class TestCanonicalForm:
         v = elementary(A2, [2, 1]) + elementary(A2, [1]) + elementary(A2, [1, 2, 1])
         keys = [p for p, _ in v.sorted_terms()]
         assert keys == [(0,), (1, 0), (0, 1, 0)]
+
+
+@pytest.mark.parametrize("cls, a, b", [
+    (PathVector, (0,), (0, 1)),
+    (TensorPathVector, ((0,), (0,)), ((0, 1), (1,))),
+], ids=["paths", "path_pairs"])
+class TestCombination:
+    """The linear structure that path vectors and path-pair vectors share:
+    every result drops the terms at or below DROP_TOL."""
+
+    def test_drop_on_construction(self, cls, a, b):
+        assert cls({a: 1.0, b: DROP_TOL}).terms == {a: 1.0}
+        assert cls({a: 1.0, b: -2 * DROP_TOL}).terms == {a: 1.0, b: -2 * DROP_TOL}
+        assert not cls({a: DROP_TOL})
+
+    def test_drop_on_arithmetic(self, cls, a, b):
+        v = cls({a: 1.0, b: 0.5})
+        assert (v + cls({b: -0.5 + DROP_TOL})).terms == {a: 1.0}
+        assert (v - cls({b: 0.5})).terms == {a: 1.0}
+        assert (v * DROP_TOL).terms == {}
+        assert (v * 2.0).terms == (2.0 * v).terms == {a: 2.0, b: 1.0}
+        assert (-v).terms == {a: -1.0, b: -0.5}
+        assert type(v + v) is type(v - v) is type(v * 2.0) is cls
+        assert v.norm() == math.sqrt(1.25) and len(v) == 2
+        assert dict(v.items()) == v.terms and v == cls({b: 0.5, a: 1.0})
+
+    def test_of_with_and_without_the_drop(self, cls, a, b):
+        assert cls._of([a, b], [1.0, DROP_TOL]).terms == {a: 1.0}
+        trusted = cls._of([a, b], [1.0, DROP_TOL], dropped=True)
+        assert type(trusted) is cls and trusted.terms == {a: 1.0, b: DROP_TOL}
+
+    def test_paths_never_equal_path_pairs(self, cls, a, b):
+        other = TensorPathVector if cls is PathVector else PathVector
+        assert cls() != other() and not cls() == other()
