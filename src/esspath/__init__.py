@@ -54,20 +54,17 @@ from .endo import (
     CheckReport,
     EndoTensor,
     GradedBasisAlgebra,
-    GradedEndo,
     antipode_infeasibility,
     check_comonoidality,
     check_delta_homomorphism,
     check_gram_condition,
     check_star,
     check_unit_not_grouplike,
-    compose,
     conv_bullet,
     convolution_coproduct,
     coproduct,
     counit,
     essential_algebra,
-    star_endo,
     truncated_paths_algebra,
     unit_endo,
 )

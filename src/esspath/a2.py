@@ -22,8 +22,6 @@ import numpy as np
 from .endo import (
     CheckReport,
     EndoTensor,
-    GradedEndo,
-    compose,
     conv_bullet,
     convolution_coproduct,
 )
@@ -404,7 +402,7 @@ def check_endo_coproducts_vs_generic(tol: float = 1e-12) -> CheckReport:
     sp = a2_space()
     worst = 0.0
     for name, pairs in GRADED_ENDO_COPRODUCT.items():
-        rho = GradedEndo.monomial(sp, *ENDO_GRADE_INDEX[name])
+        rho = EndoTensor.monomial(sp, *ENDO_GRADE_INDEX[name])
         got = convolution_coproduct(rho)
         worst = max(worst, (got - _endo_tensor_from_names(sp, pairs)).norm())
     return CheckReport(
@@ -420,12 +418,12 @@ def check_endo_products_vs_generic(tol: float = 1e-12) -> CheckReport:
     match the 8x8 golden tables entry for entry."""
     sp = a2_space()
     worst = 0.0
-    gens = {nm: GradedEndo.monomial(sp, *ENDO_GRADE_INDEX[nm]) for nm in ENDO_NAMES}
+    gens = {nm: EndoTensor.monomial(sp, *ENDO_GRADE_INDEX[nm]) for nm in ENDO_NAMES}
     for x, y in itertools.product(ENDO_NAMES, repeat=2):
-        for table, op in ((COMPOSE_ENDO_TABLE, compose),
+        for table, op in ((COMPOSE_ENDO_TABLE, EndoTensor.compose),
                           (BULLET_ENDO_TABLE, conv_bullet)):
             got = op(gens[x], gens[y])
-            expect = GradedEndo.zero(sp)
+            expect = EndoTensor(sp, 1)
             for z in ENDO_NAMES:
                 c = table[ENDO_NAMES.index(x), ENDO_NAMES.index(y),
                           ENDO_NAMES.index(z)]

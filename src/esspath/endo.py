@@ -21,13 +21,15 @@ a vector with a functional is just the transpose of coefficient positions;
 block entry [i][j] means e_i (x) (dual of e_j) throughout, and no separate
 dualization object is needed.
 
-Tensor powers of B (the codomain of the coproduct, and the triple tensors of
-the comonoidality identities) are kept factored, as short sums of tensor
-products of single-grade blocks (EndoTensor).  Every product in the axioms
-is legwise, (x1 (x) x2) * (y1 (x) y2) = (x1 * y1) (x) (x2 * y2), so it is
-one structure-constant contraction per leg, batched over all term pairs.
-The convolution product and the reversal of B itself are the one-leg case
-(conv_bullet and star_endo run EndoTensor.bullet and EndoTensor.star).
+B and its tensor powers (the codomain of the coproduct, and the triple
+tensors of the comonoidality identities) have one type, EndoTensor: short
+sums of tensor products of single-grade blocks, kept factored.  An element
+of B is the one-leg case, one batch of terms per grade (from_blocks,
+monomial, identity; EndoTensor(sp, 1) is zero), so its composition,
+convolution product, reversal and coproduct are EndoTensor.compose,
+.bullet, .star and .coproduct_leg(0).  Every product in the axioms is
+legwise, (x1 (x) x2) * (y1 (x) y2) = (x1 * y1) (x) (x2 * y2), so it is one
+structure-constant contraction per leg, batched over all term pairs.
 Sums of entries are only formed to read a result (norm, the monomial
 ``terms`` view, dense_blocks).  The antipode right-hand sides are one
 contraction of the dense Delta(1) against the counit pairing of the
@@ -54,99 +56,6 @@ SpaceLike = Union[Graph, EssentialSpace]
 
 def as_space(g: SpaceLike) -> EssentialSpace:
     return g if isinstance(g, EssentialSpace) else space(g)
-
-
-# ---------------------------------------------------------------------------
-# graded endomorphisms
-
-
-class GradedEndo:
-    """Element of the graded endomorphism algebra, stored as one coefficient
-    matrix per length over the canonical essential basis.  Entry [i][j] of
-    block n is the coefficient of e_i (x) e^j."""
-
-    __slots__ = ("space", "blocks")
-
-    def __init__(self, sp: EssentialSpace, blocks: dict[int, np.ndarray]):
-        self.space = sp
-        clean: dict[int, np.ndarray] = {}
-        for n, mat in blocks.items():
-            mat = np.asarray(mat, dtype=float)
-            d = sp.grade_basis(n).dim
-            if mat.shape != (d, d):
-                raise InputError(
-                    f"block {n} must be {d}x{d}, got {mat.shape}"
-                )
-            if np.any(np.abs(mat) > _CUT):
-                clean[n] = mat
-        self.blocks = clean
-
-    @classmethod
-    def zero(cls, sp: EssentialSpace) -> "GradedEndo":
-        return cls(sp, {})
-
-    @classmethod
-    def monomial(cls, sp: EssentialSpace, n: int, i: int, j: int,
-                 coeff: float = 1.0) -> "GradedEndo":
-        d = sp.grade_basis(n).dim
-        mat = np.zeros((d, d))
-        mat[i, j] = coeff
-        return cls(sp, {n: mat})
-
-    @classmethod
-    def identity(cls, sp: EssentialSpace, lengths: Iterable[int]) -> "GradedEndo":
-        """Identity blocks on the given grades: the unit for composition."""
-        return cls(sp, {n: np.eye(sp.grade_basis(n).dim) for n in lengths
-                        if sp.grade_basis(n).dim})
-
-    def block(self, n: int) -> np.ndarray:
-        d = self.space.grade_basis(n).dim
-        return self.blocks.get(n, np.zeros((d, d)))
-
-    def grades(self) -> list[int]:
-        return sorted(self.blocks)
-
-    def __add__(self, other: "GradedEndo") -> "GradedEndo":
-        out = {n: m.copy() for n, m in self.blocks.items()}
-        for n, m in other.blocks.items():
-            out[n] = out.get(n, 0.0) + m
-        return GradedEndo(self.space, out)
-
-    def __sub__(self, other: "GradedEndo") -> "GradedEndo":
-        return self + (other * -1.0)
-
-    def __mul__(self, scalar: float) -> "GradedEndo":
-        return GradedEndo(self.space, {n: m * scalar for n, m in self.blocks.items()})
-
-    __rmul__ = __mul__
-
-    def norm(self) -> float:
-        return math.sqrt(sum(float(np.sum(m * m)) for m in self.blocks.values()))
-
-    def __repr__(self) -> str:
-        return f"GradedEndo(grades={self.grades()})"
-
-
-def unit_endo(g: SpaceLike) -> GradedEndo:
-    """Unit for the convolution product: the all-ones matrix on the
-    zero-length block (sum of all [v] tensor dual [w])."""
-    sp = as_space(g)
-    d = sp.grade_basis(0).dim
-    return GradedEndo(sp, {0: np.ones((d, d))})
-
-
-def counit(r: GradedEndo) -> float:
-    """Counit of the composition coproduct: the trace, block by block."""
-    return sum(float(np.trace(m)) for m in r.blocks.values())
-
-
-def compose(r: GradedEndo, s: GradedEndo) -> GradedEndo:
-    """Blockwise matrix product (grade-preserving composition)."""
-    sp = r.space
-    out = {}
-    for n in r.blocks.keys() & s.blocks.keys():
-        out[n] = r.blocks[n] @ s.blocks[n]
-    return GradedEndo(sp, out)
 
 
 def _convolve(x: np.ndarray, y: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -253,8 +162,9 @@ class EndoTensor:
 
     ``terms`` is the monomial view ((n1,i1,j1), ..., (nk,ik,jk)) -> coefficient
     with the factored terms summed; ``norm``, ``len`` and ``dense_blocks``
-    are read from it.  A 2-leg instance is the codomain of the coproduct;
-    3-leg instances show up in the comonoidality identities.
+    are read from it.  A 1-leg instance is an element of B, a 2-leg one
+    lies in the codomain of the coproduct, and 3-leg instances show up in
+    the comonoidality identities.
 
     No stored term has a zero factor: operations that can make one (products,
     traces, scaling, also by underflow) drop such terms as they build the
@@ -288,18 +198,27 @@ class EndoTensor:
         return out
 
     @classmethod
-    def from_graded(cls, rho: GradedEndo) -> "EndoTensor":
-        return cls._of(rho.space, 1, [((n,), (mat[None],))
-                                      for n, mat in rho.blocks.items()])
+    def from_blocks(cls, sp: EssentialSpace, blocks: dict[int, np.ndarray]) -> "EndoTensor":
+        """The element of B with one coefficient matrix per grade: entry
+        [i][j] of block n is the coefficient of e_i (x) e^j."""
+        out = []
+        for n, mat in blocks.items():
+            mat = np.asarray(mat, dtype=float)
+            d = sp.grade_basis(n).dim
+            if mat.shape != (d, d):
+                raise InputError(f"block {n} must be {d}x{d}, got {mat.shape}")
+            out += _nonzero_terms((n,), (mat[None],))
+        return cls._of(sp, 1, out)
 
-    def to_graded(self) -> GradedEndo:
-        if self.legs != 1:
-            raise InputError("only 1-leg tensors convert to GradedEndo")
-        blocks: dict[int, np.ndarray] = {}
-        for (n,), (x,) in self._batches:
-            block = _dense(x).sum(axis=0)
-            blocks[n] = blocks[n] + block if n in blocks else block
-        return GradedEndo(self.space, blocks)
+    @classmethod
+    def monomial(cls, sp: EssentialSpace, n: int, i: int, j: int,
+                 coeff: float = 1.0) -> "EndoTensor":
+        return cls(sp, 1, {((n, i, j),): coeff})
+
+    @classmethod
+    def identity(cls, sp: EssentialSpace, lengths: Iterable[int]) -> "EndoTensor":
+        """Identity blocks on the given grades: the unit for composition."""
+        return cls.from_blocks(sp, {n: np.eye(sp.grade_basis(n).dim) for n in lengths})
 
     # -- monomial view ----------------------------------------------------
 
@@ -415,6 +334,19 @@ class EndoTensor:
                         + tuple(_take(y, src) for y in xs[leg + 1:])))
         return EndoTensor._of(self.space, self.legs + 1, out)
 
+    def compose(self, other: "EndoTensor") -> "EndoTensor":
+        """Legwise composition, one matrix product per leg batched over all
+        term pairs; terms of different grade profiles compose to zero."""
+        if self.legs != other.legs:
+            raise InputError("leg counts differ")
+        out = []
+        for p, xs in self._batches:
+            for q, ys in other._batches:
+                if p == q:
+                    out += _nonzero_terms(p, [_all_pairs(_dense(x)[:, None] @ _dense(y))
+                                              for x, y in zip(xs, ys)])
+        return EndoTensor._of(self.space, self.legs, out)
+
     def bullet(self, other: "EndoTensor") -> "EndoTensor":
         """Legwise convolution product of two tensors of equal leg count:
         (x_1 (x) ... (x) x_k) * (y_1 (x) ... (x) y_k) is
@@ -450,31 +382,43 @@ class EndoTensor:
         return f"EndoTensor(legs={self.legs}, terms={len(self)})"
 
 
-def conv_bullet(r: GradedEndo, s: GradedEndo) -> GradedEndo:
+# ---------------------------------------------------------------------------
+# the endomorphism algebra B: one-leg tensors
+
+
+def unit_endo(g: SpaceLike) -> EndoTensor:
+    """Unit for the convolution product: the all-ones matrix on the
+    zero-length block (sum of all [v] tensor dual [w])."""
+    sp = as_space(g)
+    d = sp.grade_basis(0).dim
+    return EndoTensor.from_blocks(sp, {0: np.ones((d, d))})
+
+
+def counit(r: EndoTensor) -> float:
+    """Counit of the composition coproduct: the trace, block by block."""
+    return sum(float(np.einsum("tii->", _dense(x))) for _, (x,) in r._batches)
+
+
+def conv_bullet(r: EndoTensor, s: EndoTensor) -> EndoTensor:
     """Graded convolution: on monomials, (e_i (x) e^j) * (e_k (x) e^l) =
     (e_i * e_k) (x) (e^j * e^l), the one-leg case of EndoTensor.bullet."""
-    return EndoTensor.from_graded(r).bullet(EndoTensor.from_graded(s)).to_graded()
+    return r.bullet(s)
 
 
-def star_endo(r: GradedEndo) -> GradedEndo:
-    """Orientation reversal on both tensor legs, the one-leg case of
-    EndoTensor.star."""
-    return EndoTensor.from_graded(r).star().to_graded()
-
-
-def coproduct(r: GradedEndo) -> EndoTensor:
+def coproduct(r: EndoTensor) -> EndoTensor:
     """Composition coproduct: block entry [i][j] of grade n becomes the sum
     over the grade-n basis of (n,i,I) (x) (n,I,j)."""
-    return EndoTensor.from_graded(r).coproduct_leg(0)
+    return r.coproduct_leg(0)
 
 
-def convolution_coproduct(r: GradedEndo) -> EndoTensor:
+def convolution_coproduct(r: EndoTensor) -> EndoTensor:
     """Coproduct dual to the graded product, restricted to grade-matched
     tensor factors.  On a grade-n monomial it sums, over splits s, the
     cuts (n-s, s) of both legs weighted by structure constants."""
     sp = r.space
     out = []
-    for n, mat in r.blocks.items():
+    for (n,), (x,) in r._batches:
+        mat = _dense(x).sum(axis=0)
         for s in range(n + 1):
             mul = sp.structure_constants(n - s, s)
             if mul.shape[2] == 0:
@@ -729,9 +673,8 @@ def check_comonoidality(g: SpaceLike, tol: float = 1e-9) -> CheckReport:
     one = unit_endo(sp)
     d1 = coproduct(one)
     d2 = d1.coproduct_leg(0)
-    one_t = EndoTensor.from_graded(one)
-    left = d1.tensor(one_t).bullet(one_t.tensor(d1))
-    right = one_t.tensor(d1).bullet(d1.tensor(one_t))
+    left = d1.tensor(one).bullet(one.tensor(d1))
+    right = one.tensor(d1).bullet(d1.tensor(one))
     res_left = (d2 - left).norm()
     res_right = (d2 - right).norm()
     weak = counit_weak_multiplicativity_residual(sp)
@@ -753,8 +696,7 @@ def check_unit_not_grouplike(g: SpaceLike, floor: float = 0.5) -> CheckReport:
     floor (weak bialgebra, not a bialgebra)."""
     sp = as_space(g)
     one = unit_endo(sp)
-    gap = (coproduct(one) - EndoTensor.from_graded(one).tensor(
-        EndoTensor.from_graded(one))).norm()
+    gap = (coproduct(one) - one.tensor(one)).norm()
     return CheckReport(
         name="unit_not_grouplike (pass iff residual > tolerance)",
         residual=gap,
@@ -854,7 +796,7 @@ def check_star(g: SpaceLike, tol: float = 1e-9,
     stars = [sp.star_matrix(n) for n in range(len(sizes))]
     closure = max(float(np.max(np.abs(t @ t.T - np.eye(len(t))))) for t in stars)
     one = unit_endo(sp)
-    unit_res = (star_endo(one) - one).norm()
+    unit_res = (one.star() - one).norm()
     anti = 0.0
     pairs = 0
     for n, tn in enumerate(stars):
@@ -888,12 +830,11 @@ def check_coalgebra_axioms(g: SpaceLike, samples: int = 25, seed: int = 19,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for (n, i, j), _ in _monomial_pairs(sp, rng, samples, max_length):
-        rho = GradedEndo.monomial(sp, n, i, j, float(rng.standard_normal()))
+        rho = EndoTensor.monomial(sp, n, i, j, float(rng.standard_normal()))
         d = coproduct(rho)
         worst = max(worst, (d.coproduct_leg(0) - d.coproduct_leg(1)).norm())
-        ident = EndoTensor.from_graded(rho)
-        worst = max(worst, (d.contract_counit(1) - ident).norm())
-        worst = max(worst, (d.contract_counit(0) - ident).norm())
+        worst = max(worst, (d.contract_counit(1) - rho).norm())
+        worst = max(worst, (d.contract_counit(0) - rho).norm())
     return CheckReport(
         name="coalgebra_axioms",
         residual=worst,

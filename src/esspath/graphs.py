@@ -328,8 +328,9 @@ def perron_frobenius(g: Graph, tol: float = DEFAULT_TOL) -> PerronData:
     """Perron-Frobenius data of the graph, normalized at the base point.
 
     The distinguished component of mu is 1 and must be minimal among all
-    components (ties allowed).
+    components (ties allowed).  fused_matrices checks its tolerance here.
     """
+    check_tolerances(tol)
     key = (g, tol)
     cached = _PF_CACHE.get(key)
     if cached is not None:

@@ -20,41 +20,20 @@ import numpy as np
 
 from esspath import (
     EndoTensor,
-    GradedEndo,
     NonEssentialInputWarning,
     PathVector,
     TensorPathVector,
     concat,
 )
 from esspath.endo import (
-    _all_pairs,
-    _dense,
     _gram,
     _monomial_pairs,
-    _nonzero_terms,
     conv_bullet,
     convolution_coproduct,
-    compose,
     coproduct,
     counit,
-    star_endo,
 )
 from esspath.essential import _through
-
-
-def compose_legwise(x: EndoTensor, y: EndoTensor) -> EndoTensor:
-    """Legwise composition product; terms of different grade profiles
-    compose to zero."""
-    assert x.legs == y.legs
-    out = []
-    for p, xs in x._batches:
-        for q, ys in y._batches:
-            if p == q:
-                out += _nonzero_terms(p, [
-                    _all_pairs(np.einsum("tij,sjk->tsik", _dense(a), _dense(b)))
-                    for a, b in zip(xs, ys)
-                ])
-    return EndoTensor._of(x.space, x.legs, out)
 
 
 def delta_spot_residual(sp, pairs, seed, max_length=None):
@@ -67,8 +46,8 @@ def delta_spot_residual(sp, pairs, seed, max_length=None):
         mul = sp.structure_constants(n, m)
         dt = mul.shape[2]
         if dt == 0:
-            spot = max(spot, conv_bullet(GradedEndo.monomial(sp, n, i, j),
-                                         GradedEndo.monomial(sp, m, k, l)).norm())
+            spot = max(spot, conv_bullet(EndoTensor.monomial(sp, n, i, j),
+                                         EndoTensor.monomial(sp, m, k, l)).norm())
             continue
         # lhs[K,I,Ip,L] of Delta(rho * rho'); the middle legs carry delta_{I,Ip}
         outer = mul[i, k][:, None, None, None]
@@ -84,10 +63,10 @@ def convolution_coproduct_residual(sp, pairs, seed, max_length=None):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for (n, i, j), (m, k, l) in _monomial_pairs(sp, rng, pairs, max_length):
-        rho = GradedEndo.monomial(sp, n, i, j)
-        sig = GradedEndo.monomial(sp, m, k, l)
-        lhs = convolution_coproduct(compose(rho, sig))
-        rhs = compose_legwise(convolution_coproduct(rho), convolution_coproduct(sig))
+        rho = EndoTensor.monomial(sp, n, i, j)
+        sig = EndoTensor.monomial(sp, m, k, l)
+        lhs = convolution_coproduct(rho.compose(sig))
+        rhs = convolution_coproduct(rho).compose(convolution_coproduct(sig))
         worst = max(worst, (lhs - rhs).norm())
     return worst
 
@@ -117,12 +96,12 @@ def star_sampled_residuals(sp, pairs, seed, max_length=None):
     rng = np.random.default_rng(seed)
     anti = co = eps = 0.0
     for (na, ia, ja), (nb, ib, jb) in _monomial_pairs(sp, rng, pairs, max_length):
-        rho = GradedEndo.monomial(sp, na, ia, ja, float(rng.standard_normal()))
-        sig = GradedEndo.monomial(sp, nb, ib, jb, float(rng.standard_normal()))
-        anti = max(anti, (star_endo(conv_bullet(rho, sig))
-                          - conv_bullet(star_endo(sig), star_endo(rho))).norm())
-        co = max(co, (coproduct(star_endo(rho)) - coproduct(rho).star()).norm())
-        eps = max(eps, abs(counit(star_endo(rho)) - counit(rho)))
+        rho = EndoTensor.monomial(sp, na, ia, ja, float(rng.standard_normal()))
+        sig = EndoTensor.monomial(sp, nb, ib, jb, float(rng.standard_normal()))
+        anti = max(anti, (conv_bullet(rho, sig).star()
+                          - conv_bullet(sig.star(), rho.star())).norm())
+        co = max(co, (coproduct(rho.star()) - coproduct(rho).star()).norm())
+        eps = max(eps, abs(counit(rho.star()) - counit(rho)))
     return anti, co, eps
 
 

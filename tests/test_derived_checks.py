@@ -108,6 +108,7 @@ def doubled_unit_coproduct(sp, monkeypatch):
 
 
 STAR = "star_suite"
+UNIT = "convolution_unit"
 DELTA = "delta_homomorphism[bullet]"
 ANTIPODE = "antipode_infeasibility[n=1] (pass iff residual > tolerance)"
 
@@ -116,6 +117,7 @@ FAULTS = [
     ("A6", "mul(1,1) 0|1x1|2->0|2 negated", negated_block(1, 1, 0, 1, 2), STAR),
     ("A6", "star grade 2 row 1 negated", negated_star_row(2, 1), STAR),
     ("A6", "2 Delta(1)", doubled_unit_coproduct, ANTIPODE),
+    ("A6", "mul(0,2) 0|0x0|2->0|2 negated", negated_block(0, 2, 0, 0, 2), UNIT),
     ("E6", "mul(2,3) 0|2x2|1->0|1 negated", negated_block(2, 3, 0, 2, 1), STAR),
     ("E6", "mul(1,1) 0|1x1|2->0|2 negated", negated_block(1, 1, 0, 1, 2), STAR),
     ("E6", "star grade 3 row 0 negated", negated_star_row(3, 0), STAR),
@@ -123,6 +125,7 @@ FAULTS = [
     ("E6", "mul(1,1) 2|1x1|2->2|2 rotated 0.3 rad",
      rotated_targets(1, 1, 2, 1, 2, 0.3), DELTA),
     ("E6", "2 Delta(1)", doubled_unit_coproduct, ANTIPODE),
+    ("E6", "mul(2,0) 0|2x2|2->0|2 negated", negated_block(2, 0, 0, 2, 2), UNIT),
 ]
 
 

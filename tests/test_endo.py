@@ -10,7 +10,6 @@ import pytest
 from esspath import (
     EndoTensor,
     EssentialSpace,
-    GradedEndo,
     InputError,
     antipode_infeasibility,
     build_ade,
@@ -19,22 +18,18 @@ from esspath import (
     check_gram_condition,
     check_star,
     check_unit_not_grouplike,
-    compose,
     conv_bullet,
     convolution_coproduct,
     coproduct,
     counit,
     essential_algebra,
     space,
-    star_endo,
     truncated_paths_algebra,
     unit_endo,
 )
 from esspath import endo, essential
 from esspath.endo import check_coalgebra_axioms, check_convolution_coproduct
 from esspath.graphs import fused_matrices
-
-from reference_checks import compose_legwise
 
 TOL = 1e-9
 
@@ -45,39 +40,44 @@ def rho(sp, name):
         "11": (0, 0, 0), "12": (0, 0, 1), "21": (0, 1, 0), "22": (0, 1, 1),
         "rr": (1, 0, 0), "rl": (1, 0, 1), "lr": (1, 1, 0), "ll": (1, 1, 1),
     }
-    return GradedEndo.monomial(sp, *table[name])
+    return EndoTensor.monomial(sp, *table[name])
+
+
+def random_blocks(sp, rng, grades=None):
+    return {n: rng.standard_normal((d, d)) for n, d in enumerate(sp.dims())
+            if d and (grades is None or n in grades)}
 
 
 def random_endo(sp, rng, grades=None):
-    sizes = sp.dims()
-    blocks = {}
-    for n, d in enumerate(sizes):
-        if d and (grades is None or n in grades):
-            blocks[n] = rng.standard_normal((d, d))
-    return GradedEndo(sp, blocks)
+    return EndoTensor.from_blocks(sp, random_blocks(sp, rng, grades))
+
+
+def grades(r):
+    """The populated grades of an element of B."""
+    return sorted(n for (n,) in r.dense_blocks())
 
 
 class TestCompose:
     def test_matrix_units(self, sp_a2):
-        assert (compose(rho(sp_a2, "12"), rho(sp_a2, "21"))
+        assert (rho(sp_a2, "12").compose(rho(sp_a2, "21"))
                 - rho(sp_a2, "11")).norm() <= TOL
 
     def test_cross_grade_zero(self, sp_a2):
-        assert compose(rho(sp_a2, "12"), rho(sp_a2, "rr")).norm() == 0.0
-        assert compose(rho(sp_a2, "rr"), rho(sp_a2, "12")).norm() == 0.0
+        assert rho(sp_a2, "12").compose(rho(sp_a2, "rr")).norm() == 0.0
+        assert rho(sp_a2, "rr").compose(rho(sp_a2, "12")).norm() == 0.0
 
     def test_identity_blocks(self, sp_a3):
         rng = np.random.default_rng(0)
         r = random_endo(sp_a3, rng)
-        one = GradedEndo.identity(sp_a3, range(len(sp_a3.dims())))
-        assert (compose(one, r) - r).norm() <= 1e-12
-        assert (compose(r, one) - r).norm() <= 1e-12
+        one = EndoTensor.identity(sp_a3, range(len(sp_a3.dims())))
+        assert (one.compose(r) - r).norm() <= 1e-12
+        assert (r.compose(one) - r).norm() <= 1e-12
 
     def test_associative(self, sp_d4):
         rng = np.random.default_rng(1)
         a, b, c = (random_endo(sp_d4, rng) for _ in range(3))
-        assert (compose(compose(a, b), c)
-                - compose(a, compose(b, c))).norm() <= 1e-9
+        assert (a.compose(b).compose(c)
+                - a.compose(b.compose(c))).norm() <= 1e-9
 
 
 class TestConvBullet:
@@ -100,9 +100,9 @@ class TestConvBullet:
         assert (conv_bullet(r, one) - r).norm() <= 1e-10
 
     def test_grade_additive(self, sp_e6):
-        r = GradedEndo.monomial(sp_e6, 2, 0, 1)
-        s = GradedEndo.monomial(sp_e6, 3, 2, 2)
-        assert conv_bullet(r, s).grades() in ([], [5])
+        r = EndoTensor.monomial(sp_e6, 2, 0, 1)
+        s = EndoTensor.monomial(sp_e6, 3, 2, 2)
+        assert grades(conv_bullet(r, s)) in ([], [5])
 
     def test_associative(self, sp_d4):
         rng = np.random.default_rng(3)
@@ -124,17 +124,16 @@ class TestUnitCounit:
         assert counit(rho(sp_a2, "rr")) == 1.0
 
     def test_unit_block_is_all_ones(self, sp_e6):
-        one = unit_endo(sp_e6)
-        assert one.grades() == [0]
-        assert np.array_equal(one.block(0), np.ones((6, 6)))
+        blocks = unit_endo(sp_e6).dense_blocks()
+        assert list(blocks) == [(0,)]
+        assert np.array_equal(blocks[(0,)], np.ones((6, 6)))
 
     def test_counit_laws(self, sp_d4):
         rng = np.random.default_rng(4)
         r = random_endo(sp_d4, rng)
         d = coproduct(r)
-        ident = EndoTensor.from_graded(r)
-        assert (d.contract_counit(0) - ident).norm() <= 1e-10
-        assert (d.contract_counit(1) - ident).norm() <= 1e-10
+        assert (d.contract_counit(0) - r).norm() <= 1e-10
+        assert (d.contract_counit(1) - r).norm() <= 1e-10
 
 
 class TestCoproduct:
@@ -147,7 +146,7 @@ class TestCoproduct:
         assert d.terms == expect
 
     def test_coassociative(self, sp_e6):
-        r = GradedEndo.monomial(sp_e6, 2, 3, 5, 1.7)
+        r = EndoTensor.monomial(sp_e6, 2, 3, 5, 1.7)
         d = coproduct(r)
         assert (d.coproduct_leg(0) - d.coproduct_leg(1)).norm() <= 1e-12
 
@@ -157,9 +156,7 @@ class TestCoproduct:
             assert rep.passed
             # squared gap: |V|^3 - 2|V|^2 + |V|^2 (|V|-1) terms of 1
             one = unit_endo(sp)
-            gap = (coproduct(one)
-                   - EndoTensor.from_graded(one).tensor(
-                       EndoTensor.from_graded(one))).norm()
+            gap = (coproduct(one) - one.tensor(one)).norm()
             assert rep.residual == pytest.approx(gap)
             assert gap > 0.5
 
@@ -223,8 +220,8 @@ class TestDeltaHomomorphism:
         monos = [(n, i, j) for n in (0, 1) for i in range(2) for j in range(2)]
         worst = 0.0
         for m1, m2 in itertools.product(monos, repeat=2):
-            r1 = GradedEndo.monomial(sp_a2, *m1)
-            r2 = GradedEndo.monomial(sp_a2, *m2)
+            r1 = EndoTensor.monomial(sp_a2, *m1)
+            r2 = EndoTensor.monomial(sp_a2, *m2)
             lhs = coproduct(conv_bullet(r1, r2))
             rhs = coproduct(r1).bullet(coproduct(r2))
             worst = max(worst, (lhs - rhs).norm())
@@ -344,9 +341,10 @@ class TestContractionsAsMatmuls:
         for n, m in populated_pairs(sp, budget=2e6):
             mul = sp.structure_constants(n, m)
             x, y = monomial_batch(sp, rng, n, 3), monomial_batch(sp, rng, m, 2)
-            got = conv_bullet(GradedEndo(sp, {n: x[0]}), GradedEndo(sp, {m: y[0]}))
+            got = conv_bullet(EndoTensor.from_blocks(sp, {n: x[0]}),
+                              EndoTensor.from_blocks(sp, {m: y[0]})).dense_blocks()
             want = einsum_ref("ij,kl,ikK,jlL->KL", x[0], y[0], mul, mul)
-            assert_close(got.block(n + m), want)
+            assert_close(got.get((n + m,), np.zeros_like(want)), want)
             # EndoTensor.bullet runs this contraction once per leg
             want = einsum_ref("tij,skl,ikK,jlL->tsKL", x, y, mul, mul)
             assert_close(endo._convolve(x, y, mul), want)
@@ -370,7 +368,7 @@ class TestContractionsAsMatmuls:
         cheap = populated_pairs(sp, budget=2e6)
         for n in range(len(sp.dims())):
             mat = monomial_batch(sp, rng, n, 1)[0]
-            got = convolution_coproduct(GradedEndo(sp, {n: mat})).dense_blocks()
+            got = convolution_coproduct(EndoTensor.from_blocks(sp, {n: mat})).dense_blocks()
             for s in (s for s in range(n + 1) if (n - s, s) in cheap):
                 mul = sp.structure_constants(n - s, s)
                 want = einsum_ref("ab,ija,klb->ikjl", mat, mul, mul)
@@ -473,12 +471,12 @@ class TestAntipode:
 
 class TestStar:
     def test_a2_exchanges_r_and_l(self, sp_a2):
-        assert (star_endo(rho(sp_a2, "rl")) - rho(sp_a2, "lr")).norm() <= 1e-12
-        assert (star_endo(rho(sp_a2, "rr")) - rho(sp_a2, "ll")).norm() <= 1e-12
+        assert (rho(sp_a2, "rl").star() - rho(sp_a2, "lr")).norm() <= 1e-12
+        assert (rho(sp_a2, "rr").star() - rho(sp_a2, "ll")).norm() <= 1e-12
 
     def test_unit_fixed(self, sp_e6):
         one = unit_endo(sp_e6)
-        assert (star_endo(one) - one).norm() <= 1e-12
+        assert (one.star() - one).norm() <= 1e-12
 
     def test_star_matrix_orthogonal(self, sp_e6):
         for n, d in enumerate(sp_e6.dims()):
@@ -489,7 +487,7 @@ class TestStar:
     def test_involution(self, sp_d4):
         rng = np.random.default_rng(8)
         r = random_endo(sp_d4, rng)
-        assert (star_endo(star_endo(r)) - r).norm() <= 1e-10
+        assert (r.star().star() - r).norm() <= 1e-10
 
     @pytest.mark.parametrize("name", ["A2", "A3", "D4", "E6"])
     def test_suite(self, name):
@@ -510,54 +508,63 @@ class TestCoalgebraAxioms:
 
 class TestEndoTensorOps:
     def test_tensor_and_norm(self, sp_a2):
-        t1 = EndoTensor.from_graded(rho(sp_a2, "11"))
-        t2 = EndoTensor.from_graded(rho(sp_a2, "rr"))
-        both = t1.tensor(t2)
+        both = rho(sp_a2, "11").tensor(rho(sp_a2, "rr"))
         assert both.legs == 2
         assert both.norm() == pytest.approx(1.0)
-
-    def test_to_graded_roundtrip(self, sp_a3):
-        rng = np.random.default_rng(9)
-        r = random_endo(sp_a3, rng)
-        assert (EndoTensor.from_graded(r).to_graded() - r).norm() <= 1e-12
 
     def test_bullet_matches_graded_product(self, sp_a3):
         """The one-leg bullet (conv_bullet) against np.einsum over the
         structure constants of every pair of blocks."""
         rng = np.random.default_rng(10)
-        a = random_endo(sp_a3, rng, grades={0, 1})
-        b = random_endo(sp_a3, rng, grades={0, 1})
-        want = GradedEndo.zero(sp_a3)
-        for n, x in a.blocks.items():
-            for m, y in b.blocks.items():
+        a = random_blocks(sp_a3, rng, grades={0, 1})
+        b = random_blocks(sp_a3, rng, grades={0, 1})
+        want = EndoTensor(sp_a3, 1)
+        for n, x in a.items():
+            for m, y in b.items():
                 mul = sp_a3.structure_constants(n, m)
                 if mul.shape[2]:
-                    want = want + GradedEndo(sp_a3, {n + m: einsum_ref(
+                    want = want + EndoTensor.from_blocks(sp_a3, {n + m: einsum_ref(
                         "ij,kl,ikK,jlL->KL", x, y, mul, mul)})
-        assert want.grades() == [0, 1, 2]
-        assert (conv_bullet(a, b) - want).norm() <= 1e-12
+        assert grades(want) == [0, 1, 2]
+        got = conv_bullet(EndoTensor.from_blocks(sp_a3, a), EndoTensor.from_blocks(sp_a3, b))
+        assert (got - want).norm() <= 1e-12
 
     def test_compose_legwise_matches(self, sp_a3):
+        """The one-leg compose against x @ y per grade."""
         rng = np.random.default_rng(11)
-        a = random_endo(sp_a3, rng)
-        b = random_endo(sp_a3, rng)
-        via_tensor = compose_legwise(EndoTensor.from_graded(a),
-                                     EndoTensor.from_graded(b)).to_graded()
-        assert (via_tensor - compose(a, b)).norm() <= 1e-9
+        a, b = random_blocks(sp_a3, rng), random_blocks(sp_a3, rng)
+        want = EndoTensor.from_blocks(sp_a3, {n: a[n] @ b[n] for n in a})
+        assert grades(want) == [0, 1, 2]
+        got = EndoTensor.from_blocks(sp_a3, a).compose(EndoTensor.from_blocks(sp_a3, b))
+        assert (got - want).norm() <= 1e-12
+
+    def test_compose_two_legs_matches(self, sp_a3):
+        """The two-leg compose against the dense legwise product
+        out[i, p, k, q] = sum_{j, l} x[i, j, k, l] y[j, p, l, q] per profile;
+        terms of different profiles compose to zero."""
+        rng = np.random.default_rng(13)
+        x = EndoTensor(sp_a3, 2, random_monomials(sp_a3, rng, 2, 12))
+        y = EndoTensor(sp_a3, 2, random_monomials(sp_a3, rng, 2, 12))
+        got = x.compose(y).dense_blocks()
+        xd, yd = x.dense_blocks(), y.dense_blocks()
+        want = {p: einsum_ref("ijkl,jplq->ipkq", xd[p], yd[p]) for p in xd.keys() & yd.keys()}
+        assert want and got.keys() <= want.keys()
+        for p, w in want.items():
+            assert_close(got.get(p, np.zeros_like(w)), w)
 
     def test_star_legwise_matches(self, sp_a3):
-        """The one-leg star (star_endo) against T_n a T_n^T per grade."""
+        """The one-leg star against T_n a T_n^T per grade."""
         rng = np.random.default_rng(12)
-        a = random_endo(sp_a3, rng)
-        stars = {n: sp_a3.star_matrix(n) for n in a.blocks}
-        want = GradedEndo(sp_a3, {n: einsum_ref("pi,ij,qj->pq", stars[n], x, stars[n])
-                                  for n, x in a.blocks.items()})
-        assert want.grades() == a.grades() != []
-        assert (star_endo(a) - want).norm() <= 1e-12
+        a = random_blocks(sp_a3, rng)
+        stars = {n: sp_a3.star_matrix(n) for n in a}
+        want = EndoTensor.from_blocks(sp_a3, {
+            n: einsum_ref("pi,ij,qj->pq", stars[n], x, stars[n]) for n, x in a.items()})
+        assert grades(want) == sorted(a) != []
+        assert (EndoTensor.from_blocks(sp_a3, a).star() - want).norm() <= 1e-12
 
     def test_block_shape_validation(self, sp_a2):
-        with pytest.raises(InputError):
-            GradedEndo(sp_a2, {0: np.ones((3, 3))})
+        with pytest.raises(InputError, match="block 0 must be 2x2"):
+            EndoTensor.from_blocks(sp_a2, {0: np.ones((3, 3))})
 
 
 def reference_bullet(sp, xs, ys):
@@ -595,7 +602,7 @@ def dense_leg(sp, rng, n):
     """A random dense single-grade endomorphism and its monomial dict."""
     d = sp.grade_basis(n).dim
     mat = rng.standard_normal((d, d))
-    return (GradedEndo(sp, {n: mat}),
+    return (EndoTensor.from_blocks(sp, {n: mat}),
             {((n, i, j),): float(mat[i, j]) for i in range(d) for j in range(d)})
 
 
@@ -625,8 +632,7 @@ class TestFactoredBullet:
         for grades in ((0, 1), (1, 0)):
             mono = random_monomials(sp_a3, rng, 2, 6)
             (r1, t1), (r2, t2) = (dense_leg(sp_a3, rng, n) for n in grades)
-            tensor = (EndoTensor(sp_a3, 2, mono)
-                      + EndoTensor.from_graded(r1).tensor(EndoTensor.from_graded(r2)))
+            tensor = EndoTensor(sp_a3, 2, mono) + r1.tensor(r2)
             ops.append((tensor, merged(mono, monomial_tensor(t1, t2))))
         (x, tx), (y, ty) = ops
         assert_terms_close(x.bullet(y).terms, reference_bullet(sp_a3, tx, ty))
@@ -638,8 +644,7 @@ class TestFactoredBullet:
             mono = random_monomials(sp_a3, rng, 3, 5)
             pair = random_monomials(sp_a3, rng, 2, 4)
             r, t = dense_leg(sp_a3, rng, n)
-            tensor = (EndoTensor(sp_a3, 3, mono)
-                      + EndoTensor.from_graded(r).tensor(EndoTensor(sp_a3, 2, pair)))
+            tensor = EndoTensor(sp_a3, 3, mono) + r.tensor(EndoTensor(sp_a3, 2, pair))
             ops.append((tensor, merged(mono, monomial_tensor(t, pair))))
         (x, tx), (y, ty) = ops
         assert_terms_close(x.bullet(y).terms, reference_bullet(sp_a3, tx, ty))
@@ -648,10 +653,8 @@ class TestFactoredBullet:
         # the two products of check_comonoidality, recomputed term by term
         one = unit_endo(sp_a3)
         d1 = coproduct(one)
-        one_t = EndoTensor.from_graded(one)
-        left = d1.tensor(one_t).bullet(one_t.tensor(d1))
-        expect = reference_bullet(sp_a3, d1.tensor(one_t).terms,
-                                  one_t.tensor(d1).terms)
+        left = d1.tensor(one).bullet(one.tensor(d1))
+        expect = reference_bullet(sp_a3, d1.tensor(one).terms, one.tensor(d1).terms)
         assert left.terms == expect
 
 

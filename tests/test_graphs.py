@@ -295,3 +295,12 @@ class TestFusedMatrices:
         g = parse_graph(text)
         with pytest.raises(UnsupportedGraphError):
             fused_matrices(g)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("compute", [perron_frobenius, fused_matrices])
+def test_library_tolerances_must_be_finite_and_positive(a3, compute, bad):
+    # inf once stopped the power iteration after one step (beta 1.41176 on
+    # A3, not sqrt 2); nan, 0 and negatives ran 200,000 steps to a NumericError
+    with pytest.raises(InputError, match="tolerances must be finite and positive"):
+        compute(a3, bad)
