@@ -7,20 +7,24 @@ combination of e_j^{(l-1)}(a, v) (x) [v, b] over the neighbours v of b,
 because C_k with k < l - 1 acts inside the prefix.  Only C_{l-1} is a new
 constraint, and in the bases of length l - 1 and l - 2 it is a small matrix
 K; the cell's transfer matrix R spans its kernel, found by SVD with a
-relative rank threshold.  Dimensions therefore come from R alone, with no
-path enumerated.  The coordinates of a cell over its elementary paths,
-<e_i, p> = the product of R blocks along p, are built on first read and
-canonicalized (reduced echelon over the lex path order, Gram-Schmidt, sign
-fix) so runs are reproducible; golden values should nevertheless be
-basis-independent (dimensions, norms, Gram data) because any orthonormal
-basis of the same kernel is equally valid.  Each R and each set of path
-coordinates is checked as it is made: dimension against the fused matrices,
-orthonormality, and annihilation by its constraints.  Path coordinates are
-read by gathers over the lex order: the paths of cell (a, b, l) at v after s
-steps are, in lex order, the paths of (a, v, s) times those of (v, b, l - s),
-so decompositions, the coproduct and the structure constants read them as
-one block per v, and the graded product writes into them the same way.  The
-coproduct takes each block of the projected vector as it is; every other
+relative rank threshold.  When K has no entry, because the cell has no
+candidate or the cell (a, b, l - 2) is empty, R = I exactly and no K is
+built.  Dimensions therefore come from R alone, with no path enumerated.
+The coordinates of a cell over its elementary paths, <e_i, p> = the
+product of R blocks along p, are built on first read and canonicalized
+(reduced echelon over the lex path order, Gram-Schmidt, sign fix) so runs
+are reproducible; golden values should nevertheless be basis-independent
+(dimensions, norms, Gram data) because any orthonormal basis of the same
+kernel is equally valid.  Each R and each set of path coordinates is
+checked as it is made: dimension against the fused matrices,
+orthonormality, and annihilation by its constraints.  The dimension check
+runs on every R; an identity R is orthonormal and meets no constraint, so
+the other two run on solved kernels and on every set of path coordinates.
+Path coordinates are read by gathers over the lex order: the paths of cell
+(a, b, l) at v after s steps are, in lex order, the paths of (a, v, s)
+times those of (v, b, l - s), so decompositions, the coproduct and the
+structure constants read them as one block per v, and the graded product
+writes into them the same way.  The coproduct takes each block of the projected vector as it is; every other
 contraction with a block is a plain matmul, two for a structure-constant
 block: (d3 P1, P2) @ (P2, d2), then (d1, P1) @ (P1, d2) per target vector.
 
@@ -44,7 +48,7 @@ import warnings
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, product
+from itertools import accumulate, compress, product
 from typing import Callable, Optional
 
 import numpy as np
@@ -330,51 +334,65 @@ class EssentialSpace:
         into the cell (a, b, length - 2); in that cell's basis it is
         K = [sqrt(mu_v / mu_b) R_{(a,v,length-1)}[:, block b]^T]_v, so the
         cell's transfer matrix R spans the kernel of K and no path is
-        involved."""
+        involved.  Both sizes of K are read from stored dimensions first:
+        with no candidate or no constraint row (every cell of length 0 or 1,
+        and the cell (a, b, length - 2) empty) K has no entry and R is the
+        identity exactly, so K is not built and no kernel is solved; the
+        dimension is still checked against the fused matrices."""
         if length == 0:
             blocks: dict[int, slice] = {}
-            k = np.zeros((0, int(a == b)))
+            candidates = int(a == b)
+            rows = 0
         else:
             nbrs = self.graph.neighbors[b]
             prev = [self._cells[(a, v, length - 1)] for v in nbrs]
-            edges = np.cumsum([0] + [c.dim for c in prev]).tolist()
+            edges = list(accumulate((c.dim for c in prev), initial=0))
             blocks = {v: slice(lo, hi) for v, lo, hi in zip(nbrs, edges, edges[1:])}
-            k = np.zeros((self._cells[(a, b, length - 2)].dim if length > 1 else 0,
-                          edges[-1]))
-            if k.size:
-                mu = self.pf.mu
-                for v, c in zip(nbrs, prev):
-                    k[:, blocks[v]] = math.sqrt(mu[v] / mu[b]) * c.transfer[:, c.blocks[b]].T
-        transfer = self._kernel(k)
-        ann = k @ transfer.T
-        self._checked_kernel(a, b, length, transfer,
-                             float(np.abs(ann).max()) if ann.size else 0.0,
-                             lambda: float(np.linalg.norm(k)))
+            candidates = edges[-1]
+            rows = self._cells[(a, b, length - 2)].dim if length > 1 else 0
+        if not (candidates and rows):
+            transfer = np.eye(candidates)
+            self._checked_dim(a, b, length, candidates)
+        else:
+            k = np.zeros((rows, candidates))
+            mu = self.pf.mu
+            for v, c in zip(nbrs, prev):
+                k[:, blocks[v]] = math.sqrt(mu[v] / mu[b]) * c.transfer[:, c.blocks[b]].T
+            transfer = self._kernel(k)
+            ann = k @ transfer.T
+            self._checked_kernel(a, b, length, transfer,
+                                 float(np.abs(ann).max()) if ann.size else 0.0,
+                                 lambda: float(np.linalg.norm(k)))
         return EssentialCellBasis(a, b, length, transfer, blocks, weakref.ref(self))
 
     def _kernel(self, constraints: np.ndarray) -> np.ndarray:
-        """Orthonormal rows spanning the kernel of ``constraints``; singular
-        values up to rank_tol times the largest one count as zero."""
-        if not constraints.size:
-            return np.eye(constraints.shape[1])
+        """Orthonormal rows spanning the kernel of ``constraints``, a matrix
+        with at least one entry; singular values up to rank_tol times the
+        largest one count as zero."""
         _, svals, vt = np.linalg.svd(constraints)
         thresh = self.rank_tol * (svals[0] if svals[0] > 0 else 1.0)
         return vt[int(np.sum(svals > thresh)):]
+
+    def _checked_dim(self, a: int, b: int, length: int, dim: int) -> None:
+        """Raises NumericError unless dim = (F_l)_{ab} for cell (a, b,
+        length) on graphs with a Coxeter number."""
+        fm = self._fused
+        if fm is not None and dim != (fm[length][a, b] if length < len(fm) else 0):
+            raise NumericError(f"cell {a}|{b}|{length} of {self.graph.name}: "
+                               f"dimension {dim} is not the fused-matrix entry")
 
     def _checked_kernel(self, a: int, b: int, length: int, rows: np.ndarray,
                         ann_res: float, scale: Callable[[], float]) -> float:
         """Gram residual of the basis ``rows`` of cell (a, b, length), given
         ``ann_res``, the largest entry of its image under its constraints.
-        Raises NumericError unless dim = (F_l)_{ab} on graphs with a Coxeter
-        number and both residuals are within rank_tol, the bound on the
-        kernel's relative singular values; ann_res may instead be within
-        rank_tol times the Frobenius norm of the constraints, ``scale()``,
-        which is called only then."""
+        Raises NumericError unless its dimension passes `_checked_dim` and
+        both residuals are within rank_tol, the bound on the kernel's
+        relative singular values; ann_res may instead be within rank_tol
+        times the Frobenius norm of the constraints, ``scale()``, which is
+        called only then."""
         where = f"cell {a}|{b}|{length} of {self.graph.name}"
         dim = rows.shape[0]
-        fm = self._fused
-        if fm is not None and dim != (fm[length][a, b] if length < len(fm) else 0):
-            raise NumericError(f"{where}: dimension {dim} is not the fused-matrix entry")
+        self._checked_dim(a, b, length, dim)
         gram_res = float(np.max(np.abs(rows @ rows.T - np.eye(dim)))) if dim else 0.0
         tol = self.rank_tol  # the Frobenius norm bounds the largest singular value
         if not (gram_res <= tol and (ann_res <= tol or ann_res <= tol * scale())):

@@ -3,8 +3,13 @@
 The sampled references are the monomial loops that `verify` once ran for the
 checks now read from the structure constants, kept to confirm that the
 derived residuals bound what the loops measure.  Each draws its monomials
-with `endo._monomial_pairs`, as the loops did, so a (pairs, seed) pair
+with `_monomial_pairs`, as the loops did, so a (pairs, seed) pair
 reproduces an earlier run's samples.
+
+`kernel_route_space` builds every cell's transfer matrix as every cell was
+once built, through `_kernel` whatever the size of its constraint matrix,
+before cells with no candidate or no constraint row took the identity
+directly.
 
 `gamma_coproduct_paths` is the path coproduct as it was computed from the
 decompositions of every split, before it became a deconcatenation,
@@ -14,7 +19,9 @@ decomposition as it was computed with one graded product per coefficient,
 before it became one scatter into the target cell.
 """
 
+import math
 import warnings
+import weakref
 
 import numpy as np
 
@@ -27,13 +34,26 @@ from esspath import (
 )
 from esspath.endo import (
     _gram,
-    _monomial_pairs,
     conv_bullet,
     convolution_coproduct,
     coproduct,
     counit,
 )
-from esspath.essential import _through
+from esspath.essential import EssentialCellBasis, EssentialSpace, _through
+
+
+def _monomial_pairs(sp, rng, count, max_total=None):
+    """Random monomial pairs ((n,i,j), (m,k,l)) with populated grades."""
+    sizes = sp.dims(max_total)
+    grades = [n for n, d in enumerate(sizes) if d > 0]
+    out = []
+    for _ in range(count):
+        n = int(rng.choice(grades))
+        m = int(rng.choice([g for g in grades if g + n < len(sizes)] or grades))
+        dn, dm = sizes[n], sizes[m]
+        out.append(((n, int(rng.integers(dn)), int(rng.integers(dn))),
+                    (m, int(rng.integers(dm)), int(rng.integers(dm)))))
+    return out
 
 
 def delta_spot_residual(sp, pairs, seed, max_length=None):
@@ -157,3 +177,32 @@ def bullet_reconstruct(sp, d):
         right = sp._cell(v, d.end, d.total_length - d.split).vector(j)
         out = out + gamma * sp.bullet(left, right)
     return out
+
+
+def kernel_route_space(g):
+    """A fresh EssentialSpace of ``g`` whose cells are built with no
+    shortcut: the constraint matrix K of every cell is made, filled when it
+    has entries, and its kernel taken by `_kernel`, or the identity when K
+    has no entry."""
+    sp = EssentialSpace(g)
+
+    def transfer_cell(a, b, length):
+        if length == 0:
+            blocks = {}
+            k = np.zeros((0, int(a == b)))
+        else:
+            nbrs = sp.graph.neighbors[b]
+            prev = [sp._cells[(a, v, length - 1)] for v in nbrs]
+            edges = np.cumsum([0] + [c.dim for c in prev]).tolist()
+            blocks = {v: slice(lo, hi) for v, lo, hi in zip(nbrs, edges, edges[1:])}
+            k = np.zeros((sp._cells[(a, b, length - 2)].dim if length > 1 else 0,
+                          edges[-1]))
+            if k.size:
+                mu = sp.pf.mu
+                for v, c in zip(nbrs, prev):
+                    k[:, blocks[v]] = math.sqrt(mu[v] / mu[b]) * c.transfer[:, c.blocks[b]].T
+        transfer = sp._kernel(k) if k.size else np.eye(k.shape[1])
+        return EssentialCellBasis(a, b, length, transfer, blocks, weakref.ref(sp))
+
+    sp._transfer_cell = transfer_cell
+    return sp

@@ -2,6 +2,7 @@
 antipode obstruction, star operation."""
 
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -504,6 +505,61 @@ class TestCoalgebraAxioms:
         rep = check_coalgebra_axioms(sp)
         assert rep.passed
         assert rep.residual <= 1e-10
+
+    def test_witness_names_the_grades_drawn(self, sp_a3):
+        rep = check_coalgebra_axioms(sp_a3, samples=1, seed=0)
+        n = int(np.random.default_rng(0).choice(len(sp_a3.dims())))
+        assert rep.witness == f"1 random monomials as 1 Gaussian combinations in grades {n}"
+
+    @pytest.mark.parametrize("cap,combinations", [(1, 25), (1 << 16, 3)])
+    def test_combinations_capped_by_expansion_size(self, sp_a3, cap, combinations,
+                                                   monkeypatch):
+        monkeypatch.setattr(endo, "_COMBINATION_FLOATS", cap)
+        rep = check_coalgebra_axioms(sp_a3)
+        assert rep.passed and rep.residual == 0.0
+        assert rep.witness.startswith(f"25 random monomials as {combinations} Gaussian")
+
+    @pytest.mark.parametrize("fault", [
+        lambda d: d * (1 + 1e-6),  # only the counit laws see a scale
+        # traceless legs: only coassociativity sees the stray term
+        lambda d: d + EndoTensor(d.space, 2, {((1, 0, 1), (1, 1, 0)): 1e-6}),
+    ], ids=["scaled", "traceless"])
+    def test_faulty_coproduct_fails(self, sp_a3, fault, monkeypatch):
+        real = endo.coproduct
+        monkeypatch.setattr(endo, "coproduct", lambda r: fault(real(r)))
+        rep = check_coalgebra_axioms(sp_a3)
+        assert not rep.passed
+        assert rep.residual > 1e-7
+
+
+class TestFunctionsOfB:
+    """The functions of B take a one-leg tensor, and monomials are checked
+    against the dimension of their grade."""
+
+    @pytest.mark.parametrize("fn", [
+        counit, coproduct, convolution_coproduct,
+        lambda r: conv_bullet(r, r),
+    ], ids=["counit", "coproduct", "convolution_coproduct", "conv_bullet"])
+    def test_two_legs_rejected(self, sp_a3, fn):
+        with pytest.raises(InputError, match="needs an element of B .1 leg., got 2 legs"):
+            fn(coproduct(unit_endo(sp_a3)))
+
+    @pytest.mark.parametrize("key,grade,index,dim", [
+        ((1, 5, 0), 1, (5, 0), 4),
+        ((9, 0, 0), 9, (0, 0), 0),
+        ((1, 0, -1), 1, (0, -1), 4),
+        ((-1, 0, 0), -1, (0, 0), 0),
+    ])
+    def test_monomial_out_of_range(self, sp_a3, key, grade, index, dim):
+        msg = re.escape(f"index {index} out of range for grade {grade} of dimension {dim}")
+        with pytest.raises(InputError, match=msg):
+            EndoTensor.monomial(sp_a3, *key)
+        with pytest.raises(InputError, match=msg):
+            EndoTensor(sp_a3, 2, {((0, 0, 0), key): 1.0})
+
+    def test_term_with_wrong_leg_count(self, sp_a3):
+        with pytest.raises(InputError, match="has 1 legs, expected 2"):
+            EndoTensor(sp_a3, 2, {((1, 0, 0),): 1.0})
 
 
 class TestEndoTensorOps:

@@ -32,7 +32,8 @@ from esspath import (
 from esspath import essential as essential_module
 from esspath.paths import DROP_TOL
 from esspath.verify import VerifyConfig, check_decomposition
-from reference_checks import bullet_reconstruct, gamma_coproduct_paths, path_vector_bullet
+from reference_checks import (bullet_reconstruct, gamma_coproduct_paths, kernel_route_space,
+                              path_vector_bullet)
 
 TOL = 1e-9
 S3 = math.sqrt(3)
@@ -1089,3 +1090,70 @@ class TestCellInvariants:
         monkeypatch.setattr(esspath.essential, "enumerate_paths", refuse)
         sp = EssentialSpace(builtin_graph("E8"))
         assert sp.dims() == list(fused_matrices(sp.graph).sums)
+
+
+ALL_BUILTINS = ([f"A{n}" for n in range(2, 13)] + [f"D{n}" for n in range(4, 9)]
+                + ["E6", "E7", "E8"])
+
+
+def candidates_and_rows(sp, a, b, length):
+    """The sizes of the constraint matrix K of a built cell: its candidates
+    and the dimension of the cell (a, b, length - 2)."""
+    if length == 0:
+        return int(a == b), 0
+    count = sum(sp._cells[(a, v, length - 1)].dim for v in sp.graph.neighbors[b])
+    return count, sp._cells[(a, b, length - 2)].dim if length > 1 else 0
+
+
+class TestIdentityTransfers:
+    """A cell with no candidate or no constraint row takes R = I without a
+    kernel solve, and is still checked against the fused matrices."""
+
+    @pytest.mark.parametrize("name", ALL_BUILTINS)
+    def test_cells_match_kernel_route(self, name):
+        g = builtin_graph(name)
+        sp, ref = EssentialSpace(g), kernel_route_space(g)
+        assert sp.dims() == ref.dims()
+        assert sp._cells.keys() == ref._cells.keys()
+        for key, cell in sp._cells.items():
+            want = ref._cells[key]
+            assert cell.transfer.shape == want.transfer.shape, key
+            assert np.array_equal(cell.transfer, want.transfer), key
+            assert cell.blocks == want.blocks, key
+
+    @pytest.mark.parametrize("name,solved", [("E6", 126), ("D7", 155)])
+    def test_kernel_only_with_candidates_and_constraints(self, name, solved,
+                                                         monkeypatch):
+        shapes = []
+        kernel = EssentialSpace._kernel
+
+        def counted(self, constraints):
+            shapes.append(constraints.shape)
+            return kernel(self, constraints)
+
+        monkeypatch.setattr(EssentialSpace, "_kernel", counted)
+        sp = EssentialSpace(builtin_graph(name))
+        sp.dims()
+        both = [key for key in sp._cells if all(candidates_and_rows(sp, *key))]
+        assert len(shapes) == len(both) == solved
+        assert sorted(shapes) == sorted(candidates_and_rows(sp, *key)[::-1]
+                                        for key in both)
+
+    @pytest.mark.parametrize("sizes", [
+        lambda count, rows: count == 0,
+        lambda count, rows: count > 0 and rows == 0,
+    ], ids=["no candidate", "no constraint"])
+    def test_wrong_fused_entry_on_identity_cell_raises(self, e6, sizes):
+        built = EssentialSpace(e6)
+        built.dims()
+        a, b, length = min((key for key in built._cells if key[2] >= 2
+                            and sizes(*candidates_and_rows(built, *key))),
+                           key=lambda key: (key[2], key))
+        sp = EssentialSpace(e6)
+        sp._fused = [m.copy() for m in sp._fused]
+        sp._fused[length][a, b] += 1
+        dim = built._cells[(a, b, length)].dim
+        with pytest.raises(NumericError, match=re.escape(
+                f"cell {a}|{b}|{length} of E6: dimension {dim} is not the "
+                "fused-matrix entry")):
+            sp.dims()
