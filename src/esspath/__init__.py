@@ -53,19 +53,10 @@ from .essential import (
 from .endo import (
     CheckReport,
     EndoTensor,
-    GradedBasisAlgebra,
-    antipode_infeasibility,
-    check_comonoidality,
-    check_delta_homomorphism,
-    check_gram_condition,
-    check_star,
-    check_unit_not_grouplike,
     conv_bullet,
     convolution_coproduct,
     coproduct,
     counit,
-    essential_algebra,
-    truncated_paths_algebra,
     unit_endo,
 )
 

@@ -283,14 +283,8 @@ def grassmann_check() -> CheckReport:
         sub = BULLET_ENDO_TABLE[np.ix_(idx, idx, outside)]
         if sub.any():
             failures.append(f"family {family} not closed")
-    residual = float(len(failures))
-    return CheckReport(
-        name="a2_grassmann_realization",
-        residual=residual,
-        tolerance=0.0,
-        passed=residual == 0.0,
-        witness="; ".join(failures) or "64 products verified exactly",
-    )
+    return CheckReport.within("a2_grassmann_realization", float(len(failures)), 0.0,
+                              "; ".join(failures) or "64 products verified exactly")
 
 
 def matrix_unit_check(table: np.ndarray, sets: tuple[tuple[str, ...], ...],
@@ -310,18 +304,16 @@ def matrix_unit_check(table: np.ndarray, sets: tuple[tuple[str, ...], ...],
                 expect[ENDO_NAMES.index(units[(f1, i, l)])] = 1
             if not np.array_equal(prod, expect):
                 failures.append(f"{x}.{y}")
-    residual = float(len(failures))
-    return CheckReport(
-        name=f"a2_matrix_units[{label}]",
-        residual=residual,
-        tolerance=0.0,
-        passed=residual == 0.0,
-        witness="; ".join(failures) or "all 64 relations exact",
-    )
+    return CheckReport.within(f"a2_matrix_units[{label}]", float(len(failures)), 0.0,
+                              "; ".join(failures) or "all 64 relations exact")
 
 
 # ---------------------------------------------------------------------------
 # cross-checks against the generic machinery
+
+# tolerance of the floating cross-checks: the A2 tables are 0/1 integers and
+# the generic machinery reproduces them to rounding
+_TOL = 1e-12
 
 
 def a2_space() -> EssentialSpace:
@@ -357,17 +349,12 @@ def generic_bullet_table(sp: Optional[EssentialSpace] = None) -> np.ndarray:
     return out
 
 
-def check_bullet_table_vs_generic(tol: float = 1e-12) -> CheckReport:
+def check_bullet_table_vs_generic() -> CheckReport:
     residual = float(np.max(np.abs(generic_bullet_table() - BULLET_TABLE)))
-    return CheckReport(
-        name="a2_bullet_table_vs_generic",
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-    )
+    return CheckReport.within("a2_bullet_table_vs_generic", residual, _TOL)
 
 
-def check_path_coproducts_vs_generic(tol: float = 1e-12) -> CheckReport:
+def check_path_coproducts_vs_generic() -> CheckReport:
     """Dr = a1 (x) r + r (x) a2 and its companions, recomputed by
     `coproduct_paths` as the deconcatenation of each projected vector."""
     sp = a2_space()
@@ -379,12 +366,7 @@ def check_path_coproducts_vs_generic(tol: float = 1e-12) -> CheckReport:
             golden = golden + tensor(vec[lhs], vec[rhs])
         got = sp.coproduct_paths(vec[name])
         worst = max(worst, (got - golden).norm())
-    return CheckReport(
-        name="a2_path_coproducts_vs_generic",
-        residual=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-    )
+    return CheckReport.within("a2_path_coproducts_vs_generic", worst, _TOL)
 
 
 def _endo_tensor_from_names(sp: EssentialSpace,
@@ -396,7 +378,7 @@ def _endo_tensor_from_names(sp: EssentialSpace,
     return EndoTensor(sp, 2, terms)
 
 
-def check_endo_coproducts_vs_generic(tol: float = 1e-12) -> CheckReport:
+def check_endo_coproducts_vs_generic() -> CheckReport:
     """The graded endomorphism coproduct (cuts of both legs, cross terms of
     mismatched grade dropped) reproduces the golden table."""
     sp = a2_space()
@@ -405,15 +387,10 @@ def check_endo_coproducts_vs_generic(tol: float = 1e-12) -> CheckReport:
         rho = EndoTensor.monomial(sp, *ENDO_GRADE_INDEX[name])
         got = convolution_coproduct(rho)
         worst = max(worst, (got - _endo_tensor_from_names(sp, pairs)).norm())
-    return CheckReport(
-        name="a2_endo_coproducts_vs_generic",
-        residual=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-    )
+    return CheckReport.within("a2_endo_coproducts_vs_generic", worst, _TOL)
 
 
-def check_endo_products_vs_generic(tol: float = 1e-12) -> CheckReport:
+def check_endo_products_vs_generic() -> CheckReport:
     """Blockwise composition and graded convolution of the generic machinery
     match the 8x8 golden tables entry for entry."""
     sp = a2_space()
@@ -430,15 +407,10 @@ def check_endo_products_vs_generic(tol: float = 1e-12) -> CheckReport:
                 if c:
                     expect = expect + float(c) * gens[z]
             worst = max(worst, (got - expect).norm())
-    return CheckReport(
-        name="a2_endo_products_vs_generic",
-        residual=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-    )
+    return CheckReport.within("a2_endo_products_vs_generic", worst, _TOL)
 
 
-def check_filtered_coproducts_consistent(tol: float = 0.0) -> CheckReport:
+def check_filtered_coproducts_consistent() -> CheckReport:
     """The filtered coproduct goldens agree with the cut construction run on
     the filtered product table (grade-mismatched cross terms dropped), and
     the coproduct of the composition unit matches its expanded golden."""
@@ -467,14 +439,8 @@ def check_filtered_coproducts_consistent(tol: float = 0.0) -> CheckReport:
             unit_terms[pair] = unit_terms.get(pair, 0) + 1
     if unit_terms != {pair: 1 for pair in FILTERED_COPRODUCT_OF_COMPOSE_UNIT}:
         failures.append("compose-unit coproduct mismatch")
-    residual = float(len(failures))
-    return CheckReport(
-        name="a2_filtered_coproducts",
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        witness="; ".join(failures) or None,
-    )
+    return CheckReport.within("a2_filtered_coproducts", float(len(failures)), 0.0,
+                              "; ".join(failures) or None)
 
 
 def check_star_differs_only_on_backtracks() -> CheckReport:
@@ -484,13 +450,8 @@ def check_star_differs_only_on_backtracks() -> CheckReport:
              ELEMENT_NAMES.index("a1")] = 1
     expected[ELEMENT_NAMES.index("l"), ELEMENT_NAMES.index("r"),
              ELEMENT_NAMES.index("a2")] = 1
-    ok = np.array_equal(diff, expected)
-    return CheckReport(
-        name="a2_star_vs_bullet_difference",
-        residual=0.0 if ok else 1.0,
-        tolerance=0.0,
-        passed=ok,
-    )
+    return CheckReport.within("a2_star_vs_bullet_difference",
+                              float(not np.array_equal(diff, expected)), 0.0)
 
 
 def check_star_associative() -> CheckReport:
@@ -498,13 +459,8 @@ def check_star_associative() -> CheckReport:
     t = STAR_ENDO_TABLE
     left = np.einsum("xyk,kzw->xyzw", t, t)
     right = np.einsum("yzk,xkw->xyzw", t, t)
-    worst = int(np.max(np.abs(left - right)))
-    return CheckReport(
-        name="a2_star_endo_associative",
-        residual=float(worst),
-        tolerance=0.0,
-        passed=worst == 0,
-    )
+    return CheckReport.within("a2_star_endo_associative",
+                              float(np.max(np.abs(left - right))), 0.0)
 
 
 def a2_reports() -> list[CheckReport]:

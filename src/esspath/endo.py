@@ -6,18 +6,9 @@ the graded product on essential paths, and the coproduct dual to
 composition.  Together they form a weak bialgebra: the coproduct is an
 algebra homomorphism for the convolution product exactly when the Gram
 matrices of the structure constants are the identity, the unit is not
-group-like, comonoidality holds, and no antipode can exist (verified here
-by a closed-form obstruction).
-
-Checks that reduce to the structure constants read them once over every
-grade pair, with no sampled monomials: both readings of the homomorphism
-property are Gram-matrix residuals, and orientation reversal is checked as
-an anti-automorphism of the graded product (derivations in each check).
-The coalgebra axioms are sampled: random monomials with Gaussian
-coefficients, summed grade by grade into one combination whose one
-coproduct gives both sides of coassociativity and of both counit laws.
-The identities are linear, so a combination passes, almost surely, only
-when every sampled monomial does.
+group-like, comonoidality holds, and no antipode can exist.  This module
+holds the algebra of B and the report type; the checks that verify these
+claims live in verify.py, each of the form (space, config) -> CheckReport.
 
 Coefficients are stored over the canonical essential bases, so composition
 is a plain blockwise matrix product and the coproduct is a literal basis
@@ -36,35 +27,21 @@ convolution product, reversal and coproduct are EndoTensor.compose,
 legwise, (x1 (x) x2) * (y1 (x) y2) = (x1 * y1) (x) (x2 * y2), so it is one
 structure-constant contraction per leg, batched over all term pairs.
 Sums of entries are only formed to read a result (norm, the monomial
-``terms`` view, dense_blocks).  The antipode right-hand sides are one
-contraction of the dense Delta(1) against the counit pairing of the
-structure constants.
+``terms`` view, dense_blocks).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
 from .errors import InputError
-from .essential import EssentialSpace, space
-from .graphs import Graph
-from .paths import Path, enumerate_paths
+from .essential import EssentialSpace
 
 _CUT = 1e-15
-# largest k d^3 of one combination in check_coalgebra_axioms: without a cap,
-# the 7 samples of a 33-dimensional E7 grade raised the peak RSS of
-# `verify --graph E7 --suite all` from 130 MB to 147 MB
-_COMBINATION_FLOATS = 1 << 16
-
-SpaceLike = Union[Graph, EssentialSpace]
-
-
-def as_space(g: SpaceLike) -> EssentialSpace:
-    return g if isinstance(g, EssentialSpace) else space(g)
 
 
 def _convolve(x: np.ndarray, y: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -404,10 +381,9 @@ class EndoTensor:
 # the endomorphism algebra B: one-leg tensors
 
 
-def unit_endo(g: SpaceLike) -> EndoTensor:
+def unit_endo(sp: EssentialSpace) -> EndoTensor:
     """Unit for the convolution product: the all-ones matrix on the
     zero-length block (sum of all [v] tensor dual [w])."""
-    sp = as_space(g)
     d = sp.grade_basis(0).dim
     return EndoTensor.from_blocks(sp, {0: np.ones((d, d))})
 
@@ -464,20 +440,28 @@ def convolution_coproduct(r: EndoTensor) -> EndoTensor:
 
 
 # ---------------------------------------------------------------------------
-# reports and checks
+# reports and the Gram and counit scans the checks read
 
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one verified identity.  For ordinary checks pass means
-    residual <= tolerance; names of non-existence checks state that the
-    direction is flipped.  tolerance None marks a measured-only report."""
+    """Outcome of one verified identity.  A check passes when its residual
+    is at most its tolerance (within); the names of the non-existence
+    checks state that their direction is flipped.  tolerance None marks a
+    measured-only report."""
 
     name: str
     residual: float
     tolerance: Optional[float]
     passed: bool
     witness: Optional[str] = None
+
+    @classmethod
+    def within(cls, name: str, residual: float, tolerance: float,
+               witness: Optional[str] = None) -> "CheckReport":
+        """The report that passes exactly when residual <= tolerance (so a
+        NaN residual fails)."""
+        return cls(name, residual, tolerance, residual <= tolerance, witness)
 
     def to_dict(self) -> dict:
         return {
@@ -489,59 +473,6 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True)
-class GradedBasisAlgebra:
-    """A graded algebra presented by orthonormal bases: per-grade dimensions
-    plus a callback returning the structure-constant tensor of each grade
-    pair.  Both the essential algebra and the truncated concatenation
-    algebra are run through the same Gram checker."""
-
-    label: str
-    dims: dict[int, int]
-    mul: Callable[[int, int], np.ndarray]
-
-
-def essential_algebra(g: SpaceLike, max_length: Optional[int] = None) -> GradedBasisAlgebra:
-    sp = as_space(g)
-    sizes = {n: d for n, d in enumerate(sp.dims(max_length))}
-    return GradedBasisAlgebra(
-        label=f"essential({sp.graph.name})",
-        dims=sizes,
-        mul=sp.structure_constants,
-    )
-
-
-def truncated_paths_algebra(g: Graph, cap: int) -> GradedBasisAlgebra:
-    """The concatenation algebra on all elementary paths of length <= cap,
-    with the elementary paths as orthonormal basis.  Structure constants are
-    exact integers: one path splices from exactly one (prefix, suffix) pair."""
-    basis: dict[int, list[Path]] = {}
-    for n in range(cap + 1):
-        grade: list[Path] = []
-        for a in range(g.n_vertices):
-            for b in range(g.n_vertices):
-                grade.extend(enumerate_paths(g, g.label(a), g.label(b), n))
-        basis[n] = sorted(grade)
-    index = {n: {p: i for i, p in enumerate(ps)} for n, ps in basis.items()}
-
-    def mul(n: int, k: int) -> np.ndarray:
-        tgt = basis.get(n + k, [])
-        out = np.zeros((len(basis[n]), len(basis[k]), len(tgt)))
-        if tgt:
-            tidx = index[n + k]
-            for i, p in enumerate(basis[n]):
-                for j, q in enumerate(basis[k]):
-                    if p[-1] == q[0]:
-                        out[i, j, tidx[p + q[1:]]] = 1.0
-        return out
-
-    return GradedBasisAlgebra(
-        label=f"truncated-paths({g.name}, cap={cap})",
-        dims={n: len(ps) for n, ps in basis.items() if ps},
-        mul=mul,
-    )
-
-
 def _gram(mul: np.ndarray) -> np.ndarray:
     """gram[K, L] = sum_{i, j} mul[i, j, K] mul[i, j, L], one matmul over the
     rows (i, j)."""
@@ -549,98 +480,28 @@ def _gram(mul: np.ndarray) -> np.ndarray:
     return flat.T @ flat
 
 
-def gram_condition_residual(alg: GradedBasisAlgebra) -> tuple[float, Optional[tuple[int, int]]]:
+def gram_condition_residual(dims: dict[int, int], mul: Callable[[int, int], np.ndarray]
+                            ) -> tuple[float, Optional[tuple[int, int]]]:
     """Worst deviation of sum_{IJ} m_{IJ}^K m_{IJ}^L from delta^{KL} over all
     grade pairs whose target grade is populated, and the grade pair where
-    it occurs.  Among rounding-level residuals that pair follows the
-    summation order, so reports name it only above their tolerance."""
+    it occurs, for the graded algebra with orthonormal bases of dimensions
+    ``dims`` (grade -> dimension) and structure constants ``mul(n, k)``.
+    Among rounding-level residuals that pair follows the summation order,
+    so reports name it only above their tolerance."""
     worst = 0.0
     worst_pair: Optional[tuple[int, int]] = None
-    for n in sorted(alg.dims):
-        for k in sorted(alg.dims):
-            dt = alg.dims.get(n + k, 0)
+    for n in sorted(dims):
+        for k in sorted(dims):
+            dt = dims.get(n + k, 0)
             if dt == 0:
                 continue
-            mul = alg.mul(n, k)
-            res = float(np.max(np.abs(_gram(mul) - np.eye(dt))))
+            res = float(np.max(np.abs(_gram(mul(n, k)) - np.eye(dt))))
             if res > worst:
                 worst, worst_pair = res, (n, k)
     return worst, worst_pair
 
 
-def check_gram_condition(alg: GradedBasisAlgebra, tol: float = 1e-8) -> CheckReport:
-    residual, pair = gram_condition_residual(alg)
-    return CheckReport(
-        name=f"gram_condition[{alg.label}]",
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        witness=None if residual <= tol else f"worst grade pair {pair}",
-    )
-
-
-def check_delta_homomorphism(g: SpaceLike, tol: float = 1e-8,
-                             max_length: Optional[int] = None) -> CheckReport:
-    """Homomorphism property of the composition coproduct for the graded
-    convolution, read from the Gram matrices G = _gram(m_nm) of every grade
-    pair.  For monomials r = e_i (x) e^j of grade n and s = e_k (x) e^l of
-    grade m, Delta(r * s) - Delta(r) * Delta(s) is
-    sum_{K,A,B,L} m_nm[i,k,K] (delta_AB - G[A,B]) m_nm[j,l,L]
-    (e_K (x) e^A) (x) (e_B (x) e^L), so the coproduct is a homomorphism
-    exactly when every G is the identity.  No structure constant exceeds 1
-    in size (it pairs a unit vector with a product of unit vectors), so no
-    entry of the difference exceeds the Gram residual, which is the
-    residual here; the worst pair is named only above the tolerance."""
-    sp = as_space(g)
-    residual, pair = gram_condition_residual(essential_algebra(sp, max_length))
-    return CheckReport(
-        name="delta_homomorphism[bullet]",
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        witness=f"gram residual {residual:.3e}"
-                + ("" if residual <= tol else f" (worst pair {pair})"),
-    )
-
-
-def check_convolution_coproduct(g: SpaceLike, tol: float = 1e-8,
-                                max_length: Optional[int] = None) -> CheckReport:
-    """Dual reading of the compatibility: the coproduct Delta' built from the
-    graded product is an algebra homomorphism for composition, read from
-    the Gram matrices G_s = _gram(m_{n-s,s}) of the splits s of each grade n.
-
-    Seen as an endomorphism of E_{n-s} (x) E_s, the split-s part of
-    Delta'(e_i (x) e^j) is the rank-one U_i U_j^T with U_i = m_{n-s,s}[:, :, i],
-    and legwise composition is composition there.  So for monomials of
-    grade n, Delta'(e_i (x) e^j) o Delta'(e_k (x) e^l) is
-    sum_s G_s[j,k] U_i U_l^T, while Delta' of the composite
-    delta_jk e_i (x) e^l has delta_jk in place of G_s[j,k].  The splits sit
-    on different grade profiles, so the difference has squared norm
-    sum_s (G_s[j,k] - delta_jk)^2 G_s[i,i] G_s[l,l]; monomials of different
-    grades compose to zero on both sides.  The residual is the square root
-    of its upper bound max_{j,k} sum_s (G_s[j,k] - delta_jk)^2 c_s^2,
-    c_s = max_i G_s[i,i], over every grade; the bound is the maximum over
-    all monomial pairs when each Gram diagonal is constant."""
-    sp = as_space(g)
-    worst = 0.0
-    sizes = sp.dims(max_length)
-    for n, d in enumerate(sizes):
-        grams = np.stack([_gram(sp.structure_constants(n - s, s)) for s in range(n + 1)])
-        scale = np.max(np.diagonal(grams, axis1=1, axis2=2), axis=1) ** 2
-        dev = ((grams - np.eye(d)) ** 2).reshape(n + 1, -1)
-        worst = max(worst, float(np.max(scale @ dev)))
-    residual = math.sqrt(worst)
-    return CheckReport(
-        name="convolution_coproduct_homomorphism[compose]",
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        witness=(f"every monomial pair of grades 0..{len(sizes) - 1}, from "
-                 f"{len(sizes) * (len(sizes) + 1) // 2} split Gram matrices"),
-    )
-
-
-def counit_weak_multiplicativity_residual(g: SpaceLike, max_grade: int = 1,
+def counit_weak_multiplicativity_residual(sp: EssentialSpace, max_grade: int = 1,
                                           index_cap: int = 3) -> float:
     """Largest deviation of eps(x * y * z) from the split forms
     sum eps(x y_(1)) eps(y_(2) z), scanned over the monomials e_i (x) e^j of
@@ -655,7 +516,6 @@ def counit_weak_multiplicativity_residual(g: SpaceLike, max_grade: int = 1,
     forms are sum_x left[.,x,.,.] right[x,.,.,.] with
     left[j,x,i,k] = sum_A m_nm[j,x,A] m_nm[i,k,A] and
     right[x,p,l,q] = sum_B m_ms[x,p,B] m_ms[l,q,B]."""
-    sp = as_space(g)
     caps = [min(sp.grade_basis(n).dim, index_cap) for n in range(max_grade + 1)]
     grades = [n for n, c in enumerate(caps) if c]
     worst = 0.0
@@ -677,208 +537,3 @@ def counit_weak_multiplicativity_residual(g: SpaceLike, max_grade: int = 1,
                 worst = max(worst, float(np.max(np.abs(full - split1))),
                             float(np.max(np.abs(full - split2))))
     return worst
-
-
-def check_comonoidality(g: SpaceLike, tol: float = 1e-9) -> CheckReport:
-    """Both comonoidality identities for the unit, by explicit triple-tensor
-    expansion; the counit weak-multiplicativity residual is measured and
-    reported in the witness without asserting a direction."""
-    sp = as_space(g)
-    one = unit_endo(sp)
-    d1 = coproduct(one)
-    d2 = d1.coproduct_leg(0)
-    left = d1.tensor(one).bullet(one.tensor(d1))
-    right = one.tensor(d1).bullet(d1.tensor(one))
-    res_left = (d2 - left).norm()
-    res_right = (d2 - right).norm()
-    weak = counit_weak_multiplicativity_residual(sp)
-    residual = max(res_left, res_right)
-    return CheckReport(
-        name="comonoidality",
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        witness=(
-            f"left {res_left:.3e}, right {res_right:.3e}; counit weak "
-            f"multiplicativity measured residual {weak:.3e} (not asserted)"
-        ),
-    )
-
-
-def check_unit_not_grouplike(g: SpaceLike, floor: float = 0.5) -> CheckReport:
-    """Delta(1) differs from 1 (x) 1: pass means the residual EXCEEDS the
-    floor (weak bialgebra, not a bialgebra)."""
-    sp = as_space(g)
-    one = unit_endo(sp)
-    gap = (coproduct(one) - one.tensor(one)).norm()
-    return CheckReport(
-        name="unit_not_grouplike (pass iff residual > tolerance)",
-        residual=gap,
-        tolerance=floor,
-        passed=gap > floor,
-    )
-
-
-def antipode_infeasibility(g: SpaceLike, n: int = 1, floor: float = 0.5,
-                           monomials: Optional[Sequence[tuple[int, int]]] = None
-                           ) -> CheckReport:
-    """Closed-form obstruction to the antipode axiom on grade-n inputs.
-
-    The axiom S(x_(1)) * x_(2) = 1_(1) eps(x 1_(2)) is imposed for the chosen
-    basis monomials x of grade n >= 1.  Delta(x) has both legs in grade n,
-    so for every linear S the left side lies in grades >= n >= 1.  Delta(1)
-    has both legs in grade 0, so the right side lies in grade 0.  The two
-    sides share no grade, and the smallest residual over all S is the norm of
-    the right side, attained by S = 0; pass means it stays ABOVE the floor.
-
-    The right side is built from Delta(1) by the machinery, and two facts
-    are asserted on it, either failure being a FAIL:
-
-    1. Delta(1) has no leg outside grade 0 (the grade argument needs it).
-    2. residual^2 = |V| * #{diagonal monomials (i, i)}.  Delta(1) is
-       sum_{v,u,w} (e_v (x) e^u) (x) (e_u (x) e^w) over vertices, and
-       e_i * [u] = delta(u, end(e_i)) e_i, so
-       eps((e_i (x) e^j) * (e_u (x) e^w)) = delta_ij delta(u, end e_i)
-       delta(w, end e_i).  The right side of x = e_i (x) e^j is therefore
-       delta_ij times the grade-0 block whose column end(e_i) is all ones,
-       of squared norm |V|.
-    """
-    sp = as_space(g)
-    if n < 1:
-        raise InputError("antipode obstruction needs grade n >= 1")
-    dn = sp.grade_basis(n).dim
-    if dn < 1:
-        raise InputError(f"grade {n} is empty on {sp.graph.name}")
-    mono = list(monomials) if monomials is not None else [
-        (i, j) for i in range(dn) for j in range(dn)
-    ]
-    for i, j in mono:
-        if not (0 <= i < dn and 0 <= j < dn):
-            raise InputError(f"monomial index {(i, j)} out of range for grade {n}")
-
-    # right side rhs[i, j] = sum over Delta(1) terms t1 (x) t2 of
-    # t1 eps(x * t2), from the machinery, no shortcut.  The counit of
-    # (e_i (x) e^j) * (e_k (x) e^l) is sum_K mul[i,k,K] mul[j,l,K], so the
-    # grade-(0, 0) block of Delta(1) is one contraction for every monomial.
-    d0 = sp.grade_basis(0).dim
-    blocks = coproduct(unit_endo(sp)).dense_blocks()
-    one = blocks.pop((0, 0), np.zeros((d0,) * 4))
-    mul = sp.structure_constants(n, 0)
-    # eps[i, j, k, l] = sum_K mul[i, k, K] mul[j, l, K], over rows (i, k)
-    flat = mul.reshape(-1, dn)
-    eps = (flat @ flat.T).reshape(dn, d0, dn, d0).transpose(0, 2, 1, 3)
-    # rhs[i, j, v, x] = sum_{k, l} eps[i, j, k, l] one[v, x, k, l]
-    rhs = (eps.reshape(dn * dn, -1) @ one.reshape(d0 * d0, -1).T).reshape(eps.shape)
-    picked = rhs[[i for i, _ in mono], [j for _, j in mono]]
-    residual_sq = float(np.sum(picked ** 2))
-    residual = math.sqrt(residual_sq)
-    expected = d0 * sum(i == j for i, j in mono)
-    faults = [f"Delta(1) has a leg outside grade 0, grade profile {p}"
-              for p in sorted(blocks)]
-    if abs(residual_sq - expected) > 1e-9 * max(expected, 1):
-        faults.append(f"residual^2 {residual_sq:.12g} != |V| * diagonal "
-                      f"monomials = {expected}")
-    return CheckReport(
-        name=f"antipode_infeasibility[n={n}] (pass iff residual > tolerance)",
-        residual=residual,
-        tolerance=floor,
-        passed=residual > floor and not faults,
-        witness="; ".join([
-            f"{len(mono)} grade-{n} monomial conditions; norm {residual:.6f} "
-            "of the right-hand side sits in grades no product can reach",
-            *faults]),
-    )
-
-
-def check_star(g: SpaceLike, tol: float = 1e-9,
-               max_length: Optional[int] = None) -> CheckReport:
-    """Star suite: per-grade closure of the basis under reversal (the star
-    matrix T_n is orthogonal), the fixed unit, and reversal as an
-    anti-automorphism of the graded product, over every grade pair with a
-    populated target:
-    T_{n+m} m_nm[i,j,:] = sum_{i',j'} T_n[i',i] T_m[j',j] m_mn[j',i',:],
-    the coordinates of reverse(e_i * e_j) = reverse(e_j) * reverse(e_i).
-    The convolution product of monomials is built legwise from m_nm, so
-    its anti-homomorphism follows.  Compatibility with the coproduct and
-    the counit follows from closure: Delta(T r T^T) is T (x) T applied
-    legwise to Delta(r), because sum_I T e_I (x) T e_I = sum_I e_I (x) e_I
-    for orthogonal T, and trace(T r T^T) = trace(r).  A sign change of a
-    block that reversal maps onto itself (n = m, cells a|b x b|a -> a|a)
-    flips both sides alike, so the identity cannot see it."""
-    sp = as_space(g)
-    sizes = sp.dims(max_length)
-    stars = [sp.star_matrix(n) for n in range(len(sizes))]
-    closure = max(float(np.max(np.abs(t @ t.T - np.eye(len(t))))) for t in stars)
-    one = unit_endo(sp)
-    unit_res = (one.star() - one).norm()
-    anti = 0.0
-    pairs = 0
-    for n, tn in enumerate(stars):
-        for m, tm in enumerate(stars[:len(sizes) - n]):
-            dn, dm, dt = len(tn), len(tm), sizes[n + m]
-            lhs = sp.structure_constants(n, m).reshape(-1, dt) @ stars[n + m].T
-            # swapped[j, i', :] = sum_{j'} T_m[j', j] m_mn[j', i', :]
-            swapped = tm.T @ sp.structure_constants(m, n).reshape(dm, -1)
-            rhs = tn.T @ swapped.reshape(dm, dn, dt).swapaxes(0, 1).reshape(dn, -1)
-            anti = max(anti, float(np.max(np.abs(lhs.reshape(dn, -1) - rhs))))
-            pairs += 1
-    residual = max(closure, unit_res, anti)
-    return CheckReport(
-        name="star_suite",
-        residual=residual,
-        tolerance=tol,
-        passed=residual <= tol,
-        witness=(
-            f"closure {closure:.3e}, unit {unit_res:.3e}, anti-automorphism "
-            f"{anti:.3e} over {pairs} grade pairs"
-        ),
-    )
-
-
-def check_coalgebra_axioms(g: SpaceLike, samples: int = 25, seed: int = 19,
-                           tol: float = 1e-9,
-                           max_length: Optional[int] = None) -> CheckReport:
-    """Coassociativity of the composition coproduct and the two counit laws,
-    on random combinations of monomials, one grade at a time.  Each sample
-    draws a monomial e_i (x) e^j of a populated grade n and a Gaussian
-    coefficient c; the samples of grade n make one rank-one batch
-    rho = sum c e_i (x) e^j, and one coproduct d = Delta(rho) gives both
-    sides of coassociativity, (Delta (x) id)(d) = (id (x) Delta)(d), and of
-    both counit laws, (id (x) eps)(d) = rho = (eps (x) id)(d).  The
-    identities are linear in rho, so each difference is the sum over
-    samples of c times that monomial's difference.  Unless every sampled
-    monomial passes, the c for which the sum vanishes form a proper
-    subspace, which Gaussian c miss almost surely.  The residual is the
-    largest of the three norms over the combinations.  The coassociativity
-    sides of k samples of dimension d hold about 10 k d^3 floats, so a
-    grade's samples are split into combinations of at most
-    _COMBINATION_FLOATS // d^3 (one at least)."""
-    sp = as_space(g)
-    rng = np.random.default_rng(seed)
-    sizes = sp.dims(max_length)  # every grade listed is populated
-    drawn: dict[int, list[tuple[int, int, float]]] = {}
-    for _ in range(samples):
-        n = int(rng.choice(len(sizes)))
-        i, j = int(rng.integers(sizes[n])), int(rng.integers(sizes[n]))
-        drawn.setdefault(n, []).append((i, j, float(rng.standard_normal())))
-    worst = 0.0
-    combinations = 0
-    for n, picks in sorted(drawn.items()):
-        eye = np.eye(sizes[n])
-        step = max(1, _COMBINATION_FLOATS // sizes[n] ** 3)
-        for lo in range(0, len(picks), step):
-            i, j, c = map(list, zip(*picks[lo:lo + step]))
-            rho = EndoTensor._of(sp, 1, _nonzero_terms((n,), (_scaled((eye[i], eye[j]), c),)))
-            d = coproduct(rho)
-            worst = max(worst, (d.coproduct_leg(0) - d.coproduct_leg(1)).norm(),
-                        (d.contract_counit(1) - rho).norm(),
-                        (d.contract_counit(0) - rho).norm())
-            combinations += 1
-    return CheckReport(
-        name="coalgebra_axioms",
-        residual=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-        witness=(f"{samples} random monomials as {combinations} Gaussian "
-                 f"combinations in grades {', '.join(map(str, sorted(drawn)))}"),
-    )

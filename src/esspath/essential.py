@@ -166,8 +166,6 @@ class GradeBasis:
     cells: tuple[EssentialCellBasis, ...]
     offsets: tuple[int, ...]
     dim: int
-    starts: np.ndarray
-    ends: np.ndarray
 
     def cell_at(self, start: int, end: int) -> tuple[Optional[EssentialCellBasis], int]:
         for cell, off in zip(self.cells, self.offsets):
@@ -511,8 +509,7 @@ class EssentialSpace:
             # every longer grade.  Building the longer grades would add
             # nothing.
             self.grade_basis(ml + 1)
-            empty = GradeBasis(length, (), (), 0,
-                               np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+            empty = GradeBasis(length, (), (), 0)
             self._grades[length] = empty
             return empty
         cells = []
@@ -525,12 +522,7 @@ class EssentialSpace:
                     cells.append(cell)
                     offsets.append(dim)
                     dim += cell.dim
-        starts = np.zeros(dim, dtype=int)
-        ends = np.zeros(dim, dtype=int)
-        for cell, off in zip(cells, offsets):
-            starts[off:off + cell.dim] = cell.start
-            ends[off:off + cell.dim] = cell.end
-        gb = GradeBasis(length, tuple(cells), tuple(offsets), dim, starts, ends)
+        gb = GradeBasis(length, tuple(cells), tuple(offsets), dim)
         self._grades[length] = gb
         return gb
 

@@ -17,6 +17,10 @@ decompositions of every split, before it became a deconcatenation,
 before it moved to cell coordinates, and `bullet_reconstruct` the sum of a
 decomposition as it was computed with one graded product per coefficient,
 before it became one scatter into the target cell.
+
+`antipode_right_side` is the right side of the antipode axiom at any input
+grade, summed term by term over Delta(1), where the antipode check reads
+grade 1 only.
 """
 
 import math
@@ -38,6 +42,7 @@ from esspath.endo import (
     convolution_coproduct,
     coproduct,
     counit,
+    unit_endo,
 )
 from esspath.essential import EssentialCellBasis, EssentialSpace, _through
 
@@ -123,6 +128,21 @@ def star_sampled_residuals(sp, pairs, seed, max_length=None):
         co = max(co, (coproduct(rho.star()) - coproduct(rho).star()).norm())
         eps = max(eps, abs(counit(rho.star()) - counit(rho)))
     return anti, co, eps
+
+
+def antipode_right_side(sp, n):
+    """rhs[i, j] = sum over the terms c t1 (x) t2 of Delta(1) of
+    c eps(x * t2) t1, the right side of the antipode axiom for the grade-n
+    monomial x = e_i (x) e^j, as a dense grade-0 block; one Python loop over
+    the monomial terms of Delta(1).  The counit of
+    (e_i (x) e^j) * (e_u (x) e^w) is sum_K m_n0[i,u,K] m_n0[j,w,K]."""
+    mul = sp.structure_constants(n, 0)
+    dn, d0 = sp.grade_basis(n).dim, sp.grade_basis(0).dim
+    rhs = np.zeros((dn, dn, d0, d0))
+    for ((n1, v, x), (n2, u, w)), c in coproduct(unit_endo(sp)).terms.items():
+        assert (n1, n2) == (0, 0)
+        rhs[:, :, v, x] += c * (mul[:, u, :] @ mul[:, w, :].T)
+    return rhs
 
 
 def gamma_coproduct_paths(sp, e):

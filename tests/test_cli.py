@@ -1,7 +1,10 @@
 """Command-line front end: subcommands, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from esspath.graphs import builtin_graph, fused_matrices
 
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 NUMBER = re.compile(r"[-+]?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
@@ -203,6 +207,14 @@ class TestDecompose:
         assert code == 2
 
 
+def assert_same_up_to_rounding(got: str, expect: str, label: str):
+    """The texts agree once every number is masked, and their numbers agree
+    within 1e-12."""
+    assert NUMBER.sub("#", got) == NUMBER.sub("#", expect), label
+    assert [float(x) for x in NUMBER.findall(got)] == pytest.approx(
+        [float(x) for x in NUMBER.findall(expect)], rel=0, abs=1e-12), label
+
+
 def assert_all_matches_golden(capsys, graph):
     code, out, _ = run(capsys, "verify", "--graph", graph, "--suite", "all")
     assert code == 0
@@ -212,10 +224,7 @@ def assert_all_matches_golden(capsys, graph):
     for g, e in zip(got, expect):
         assert (g["pass"], g["tolerance"]) == (e["pass"], e["tolerance"]), e["name"]
         assert g["residual"] == pytest.approx(e["residual"], rel=0, abs=1e-12)
-        gw, ew = g["witness"] or "", e["witness"] or ""
-        assert NUMBER.sub("#", gw) == NUMBER.sub("#", ew), e["name"]
-        assert [float(x) for x in NUMBER.findall(gw)] == pytest.approx(
-            [float(x) for x in NUMBER.findall(ew)], rel=0, abs=1e-12), e["name"]
+        assert_same_up_to_rounding(g["witness"] or "", e["witness"] or "", e["name"])
 
 
 class TestVerify:
@@ -285,6 +294,26 @@ class TestVerify:
         # A6 is the benchmarked graph, and fewer of its residuals are exactly 0
         assert_all_matches_golden(capsys, "A6")
 
+    def test_d4_pretty_matches_golden(self, capsys):
+        # recorded `verify --graph D4 --suite all --format pretty` output: the
+        # pretty form and a D graph
+        code, out, _ = run(capsys, "verify", "--graph", "D4", "--suite", "all",
+                           "--format", "pretty")
+        assert code == 0
+        expect = (GOLDEN / "verify_D4_all.txt").read_text()
+        assert len(out.splitlines()) == len(expect.splitlines())
+        for got_line, expect_line in zip(out.splitlines(), expect.splitlines()):
+            assert_same_up_to_rounding(got_line, expect_line, expect_line)
+
+    def test_a1_grouplike_gap_not_asserted(self, capsys):
+        # one vertex: the unit is group-like, so its gap of 0 passes and the
+        # witness must not claim it exceeds 0.5
+        code, out, _ = run(capsys, "verify", "--graph", "A1", "--suite",
+                           "grouplike_coalgebra")
+        (report,) = json.loads(out)
+        assert (code, report["pass"]) == (0, True)
+        assert report["witness"] == "unit non-group-like gap 0.000 (not asserted on one vertex)"
+
     def test_e8_antipode_at_full_length(self, capsys):
         code, out, err = run(capsys, "verify", "--graph", "E8", "--suite",
                              "antipode", "--format", "json")
@@ -315,6 +344,16 @@ class TestVerify:
                            "--to", "2", "--length", "1", "--format", "csv")
         assert code == 2
         assert "no CSV form" in err
+
+
+def test_python_dash_m_entry_point():
+    # `python -m esspath` is the CLI, without installing the package
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "esspath", "dims", "--graph", "A3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, (GOLDEN / "dims_A3.json").read_text(), "")
 
 
 class TestA2Compare:

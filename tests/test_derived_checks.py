@@ -8,16 +8,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from esspath import EssentialSpace, build_ade, endo, space
-from esspath.endo import (
-    check_convolution_coproduct,
-    check_delta_homomorphism,
-    check_star,
-)
+from esspath import EssentialSpace, build_ade, space, verify
 from esspath.verify import (
     DECOMPOSITION_CAP,
     VerifyConfig,
+    check_convolution_coproduct,
+    check_delta_homomorphism,
     check_gamma_orthonormality,
+    check_star,
     run_suite,
 )
 
@@ -34,12 +32,12 @@ class TestDerivedBoundsReferences:
     def test_delta_homomorphism(self, name):
         sp = space(build_ade(name[0], int(name[1:])))
         spot = ref.delta_spot_residual(sp, CFG.samples, CFG.seed)
-        assert spot <= check_delta_homomorphism(sp).residual + 1e-15
+        assert spot <= check_delta_homomorphism(sp, CFG).residual + 1e-15
 
     def test_convolution_coproduct(self, name):
         sp = space(build_ade(name[0], int(name[1:])))
         loop = ref.convolution_coproduct_residual(sp, CFG.samples, CFG.seed)
-        assert loop <= check_convolution_coproduct(sp).residual + 1e-15
+        assert loop <= check_convolution_coproduct(sp, CFG).residual + 1e-15
 
     def test_gamma_orthonormality(self, name):
         sp = space(build_ade(name[0], int(name[1:])))
@@ -50,7 +48,7 @@ class TestDerivedBoundsReferences:
     def test_star(self, name):
         sp = space(build_ade(name[0], int(name[1:])))
         sampled = ref.star_sampled_residuals(sp, CFG.samples, CFG.seed)
-        assert max(sampled) <= check_star(sp).residual + 1e-15
+        assert max(sampled) <= check_star(sp, CFG).residual + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +101,8 @@ def negated_star_row(n, row):
 
 
 def doubled_unit_coproduct(sp, monkeypatch):
-    real = endo.coproduct
-    monkeypatch.setattr(endo, "coproduct", lambda r: real(r) * 2.0)
+    real = verify.coproduct
+    monkeypatch.setattr(verify, "coproduct", lambda r: real(r) * 2.0)
 
 
 STAR = "star_suite"
@@ -147,7 +145,7 @@ class TestPlantedFaults:
     def test_rotation_names_its_grade_pair(self, monkeypatch):
         sp = warmed("E6")
         rotated_targets(1, 1, 2, 1, 2, 0.3)(sp, monkeypatch)
-        rep = check_delta_homomorphism(sp)
+        rep = check_delta_homomorphism(sp, CFG)
         assert rep.residual == pytest.approx(0.178, abs=5e-4)
         assert rep.witness == f"gram residual {rep.residual:.3e} (worst pair (1, 1))"
 
@@ -155,10 +153,18 @@ class TestPlantedFaults:
         sp = warmed("E6")
         rotated_targets(1, 1, 2, 1, 2, 0.3)(sp, monkeypatch)
         pairs = [
-            (ref.delta_spot_residual(sp, 200, 3), check_delta_homomorphism(sp)),
+            (ref.delta_spot_residual(sp, 200, 3), check_delta_homomorphism(sp, CFG)),
             (ref.convolution_coproduct_residual(sp, 200, 3),
-             check_convolution_coproduct(sp)),
+             check_convolution_coproduct(sp, CFG)),
         ]
         for loop, rep in pairs:
             assert not rep.passed
             assert loop <= rep.residual + 1e-15, rep.name
+
+    def test_nan_sample_fails_a_sampled_check(self):
+        # one NaN among the samples makes the worst residual NaN, which no
+        # tolerance admits
+        values = iter([0.0, math.nan, 0.0])
+        worst = verify._worst_sample(VerifyConfig(samples=3), 0, lambda rng: next(values))
+        assert math.isnan(worst)
+        assert not verify.CheckReport.within("sampled", worst, 1e-9).passed

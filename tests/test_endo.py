@@ -12,27 +12,35 @@ from esspath import (
     EndoTensor,
     EssentialSpace,
     InputError,
-    antipode_infeasibility,
     build_ade,
-    check_comonoidality,
-    check_delta_homomorphism,
-    check_gram_condition,
-    check_star,
-    check_unit_not_grouplike,
     conv_bullet,
     convolution_coproduct,
     coproduct,
     counit,
-    essential_algebra,
     space,
-    truncated_paths_algebra,
     unit_endo,
 )
-from esspath import endo, essential
-from esspath.endo import check_coalgebra_axioms, check_convolution_coproduct
+from esspath import endo, essential, verify
+from esspath.endo import gram_condition_residual
 from esspath.graphs import fused_matrices
+from esspath.verify import (
+    VerifyConfig,
+    antipode_infeasibility,
+    check_coalgebra_axioms,
+    check_comonoidality,
+    check_convolution_coproduct,
+    check_delta_homomorphism,
+    check_star,
+    check_unit_not_grouplike,
+    truncated_paths_algebra,
+)
+
+from reference_checks import antipode_right_side
 
 TOL = 1e-9
+CFG = VerifyConfig()
+# the sample count and seed these tests were written against
+CFG_25 = VerifyConfig(samples=25, seed=19)
 
 
 def rho(sp, name):
@@ -153,7 +161,7 @@ class TestCoproduct:
 
     def test_unit_not_grouplike(self, sp_a2, sp_e6):
         for sp, nverts in ((sp_a2, 2), (sp_e6, 6)):
-            rep = check_unit_not_grouplike(sp)
+            rep = check_unit_not_grouplike(sp, CFG)
             assert rep.passed
             # squared gap: |V|^3 - 2|V|^2 + |V|^2 (|V|-1) terms of 1
             one = unit_endo(sp)
@@ -179,12 +187,12 @@ class TestDeltaHomomorphism:
     @pytest.mark.parametrize("name", ["A2", "A3", "D4"])
     def test_small_graphs(self, name):
         sp = space(build_ade(name[0], int(name[1:])))
-        rep = check_delta_homomorphism(sp)
+        rep = check_delta_homomorphism(sp, CFG)
         assert rep.passed, rep.witness
         assert rep.residual <= 1e-9
 
     def test_e6(self, sp_e6):
-        rep = check_delta_homomorphism(sp_e6)
+        rep = check_delta_homomorphism(sp_e6, CFG)
         assert rep.passed
         assert rep.residual <= 1e-9
 
@@ -198,19 +206,16 @@ class TestDeltaHomomorphism:
         assert np.max(np.abs(gram - np.eye(cell.dim))) <= 1e-10
 
     def test_truncated_paths_instance(self, sp_a3):
-        alg = truncated_paths_algebra(sp_a3.graph, 4)
-        rep = check_gram_condition(alg, tol=0.0)
-        assert rep.passed
-        assert rep.residual == 0.0
+        assert gram_condition_residual(*truncated_paths_algebra(sp_a3.graph, 4)) \
+            == (0.0, None)
 
-    def test_essential_algebra_wrapper(self, sp_a2):
-        alg = essential_algebra(sp_a2)
-        assert alg.dims == {0: 2, 1: 2}
-        rep = check_gram_condition(alg)
-        assert rep.passed
+    def test_essential_gram_condition(self, sp_a2):
+        assert sp_a2.dims() == [2, 2]
+        residual, _ = gram_condition_residual({0: 2, 1: 2}, sp_a2.structure_constants)
+        assert residual <= 1e-8
 
     def test_dual_direction(self, sp_a3):
-        rep = check_convolution_coproduct(sp_a3)
+        rep = check_convolution_coproduct(sp_a3, CFG)
         assert rep.passed
         assert rep.residual <= 1e-10
 
@@ -233,7 +238,7 @@ class TestComonoidality:
     @pytest.mark.parametrize("name", ["A2", "A3", "D4"])
     def test_small(self, name):
         sp = space(build_ade(name[0], int(name[1:])))
-        rep = check_comonoidality(sp)
+        rep = check_comonoidality(sp, CFG)
         assert rep.passed
         assert rep.residual <= 1e-9
 
@@ -397,19 +402,24 @@ def shared_space(name):
 
 class TestAntipode:
     def test_a2_full_system(self, sp_a2):
-        rep = antipode_infeasibility(sp_a2, 1)
+        rep = antipode_infeasibility(sp_a2, CFG)
         assert rep.passed
         # two diagonal monomials, each contributing |V| = 2
         assert rep.residual == pytest.approx(2.0, abs=1e-12)
         assert rep.residual >= 1.0
 
     def test_a2_single_monomial_bound(self, sp_a2):
-        rep = antipode_infeasibility(sp_a2, 1, monomials=[(0, 0)])
-        assert rep.residual == pytest.approx(math.sqrt(2), abs=1e-12)
+        rhs = antipode_right_side(sp_a2, 1)
+        assert np.linalg.norm(rhs[0, 0]) == pytest.approx(math.sqrt(2), abs=1e-12)
 
-    def test_a2_offdiagonal_monomial_feasible(self, sp_a2):
-        # the right side vanishes for i != j, so the system is solvable
-        rep = antipode_infeasibility(sp_a2, 1, monomials=[(0, 1)])
+    def test_a2_offdiagonal_monomial_feasible(self, sp_a2, monkeypatch):
+        # the right side vanishes for i != j, so the system is solvable there
+        rhs = antipode_right_side(sp_a2, 1)
+        assert np.linalg.norm(rhs[0, 1]) <= 1e-12
+        assert np.linalg.norm(rhs[1, 0]) <= 1e-12
+        # a right side that vanishes everywhere is a FAIL
+        monkeypatch.setattr(verify, "coproduct", lambda r: EndoTensor(sp_a2, 2))
+        rep = antipode_infeasibility(sp_a2, CFG)
         assert rep.residual <= 1e-12
         assert not rep.passed
 
@@ -417,7 +427,7 @@ class TestAntipode:
                                              ("D4", math.sqrt(24))])
     def test_small_graphs(self, name, expect):
         sp = space(build_ade(name[0], int(name[1:])))
-        rep = antipode_infeasibility(sp, 1)
+        rep = antipode_infeasibility(sp, CFG)
         assert rep.passed
         assert rep.residual > 0.5
         # residual equals the norm of the unreachable grade-zero right side
@@ -428,17 +438,21 @@ class TestAntipode:
         for n in range(1, len(fused_sums(name)))])
     def test_higher_grade_input(self, name, n):
         # same obstruction at every grade: the right side lies in grade 0,
-        # of squared norm |V| = d_0 for each of the d_n diagonal monomials
+        # of squared norm |V| = d_0 for each of the d_n diagonal monomials;
+        # the check reads grade 1
         sums = fused_sums(name)
-        rep = antipode_infeasibility(shared_space(name), n)
-        assert rep.passed
-        assert rep.residual ** 2 == pytest.approx(sums[0] * sums[n], rel=1e-12)
+        rhs = antipode_right_side(shared_space(name), n)
+        assert np.sum(rhs ** 2) == pytest.approx(sums[0] * sums[n], rel=1e-12)
+        if n == 1:
+            rep = antipode_infeasibility(shared_space(name), CFG)
+            assert rep.passed
+            assert rep.residual ** 2 == pytest.approx(sums[0] * sums[n], rel=1e-12)
 
     def test_scaled_unit_coproduct_fails(self, sp_a3, monkeypatch):
         # 2 Delta(1) still clears the floor; only the closed form catches it
-        real = endo.coproduct
-        monkeypatch.setattr(endo, "coproduct", lambda r: real(r) * 2.0)
-        rep = antipode_infeasibility(sp_a3, 1)
+        real = verify.coproduct
+        monkeypatch.setattr(verify, "coproduct", lambda r: real(r) * 2.0)
+        rep = antipode_infeasibility(sp_a3, CFG)
         assert rep.residual == pytest.approx(2 * math.sqrt(12), abs=1e-12)
         assert not rep.passed
         assert rep.witness.endswith("!= |V| * diagonal monomials = 12")
@@ -447,10 +461,10 @@ class TestAntipode:
                                        ((0, 0, 0), (1, 0, 0))])
     def test_unit_coproduct_leg_outside_grade_zero_fails(self, sp_a3,
                                                          monkeypatch, stray):
-        real = endo.coproduct
+        real = verify.coproduct
         extra = EndoTensor(sp_a3, 2, {stray: 1.0})
-        monkeypatch.setattr(endo, "coproduct", lambda r: real(r) + extra)
-        rep = antipode_infeasibility(sp_a3, 1)
+        monkeypatch.setattr(verify, "coproduct", lambda r: real(r) + extra)
+        rep = antipode_infeasibility(sp_a3, CFG)
         assert not rep.passed
         profile = tuple(n for n, _, _ in stray)
         assert rep.witness.endswith(
@@ -458,16 +472,13 @@ class TestAntipode:
 
     def test_builds_one_structure_constant_block(self):
         sp = EssentialSpace(build_ade("E", 6))
-        antipode_infeasibility(sp, 1)
+        antipode_infeasibility(sp, CFG)
         assert list(sp._mul) == [(1, 0)]
 
-    def test_grade_zero_rejected(self, sp_a2):
-        with pytest.raises(InputError):
-            antipode_infeasibility(sp_a2, 0)
-
-    def test_empty_grade_rejected(self, sp_a2):
-        with pytest.raises(InputError):
-            antipode_infeasibility(sp_a2, 2)
+    def test_empty_grade_rejected(self):
+        # one vertex: grade 1 is empty
+        with pytest.raises(InputError, match="grade 1 is empty on A1"):
+            antipode_infeasibility(space(build_ade("A", 1)), CFG)
 
 
 class TestStar:
@@ -493,7 +504,7 @@ class TestStar:
     @pytest.mark.parametrize("name", ["A2", "A3", "D4", "E6"])
     def test_suite(self, name):
         sp = space(build_ade(name[0], int(name[1:])))
-        rep = check_star(sp)
+        rep = check_star(sp, CFG)
         assert rep.passed, rep.witness
         assert rep.residual <= TOL
 
@@ -502,20 +513,20 @@ class TestCoalgebraAxioms:
     @pytest.mark.parametrize("name", ["A2", "D4", "E6"])
     def test_all(self, name):
         sp = space(build_ade(name[0], int(name[1:])))
-        rep = check_coalgebra_axioms(sp)
+        rep = check_coalgebra_axioms(sp, CFG_25)
         assert rep.passed
         assert rep.residual <= 1e-10
 
     def test_witness_names_the_grades_drawn(self, sp_a3):
-        rep = check_coalgebra_axioms(sp_a3, samples=1, seed=0)
+        rep = check_coalgebra_axioms(sp_a3, VerifyConfig(samples=1, seed=0))
         n = int(np.random.default_rng(0).choice(len(sp_a3.dims())))
         assert rep.witness == f"1 random monomials as 1 Gaussian combinations in grades {n}"
 
     @pytest.mark.parametrize("cap,combinations", [(1, 25), (1 << 16, 3)])
     def test_combinations_capped_by_expansion_size(self, sp_a3, cap, combinations,
                                                    monkeypatch):
-        monkeypatch.setattr(endo, "_COMBINATION_FLOATS", cap)
-        rep = check_coalgebra_axioms(sp_a3)
+        monkeypatch.setattr(verify, "_COMBINATION_FLOATS", cap)
+        rep = check_coalgebra_axioms(sp_a3, CFG_25)
         assert rep.passed and rep.residual == 0.0
         assert rep.witness.startswith(f"25 random monomials as {combinations} Gaussian")
 
@@ -525,9 +536,9 @@ class TestCoalgebraAxioms:
         lambda d: d + EndoTensor(d.space, 2, {((1, 0, 1), (1, 1, 0)): 1e-6}),
     ], ids=["scaled", "traceless"])
     def test_faulty_coproduct_fails(self, sp_a3, fault, monkeypatch):
-        real = endo.coproduct
-        monkeypatch.setattr(endo, "coproduct", lambda r: fault(real(r)))
-        rep = check_coalgebra_axioms(sp_a3)
+        real = verify.coproduct
+        monkeypatch.setattr(verify, "coproduct", lambda r: fault(real(r)))
+        rep = check_coalgebra_axioms(sp_a3, CFG_25)
         assert not rep.passed
         assert rep.residual > 1e-7
 
@@ -717,7 +728,7 @@ class TestFactoredBullet:
 class TestExactResiduals:
     @pytest.mark.parametrize("name", ["A2", "A3", "D4"])
     def test_comonoidality_residual_is_zero(self, name):
-        rep = check_comonoidality(space(build_ade(name[0], int(name[1:]))))
+        rep = check_comonoidality(space(build_ade(name[0], int(name[1:]))), CFG)
         assert rep.residual == 0.0
         assert rep.witness.startswith("left 0.000e+00, right 0.000e+00;")
 
@@ -725,6 +736,6 @@ class TestExactResiduals:
         ("A2", 2.0), ("A3", 3.4641016151377544), ("D4", 4.898979485566356),
         ("A6", 7.745966692414834)])
     def test_antipode_residual(self, name, expect):
-        rep = antipode_infeasibility(space(build_ade(name[0], int(name[1:]))), 1)
+        rep = antipode_infeasibility(space(build_ade(name[0], int(name[1:]))), CFG)
         assert rep.passed
         assert rep.residual == pytest.approx(expect, abs=1e-12)

@@ -475,11 +475,19 @@ class TestStructureConstants:
         mul = sp_e6.structure_constants(1, 1)
         gb1 = sp_e6.grade_basis(1)
         gb2 = sp_e6.grade_basis(2)
+
+        def endpoints(gb, index):
+            cell, _ = gb.locate(int(index))
+            return cell.start, cell.end
+
         nz = np.argwhere(np.abs(mul) > 1e-12)
+        assert len(nz)
         for i, j, k in nz:
-            assert gb1.ends[i] == gb1.starts[j]
-            assert gb2.starts[k] == gb1.starts[i]
-            assert gb2.ends[k] == gb1.ends[j]
+            (si, ei), (sj, ej), (sk, ek) = (endpoints(gb1, i), endpoints(gb1, j),
+                                            endpoints(gb2, k))
+            assert ei == sj
+            assert sk == si
+            assert ek == ej
 
 
 class TestDecomposition:

@@ -274,42 +274,43 @@ class TestTruncatedCutConcat:
         # compatibility condition holds with integer structure constants
         from esspath import space
         from esspath.verify import VerifyConfig, check_truncated_paths
-        rep = check_truncated_paths(space(A3), VerifyConfig(), cap=4)
+        rep = check_truncated_paths(space(A3), VerifyConfig())
+        assert rep.name == "truncated_paths_bialgebra[cap=4]"
         assert rep.passed, rep.witness
         assert rep.residual == 0.0
 
     def test_dropped_splice_fails_gram_half(self, monkeypatch):
         from esspath import space, verify
-        from esspath.endo import GradedBasisAlgebra
         real = verify.truncated_paths_algebra
 
         def drop_one_splice(g, cap):
-            alg = real(g, cap)
+            dims, real_mul = real(g, cap)
 
             def mul(n, k):
-                out = alg.mul(n, k)
+                out = real_mul(n, k)
                 if (n, k) == (1, 1):
                     out[tuple(np.argwhere(out)[0])] = 0.0
                 return out
-            return GradedBasisAlgebra(alg.label, alg.dims, mul)
+            return dims, mul
 
         monkeypatch.setattr(verify, "truncated_paths_algebra", drop_one_splice)
-        rep = verify.check_truncated_paths(space(A3), verify.VerifyConfig(), cap=4)
+        rep = verify.check_truncated_paths(space(A3), verify.VerifyConfig())
         assert not rep.passed
         assert rep.residual == 1.0
         assert rep.witness == "worst grade pair (1, 1); 0 cut-concat failures"
 
     def test_doubled_vertex_fails_cut_half(self, monkeypatch):
-        from esspath import space, truncated_paths_algebra, verify
+        from esspath import space, verify
 
         def keep_shared_vertex(p, q):
             return PathVector({pp + qq: cp * cq for pp, cp in p.items()
                                for qq, cq in q.items() if pp[-1] == qq[0]})
 
         monkeypatch.setattr(verify, "concat", keep_shared_vertex)
-        rep = verify.check_truncated_paths(space(A3), verify.VerifyConfig(), cap=4)
+        rep = verify.check_truncated_paths(space(A3), verify.VerifyConfig())
         # every path p of length n has n + 1 cuts, and each one now fails
-        fails = sum((n + 1) * d for n, d in truncated_paths_algebra(A3, 4).dims.items())
+        dims, _ = verify.truncated_paths_algebra(A3, 4)
+        fails = sum((n + 1) * d for n, d in dims.items())
         assert not rep.passed
         assert rep.witness == f"all grade pairs exact; {fails} cut-concat failures"
 
