@@ -293,9 +293,8 @@ def _emit_reports(reports: list[CheckReport], out_format: str) -> int:
     if out_format == "pretty":
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
-            tol = "-" if r.tolerance is None else f"{r.tolerance:.3g}"
             _emit(f"[{status}] {r.name}: residual {r.residual:.3e} "
-                  f"(tolerance {tol})")
+                  f"(tolerance {r.tolerance:.3g})")
             if r.witness:
                 _emit(f"       {r.witness}")
     else:

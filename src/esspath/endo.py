@@ -19,22 +19,24 @@ dualization object is needed.
 
 B and its tensor powers (the codomain of the coproduct, and the triple
 tensors of the comonoidality identities) have one type, EndoTensor: short
-sums of tensor products of single-grade blocks, kept factored.  An element
-of B is the one-leg case, one batch of terms per grade (from_blocks,
-monomial, identity; EndoTensor(sp, 1) is zero), so its composition,
-convolution product, reversal and coproduct are EndoTensor.compose,
-.bullet, .star and .coproduct_leg(0).  Every product in the axioms is
-legwise, (x1 (x) x2) * (y1 (x) y2) = (x1 * y1) (x) (x2 * y2), so it is one
-structure-constant contraction per leg, batched over all term pairs.
-Sums of entries are only formed to read a result (norm, the monomial
-``terms`` view, dense_blocks).
+sums of tensor products of single-grade blocks, kept factored, each block
+a rank-one u v^T, the decomposable e (x) f* on which the paper defines the
+products and the coproduct.  An element of B is the one-leg case, one
+batch of terms per grade (from_blocks, monomial, identity;
+EndoTensor(sp, 1) is zero), so its composition, convolution product,
+reversal and coproduct are EndoTensor.compose, .bullet, .star and
+.coproduct_leg(0).  Every product in the axioms is legwise,
+(x1 (x) x2) * (y1 (x) y2) = (x1 * y1) (x) (x2 * y2), and on rank-one
+blocks it stays rank one: two graded products of vectors per leg, batched
+over all term pairs.  Sums of entries are only formed to read a result
+(norm, the monomial ``terms`` view, dense_blocks).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -44,20 +46,16 @@ from .essential import EssentialSpace
 _CUT = 1e-15
 
 
-def _convolve(x: np.ndarray, y: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    """The convolution products of every term pair of the batches x, shape
-    (T, dn, dn), and y, shape (S, dm, dm), over the structure constants mul,
-    shape (dn, dm, dt): out[t, s, K, L] is the sum over i, j, k, l of
-    x[t, i, j] y[s, k, l] mul[i, k, K] mul[j, l, L].  Each batch meets mul
-    alone first, so no intermediate grows with T * S; three matmuls."""
-    (nt, dn, _), (ns, dm, _), dt = x.shape, y.shape, mul.shape[2]
-    # xm[t, (j, k), K] = sum_i x[t, i, j] mul[i, k, K]
-    xm = np.swapaxes(x, 1, 2).reshape(-1, dn) @ mul.reshape(dn, -1)
-    xm = np.swapaxes(xm.reshape(nt, dn * dm, dt), 1, 2).reshape(-1, dn * dm)
-    # ym[(j, k), (s, L)] = sum_l y[s, k, l] mul[j, l, L]
-    ym = y.reshape(-1, dm) @ np.swapaxes(mul, 0, 1).reshape(dm, -1)
-    ym = ym.reshape(ns, dm, dn, dt).transpose(2, 1, 0, 3).reshape(dn * dm, -1)
-    return (xm @ ym).reshape(nt, dt, ns, dt).transpose(0, 2, 1, 3)
+def _product(x: np.ndarray, y: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """The graded products of every vector pair of the batches x, shape
+    (T, dn), and y, shape (S, dm), over the structure constants mul, shape
+    (dn, dm, dt): out[t, s, K] is the sum over i, k of x[t, i] y[s, k]
+    mul[i, k, K].  x meets mul alone first, so only the output grows with
+    T * S; two matmuls."""
+    (nt, dn), (ns, dm), dt = x.shape, y.shape, mul.shape[2]
+    # xm[k, (t, K)] = sum_i x[t, i] mul[i, k, K]
+    xm = (x @ mul.reshape(dn, -1)).reshape(nt, dm, dt).swapaxes(0, 1).reshape(dm, -1)
+    return (y @ xm).reshape(ns, nt, dt).swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -66,57 +64,40 @@ def _convolve(x: np.ndarray, y: np.ndarray, mul: np.ndarray) -> np.ndarray:
 Leg = tuple[int, int, int]  # (grade, row index, column index)
 Profile = tuple[int, ...]  # one grade per leg
 
-# One leg of a batch of terms: the term matrices either dense, shape
-# (terms, d, d), or as rank-one products u v^T, a pair of (terms, d) arrays.
-LegBatch = Union[np.ndarray, tuple[np.ndarray, np.ndarray]]
+# One leg of a batch of terms: term tau is the rank-one matrix u[tau] v[tau]^T,
+# given as the pair (u, v) of (terms, d) arrays.
+LegBatch = tuple[np.ndarray, np.ndarray]
 Batch = tuple[Profile, tuple[LegBatch, ...]]
 
 
-def _factors(leg: LegBatch) -> tuple[np.ndarray, ...]:
-    return leg if isinstance(leg, tuple) else (leg,)
-
-
-def _dense(leg: LegBatch) -> np.ndarray:
-    return np.einsum("ti,tj->tij", *leg) if isinstance(leg, tuple) else leg
-
-
 def _take(leg: LegBatch, idx: np.ndarray) -> LegBatch:
-    return tuple(f[idx] for f in leg) if isinstance(leg, tuple) else leg[idx]
+    return leg[0][idx], leg[1][idx]
 
 
 def _scaled(leg: LegBatch, c) -> LegBatch:
     """The leg with term tau multiplied by c[tau], or by the scalar c."""
-    c = np.asarray(c, dtype=float)
-    if isinstance(leg, tuple):
-        return (leg[0] * c[..., None], leg[1])
-    return leg * c[..., None, None]
-
-
-def _all_pairs(c: np.ndarray) -> np.ndarray:
-    """Products of all term pairs, shape (T, S, d, d), as one batch t-major."""
-    return c.reshape(-1, *c.shape[2:])
+    return leg[0] * np.asarray(c, dtype=float)[..., None], leg[1]
 
 
 def _nonzero_terms(profile: Profile, legs) -> list[Batch]:
     """The batch without its terms that have a zero leg, or no batch."""
-    live = np.ones(len(_factors(legs[0])[0]), dtype=bool)
-    for leg in legs:
-        for f in _factors(leg):
-            live &= f.reshape(len(f), -1).any(axis=1)
-    if live.all():
-        return [(profile, tuple(legs))]
-    return [(profile, tuple(_take(leg, live) for leg in legs))] if live.any() else []
+    live = np.ones(len(legs[0][0]), dtype=bool)
+    for u, v in legs:
+        live &= u.any(axis=1) & v.any(axis=1)
+    if not live.any():
+        return []
+    return [(profile, tuple(legs) if live.all() else tuple(_take(leg, live) for leg in legs))]
 
 
 def _entries(legs) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices into the dense (d1, d1, ..., dk, dk) array, and values, of
     every nonzero entry of every term's product; repeats are not summed."""
-    count = len(_factors(legs[0])[0])
+    count = len(legs[0][0])
     term = np.arange(count)
     flat = np.zeros(count, dtype=np.int64)
     val = np.ones(count)
-    for a in (f for leg in legs for f in _factors(leg)):
-        size = a[0].size
+    for a in (f for leg in legs for f in leg):
+        size = a.shape[1]
         nz = np.flatnonzero(a != 0)  # term-major; a bool scan is the fast one
         if len(nz) == count:
             pick = nz[term]  # no factor is zero, so one entry per term
@@ -138,12 +119,16 @@ class EndoTensor:
     A k-leg tensor is a short sum of products x_1 (x) ... (x) x_k of
     single-grade endomorphism blocks.  Terms come in batches of one grade
     profile (n_1, ..., n_k), with one batch of term matrices per leg, the
-    term's coefficient carried by its first leg.  A leg batch is dense,
-    shape (terms, d, d), or rank one, u v^T given as two (terms, d) arrays;
-    the coproduct expansion makes rank-one legs, which keeps matrix units
-    at d numbers instead of d^2.  Products in the weak-bialgebra identities
+    term's coefficient carried by its first leg.  Every term matrix is
+    rank one, u v^T, the decomposable e (x) f* on which the paper defines
+    B's products and coproduct; a leg batch is the pair (u, v) of
+    (terms, d) arrays, and a block is stored as the terms of its nonzero
+    columns.  Each operation keeps a term rank one: composition is
+    (v . u') u v'^T, the convolution product (u * u')(v * v')^T, reversal
+    (T u)(T v)^T, the trace u . v, and the coproduct splits u v^T into
+    (u e_I^T) (x) (e_I v^T).  Products in the weak-bialgebra identities
     are legwise, so the convolution product of two terms is
-    (x_1 * y_1) (x) ... (x) (x_k * y_k): one structure-constant contraction
+    (x_1 * y_1) (x) ... (x) (x_k * y_k): two graded products of vectors
     per leg, batched over all term pairs, never a join over entries.
 
     ``terms`` is the monomial view ((n1,i1,j1), ..., (nk,ik,jk)) -> coefficient
@@ -202,7 +187,8 @@ class EndoTensor:
             d = sp.grade_basis(n).dim
             if mat.shape != (d, d):
                 raise InputError(f"block {n} must be {d}x{d}, got {mat.shape}")
-            out += _nonzero_terms((n,), (mat[None],))
+            col = np.flatnonzero(mat.any(axis=0))
+            out += _nonzero_terms((n,), ((mat[:, col].T, np.eye(d)[col]),))
         return cls._of(sp, 1, out)
 
     @classmethod
@@ -222,7 +208,7 @@ class EndoTensor:
 
     def _coalesced(self) -> dict[Profile, tuple[np.ndarray, np.ndarray]]:
         """Per profile: sorted flat dense indices and summed coefficients of
-        the entries above the cut."""
+        the entries above the cut, and of the non-finite ones."""
         parts: dict[Profile, list[tuple[np.ndarray, np.ndarray]]] = {}
         for profile, legs in self._batches:
             parts.setdefault(profile, []).append(_entries(legs))
@@ -232,7 +218,7 @@ class EndoTensor:
                                       return_inverse=True)
             val = np.bincount(inverse, weights=np.concatenate([v for _, v in got]),
                               minlength=len(flat))
-            keep = np.abs(val) > _CUT
+            keep = ~(np.abs(val) <= _CUT)  # a NaN is kept, so norm() is NaN
             if keep.any():
                 out[profile] = (flat[keep], val[keep])
         return out
@@ -286,7 +272,7 @@ class EndoTensor:
         out = []
         for p, xs in self._batches:
             for q, ys in other._batches:
-                nx, ny = len(_factors(xs[0])[0]), len(_factors(ys[0])[0])
+                nx, ny = len(xs[0][0]), len(ys[0][0])
                 left, right = np.repeat(np.arange(nx), ny), np.tile(np.arange(ny), nx)
                 out.append((p + q, tuple(_take(x, left) for x in xs)
                             + tuple(_take(y, right) for y in ys)))
@@ -300,7 +286,7 @@ class EndoTensor:
             raise InputError("counit contraction needs at least two legs")
         out = []
         for p, xs in self._batches:
-            trace = np.einsum("tii->t", _dense(xs[leg]))
+            trace = np.einsum("ti,ti->t", *xs[leg])
             rest = xs[:leg] + xs[leg + 1:]
             out += _nonzero_terms(p[:leg] + p[leg + 1:],
                                   (_scaled(rest[0], trace),) + rest[1:])
@@ -309,20 +295,13 @@ class EndoTensor:
     def coproduct_leg(self, leg: int) -> "EndoTensor":
         """Apply the composition coproduct to one leg, term by term:
         u v^T becomes the sum over I of (u e_I^T) (x) (e_I v^T), the plain
-        expansion of e_i (x) e^j -> sum_I (e_i (x) e^I) (x) (e_I (x) e^j).
-        A dense leg is first split into its nonzero columns x[:, j] e_j^T."""
+        expansion of e_i (x) e^j -> sum_I (e_i (x) e^I) (x) (e_I (x) e^j)."""
         out = []
         for p, xs in self._batches:
-            x = xs[leg]
-            if isinstance(x, tuple):
-                tau = np.arange(len(x[0]))
-                u, v = x
-            else:
-                tau, col = np.nonzero(x.any(axis=1))
-                u, v = x[tau, :, col], np.eye(x.shape[2])[col]
-            d = u.shape[1]
-            src = np.repeat(tau, d)
-            cap = np.tile(np.eye(d), (len(tau), 1))
+            u, v = xs[leg]
+            count, d = u.shape
+            src = np.repeat(np.arange(count), d)
+            cap = np.tile(np.eye(d), (count, 1))
             split = ((np.repeat(u, d, axis=0), cap), (cap, np.repeat(v, d, axis=0)))
             out.append((p[:leg] + (p[leg],) + p[leg:],
                         tuple(_take(y, src) for y in xs[:leg]) + split
@@ -330,23 +309,27 @@ class EndoTensor:
         return EndoTensor._of(self.space, self.legs + 1, out)
 
     def compose(self, other: "EndoTensor") -> "EndoTensor":
-        """Legwise composition, one matrix product per leg batched over all
-        term pairs; terms of different grade profiles compose to zero."""
+        """Legwise composition, (u v^T)(u' v'^T) = (v . u') u v'^T, one
+        matrix product per leg batched over all term pairs; terms of
+        different grade profiles compose to zero."""
         if self.legs != other.legs:
             raise InputError("leg counts differ")
         out = []
         for p, xs in self._batches:
             for q, ys in other._batches:
                 if p == q:
-                    out += _nonzero_terms(p, [_all_pairs(_dense(x)[:, None] @ _dense(y))
-                                              for x, y in zip(xs, ys)])
+                    out += _nonzero_terms(p, [
+                        ((u[:, None] * (v @ u2.T)[..., None]).reshape(-1, u.shape[1]),
+                         np.tile(v2, (len(u), 1)))
+                        for (u, v), (u2, v2) in zip(xs, ys)])
         return EndoTensor._of(self.space, self.legs, out)
 
     def bullet(self, other: "EndoTensor") -> "EndoTensor":
         """Legwise convolution product of two tensors of equal leg count:
         (x_1 (x) ... (x) x_k) * (y_1 (x) ... (x) y_k) is
-        (x_1 * y_1) (x) ... (x) (x_k * y_k), each leg one contraction against
-        the structure constants batched over all term pairs."""
+        (x_1 * y_1) (x) ... (x) (x_k * y_k).  On a leg,
+        (u v^T) * (u' v'^T) = (u * u')(v * v')^T, two graded products batched
+        over all term pairs."""
         if self.legs != other.legs:
             raise InputError("leg counts differ")
         sp = self.space
@@ -357,19 +340,19 @@ class EndoTensor:
                 if any(mul.shape[2] == 0 for mul in muls):
                     continue
                 out += _nonzero_terms(tuple(n + m for n, m in zip(p, q)), [
-                    _all_pairs(_convolve(_dense(x), _dense(y), mul))
+                    tuple(_product(a, b, mul).reshape(-1, mul.shape[2])
+                          for a, b in zip(x, y))
                     for x, y, mul in zip(xs, ys, muls)
                 ])
         return EndoTensor._of(sp, self.legs, out)
 
     def star(self) -> "EndoTensor":
-        """Orientation reversal on every leg."""
+        """Orientation reversal on every leg: T u v^T T^T = (T u)(T v)^T."""
         sp = self.space
         out = []
         for p, xs in self._batches:
             out += _nonzero_terms(p, [
-                t @ _dense(x) @ t.T
-                for t, x in zip(map(sp.star_matrix, p), xs)
+                (u @ t.T, v @ t.T) for t, (u, v) in zip(map(sp.star_matrix, p), xs)
             ])
         return EndoTensor._of(sp, self.legs, out)
 
@@ -383,9 +366,9 @@ class EndoTensor:
 
 def unit_endo(sp: EssentialSpace) -> EndoTensor:
     """Unit for the convolution product: the all-ones matrix on the
-    zero-length block (sum of all [v] tensor dual [w])."""
-    d = sp.grade_basis(0).dim
-    return EndoTensor.from_blocks(sp, {0: np.ones((d, d))})
+    zero-length block (sum of all [v] tensor dual [w]), the one term 1 1^T."""
+    ones = np.ones((1, sp.grade_basis(0).dim))
+    return EndoTensor._of(sp, 1, [((0,), ((ones, ones),))])
 
 
 def _one_leg(r: EndoTensor, who: str) -> None:
@@ -397,7 +380,7 @@ def _one_leg(r: EndoTensor, who: str) -> None:
 def counit(r: EndoTensor) -> float:
     """Counit of the composition coproduct: the trace, block by block."""
     _one_leg(r, "counit")
-    return sum(float(np.einsum("tii->", _dense(x))) for _, (x,) in r._batches)
+    return sum(float(np.einsum("ti,ti->", *x)) for _, (x,) in r._batches)
 
 
 def conv_bullet(r: EndoTensor, s: EndoTensor) -> EndoTensor:
@@ -418,24 +401,23 @@ def coproduct(r: EndoTensor) -> EndoTensor:
 def convolution_coproduct(r: EndoTensor) -> EndoTensor:
     """Coproduct dual to the graded product, restricted to grade-matched
     tensor factors.  On a grade-n monomial it sums, over splits s, the
-    cuts (n-s, s) of both legs weighted by structure constants."""
+    cuts (n-s, s) of both legs weighted by structure constants: a term
+    u v^T becomes sum_{i,k} (e_i e_k^T) (x) a[i] b[k]^T with
+    a[i, j] = sum_A mul[i, j, A] u[A] and b[k, l] = sum_B mul[k, l, B] v[B]."""
     _one_leg(r, "convolution_coproduct")
     sp = r.space
     out = []
-    for (n,), (x,) in r._batches:
-        mat = _dense(x).sum(axis=0)
+    for (n,), ((u, v),) in r._batches:
         for s in range(n + 1):
             mul = sp.structure_constants(n - s, s)
-            if mul.shape[2] == 0:
+            dl, dr, dn = mul.shape
+            if dn == 0:
                 continue
-            # coeff[(i,k),(j,l)] = sum_{a,b} mat[a,b] mul[i,j,a] mul[k,l,b],
-            # one term (e_i (x) e^k) (x) coeff[i,k] per populated (i,k)
-            flat = mul.reshape(-1, mul.shape[2])  # rows (i, j)
-            coeff = (flat @ mat @ flat.T).reshape(mul.shape[:2] * 2).swapaxes(1, 2)
-            i, k = np.nonzero(np.any(np.abs(coeff) > _CUT, axis=(2, 3)))
-            if len(i):
-                eye = np.eye(len(coeff))
-                out.append(((n - s, s), ((eye[i], eye[k]), coeff[i, k])))
+            flat = mul.reshape(-1, dn)  # rows (i, j)
+            a, b = ((w @ flat.T).reshape(len(w), dl, dr) for w in (u, v))
+            t, i, k = (g.ravel() for g in np.indices((len(u), dl, dl)))
+            eye = np.eye(dl)
+            out += _nonzero_terms((n - s, s), ((eye[i], eye[k]), (a[t, i], b[t, k])))
     return EndoTensor._of(sp, 2, out)
 
 
@@ -447,12 +429,11 @@ def convolution_coproduct(r: EndoTensor) -> EndoTensor:
 class CheckReport:
     """Outcome of one verified identity.  A check passes when its residual
     is at most its tolerance (within); the names of the non-existence
-    checks state that their direction is flipped.  tolerance None marks a
-    measured-only report."""
+    checks state that their direction is flipped."""
 
     name: str
     residual: float
-    tolerance: Optional[float]
+    tolerance: float
     passed: bool
     witness: Optional[str] = None
 
@@ -487,7 +468,8 @@ def gram_condition_residual(dims: dict[int, int], mul: Callable[[int, int], np.n
     it occurs, for the graded algebra with orthonormal bases of dimensions
     ``dims`` (grade -> dimension) and structure constants ``mul(n, k)``.
     Among rounding-level residuals that pair follows the summation order,
-    so reports name it only above their tolerance."""
+    so reports name it only above their tolerance.  A NaN residual is the
+    worst, at the first grade pair that gives one."""
     worst = 0.0
     worst_pair: Optional[tuple[int, int]] = None
     for n in sorted(dims):
@@ -496,7 +478,7 @@ def gram_condition_residual(dims: dict[int, int], mul: Callable[[int, int], np.n
             if dt == 0:
                 continue
             res = float(np.max(np.abs(_gram(mul(n, k)) - np.eye(dt))))
-            if res > worst:
+            if not (res <= worst or math.isnan(worst)):
                 worst, worst_pair = res, (n, k)
     return worst, worst_pair
 

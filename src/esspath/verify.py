@@ -140,13 +140,18 @@ def _random_essential(sp, rng, cell) -> PathVector:
     return PathVector._of(basis.paths, coords.tolist())
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual, NaN if any is NaN (the built-in max drops a NaN
+    that does not come first, and a check would pass on it)."""
+    return math.nan if any(map(math.isnan, residuals)) else float(max(residuals))
+
+
 def _worst_sample(cfg: VerifyConfig, offset: int,
                   residual: Callable[[np.random.Generator], float]) -> float:
     """The largest ``residual(rng)`` over cfg.samples calls, all drawing from
-    one generator seeded at cfg.seed + offset; NaN if any call gives NaN
-    (the built-in max would drop it)."""
+    one generator seeded at cfg.seed + offset; NaN if any call gives NaN."""
     rng = np.random.default_rng(cfg.seed + offset)
-    return float(np.max([residual(rng) for _ in range(cfg.samples)]))
+    return _worst(*[residual(rng) for _ in range(cfg.samples)])
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +234,7 @@ def check_bullet_unit(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
 
     def residual(rng) -> float:
         e = _random_essential(sp, rng, _draw_cell(rng, cells, cap))
-        return max((sp.bullet(one, e) - e).norm(), (sp.bullet(e, one) - e).norm())
+        return _worst((sp.bullet(one, e) - e).norm(), (sp.bullet(e, one) - e).norm())
 
     return CheckReport.within("bullet_unit", _worst_sample(cfg, 2, residual),
                               cfg.tolerance, f"{cfg.samples}/{cfg.samples} samples")
@@ -262,15 +267,14 @@ def check_decomposition(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
                 e = cell.vector(k)
                 for split in range(1, total):
                     d = sp.decompose(e, split)
-                    worst_norm = max(worst_norm, abs(d.sum_squares - 1.0))
-                    worst_recon = max(worst_recon,
-                                      (sp.reconstruct(d) - e).norm())
+                    worst_norm = _worst(worst_norm, abs(d.sum_squares - 1.0))
+                    worst_recon = _worst(worst_recon, (sp.reconstruct(d) - e).norm())
                     count += 1
     # each part is held to its own tolerance
     passed = worst_recon <= recon_tol and worst_norm <= norm_tol
     return CheckReport(
         name="decomposition_lemma",
-        residual=max(worst_recon, worst_norm),
+        residual=_worst(worst_recon, worst_norm),
         tolerance=max(recon_tol, norm_tol),
         passed=passed,
         witness=(
@@ -296,7 +300,7 @@ def check_gamma_orthonormality(sp: EssentialSpace, cfg: VerifyConfig) -> CheckRe
         eye = np.eye(sp.grade_basis(total).dim)
         for split in range(1, total):
             gram = _gram(sp.structure_constants(split, total - split))
-            worst = max(worst, float(np.max(np.abs(gram - eye))))
+            worst = _worst(worst, float(np.max(np.abs(gram - eye))))
     return CheckReport.within("decomposition_gamma_orthonormality", worst,
                               cfg.tolerance, f"cells up to length {lmax}")
 
@@ -323,8 +327,8 @@ def check_grouplike_coalgebra(sp: EssentialSpace, cfg: VerifyConfig) -> CheckRep
         back = PathVector()
         for (p1, p2), c in dp.items():
             back = back + PathVector.single(p1, c)
-        return max((grouplike_coproduct(concat(p, q)) - tensor_concat(dp, dq)).norm(),
-                   (back - p).norm())
+        return _worst((grouplike_coproduct(concat(p, q)) - tensor_concat(dp, dq)).norm(),
+                      (back - p).norm())
 
     worst = _worst_sample(cfg, 4, residual)
     one = unit(g)
@@ -408,7 +412,7 @@ def check_truncated_paths(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
                 if back.terms != {p: 1.0}:
                     cut_fail += 1
     return CheckReport.within(
-        f"truncated_paths_bialgebra[cap={cap}]", max(gram, float(cut_fail)), 0.0,
+        f"truncated_paths_bialgebra[cap={cap}]", _worst(gram, float(cut_fail)), 0.0,
         f"{f'worst grade pair {pair}' if gram else 'all grade pairs exact'}; "
         f"{cut_fail} cut-concat failures")
 
@@ -461,7 +465,7 @@ def check_convolution_coproduct(sp: EssentialSpace, cfg: VerifyConfig) -> CheckR
         grams = np.stack([_gram(sp.structure_constants(n - s, s)) for s in range(n + 1)])
         scale = np.max(np.diagonal(grams, axis1=1, axis2=2), axis=1) ** 2
         dev = ((grams - np.eye(d)) ** 2).reshape(n + 1, -1)
-        worst = max(worst, float(np.max(scale @ dev)))
+        worst = _worst(worst, float(np.max(scale @ dev)))
     return CheckReport.within(
         "convolution_coproduct_homomorphism[compose]", math.sqrt(worst),
         max(cfg.tolerance, 1e-8),
@@ -501,9 +505,9 @@ def check_coalgebra_axioms(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport
             i, j, c = map(list, zip(*picks[lo:lo + step]))
             rho = EndoTensor._of(sp, 1, _nonzero_terms((n,), (_scaled((eye[i], eye[j]), c),)))
             d = coproduct(rho)
-            worst = max(worst, (d.coproduct_leg(0) - d.coproduct_leg(1)).norm(),
-                        (d.contract_counit(1) - rho).norm(),
-                        (d.contract_counit(0) - rho).norm())
+            worst = _worst(worst, (d.coproduct_leg(0) - d.coproduct_leg(1)).norm(),
+                           (d.contract_counit(1) - rho).norm(),
+                           (d.contract_counit(0) - rho).norm())
             combinations += 1
     return CheckReport.within(
         "coalgebra_axioms", worst, cfg.tolerance,
@@ -522,7 +526,7 @@ def check_comonoidality(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     res_right = (d2 - one.tensor(d1).bullet(d1.tensor(one))).norm()
     weak = counit_weak_multiplicativity_residual(sp)
     return CheckReport.within(
-        "comonoidality", max(res_left, res_right), cfg.tolerance,
+        "comonoidality", _worst(res_left, res_right), cfg.tolerance,
         f"left {res_left:.3e}, right {res_right:.3e}; counit weak "
         f"multiplicativity measured residual {weak:.3e} (not asserted)")
 
@@ -556,7 +560,7 @@ def check_conv_unit(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     for n, d in enumerate(sizes):
         for vertex_sum in (sp.structure_constants(0, n).sum(axis=0),
                            sp.structure_constants(n, 0).sum(axis=1)):
-            worst = max(worst, float(np.max(np.abs(vertex_sum - np.eye(d)), initial=0.0)))
+            worst = _worst(worst, float(np.max(np.abs(vertex_sum - np.eye(d)), initial=0.0)))
     return CheckReport.within(
         "convolution_unit", worst, cfg.tolerance,
         f"vertex sums of m_0n and m_n0 against I in grades 0..{len(sizes) - 1}")
@@ -638,7 +642,7 @@ def check_star(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     flips both sides alike, so the identity cannot see it."""
     sizes = sp.dims(cfg.max_length)
     stars = [sp.star_matrix(n) for n in range(len(sizes))]
-    closure = max(float(np.max(np.abs(t @ t.T - np.eye(len(t))))) for t in stars)
+    closure = _worst(*[float(np.max(np.abs(t @ t.T - np.eye(len(t))))) for t in stars])
     one = unit_endo(sp)
     unit_res = (one.star() - one).norm()
     anti = 0.0
@@ -650,10 +654,10 @@ def check_star(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
             # swapped[j, i', :] = sum_{j'} T_m[j', j] m_mn[j', i', :]
             swapped = tm.T @ sp.structure_constants(m, n).reshape(dm, -1)
             rhs = tn.T @ swapped.reshape(dm, dn, dt).swapaxes(0, 1).reshape(dn, -1)
-            anti = max(anti, float(np.max(np.abs(lhs.reshape(dn, -1) - rhs))))
+            anti = _worst(anti, float(np.max(np.abs(lhs.reshape(dn, -1) - rhs))))
             pairs += 1
     return CheckReport.within(
-        "star_suite", max(closure, unit_res, anti), cfg.tolerance,
+        "star_suite", _worst(closure, unit_res, anti), cfg.tolerance,
         f"closure {closure:.3e}, unit {unit_res:.3e}, anti-automorphism "
         f"{anti:.3e} over {pairs} grade pairs")
 

@@ -365,6 +365,14 @@ class TestA2Compare:
         assert "bullet" in data["element_products"]
         assert "filtered" in data["endo_products"]
 
+    def test_json_matches_golden(self, capsys):
+        # recorded `a2-compare` output: every table entry, coproduct row and
+        # check report, not only the key names and pass flags
+        code, out, _ = run(capsys, "a2-compare")
+        assert code == 0
+        assert_same_up_to_rounding(out, (GOLDEN / "a2_compare.json").read_text(),
+                                   "a2-compare")
+
     def test_pretty(self, capsys):
         code, out, _ = run(capsys, "a2-compare", "--format", "pretty")
         assert code == 0

@@ -8,10 +8,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from esspath import EssentialSpace, build_ade, space, verify
+from esspath import EndoTensor, EssentialSpace, build_ade, space, verify
+from esspath.endo import gram_condition_residual
 from esspath.verify import (
     DECOMPOSITION_CAP,
     VerifyConfig,
+    check_conv_unit,
     check_convolution_coproduct,
     check_delta_homomorphism,
     check_gamma_orthonormality,
@@ -168,3 +170,50 @@ class TestPlantedFaults:
         worst = verify._worst_sample(VerifyConfig(samples=3), 0, lambda rng: next(values))
         assert math.isnan(worst)
         assert not verify.CheckReport.within("sampled", worst, 1e-9).passed
+
+
+def nan_at_origin(n, m):
+    """A NaN in place of entry [0, 0, 0] of m_nm."""
+    def plant(sp, monkeypatch):
+        mul = sp.structure_constants(n, m).copy()
+        mul[0, 0, 0] = math.nan
+        monkeypatch.setitem(sp._mul, (n, m), mul)
+    return plant
+
+
+NAN_CHECKS = [((1, 1), check) for check in (
+    check_delta_homomorphism, check_gamma_orthonormality, check_star,
+    check_convolution_coproduct)] + [((0, 2), check_conv_unit)]
+
+
+class TestPlantedNaN:
+    """A NaN in the algebra data makes the residual of every check that reads
+    it NaN, which no tolerance admits."""
+
+    @pytest.mark.parametrize("grades, check", NAN_CHECKS,
+                             ids=[f"{c.__name__}-mul{n}{m}" for (n, m), c in NAN_CHECKS])
+    def test_nan_structure_constant_fails(self, grades, check, monkeypatch):
+        sp = warmed("A3")
+        nan_at_origin(*grades)(sp, monkeypatch)
+        rep = check(sp, CFG)
+        assert math.isnan(rep.residual)
+        assert not rep.passed
+
+    def test_nan_names_its_grade_pair(self, monkeypatch):
+        sp = warmed("A3")
+        nan_at_origin(1, 1)(sp, monkeypatch)
+        assert check_delta_homomorphism(sp, CFG).witness == \
+            "gram residual nan (worst pair (1, 1))"
+
+    def test_gram_scan_keeps_the_first_nan(self):
+        # finite residuals after a NaN neither hide it nor move its pair
+        def mul(n, k):
+            return np.full((1, 1, 1), math.nan if (n, k) == (0, 1) else 2.0)
+        residual, pair = gram_condition_residual({0: 1, 1: 1, 2: 1}, mul)
+        assert math.isnan(residual) and pair == (0, 1)
+
+    def test_nan_block_entry_has_nan_norm(self):
+        sp = warmed("A3")
+        block = np.eye(sp.grade_basis(1).dim)
+        block[0, 0] = math.nan
+        assert math.isnan(EndoTensor.from_blocks(sp, {1: block}).norm())

@@ -169,6 +169,14 @@ class TestCoproduct:
             assert rep.residual == pytest.approx(gap)
             assert gap > 0.5
 
+    @pytest.mark.parametrize("name", ["A2", "A6", "E6"])
+    def test_unit_coproduct_stores_one_term_per_vertex(self, name):
+        # the unit is the one rank-one term 1 1^T, so Delta(1) is
+        # sum_I (1 e_I^T) (x) (e_I 1^T): |V| stored terms, not |V|^2
+        sp = shared_space(name)
+        d = coproduct(unit_endo(sp))
+        assert sum(len(legs[0][0]) for _, legs in d._batches) == sp.graph.n_vertices
+
     def test_convolution_coproduct_on_a2(self, sp_a2):
         # cuts of r (x) r#: (a1 (x) a1#) (x) (r (x) r#) + (r (x) r#) (x) (a2 (x) a2#)
         d = convolution_coproduct(rho(sp_a2, "rr"))
@@ -346,14 +354,15 @@ class TestContractionsAsMatmuls:
         rng = np.random.default_rng(40)
         for n, m in populated_pairs(sp, budget=2e6):
             mul = sp.structure_constants(n, m)
-            x, y = monomial_batch(sp, rng, n, 3), monomial_batch(sp, rng, m, 2)
+            x, y = monomial_batch(sp, rng, n, 1), monomial_batch(sp, rng, m, 1)
             got = conv_bullet(EndoTensor.from_blocks(sp, {n: x[0]}),
                               EndoTensor.from_blocks(sp, {m: y[0]})).dense_blocks()
             want = einsum_ref("ij,kl,ikK,jlL->KL", x[0], y[0], mul, mul)
             assert_close(got.get((n + m,), np.zeros_like(want)), want)
-            # EndoTensor.bullet runs this contraction once per leg
-            want = einsum_ref("tij,skl,ikK,jlL->tsKL", x, y, mul, mul)
-            assert_close(endo._convolve(x, y, mul), want)
+            # EndoTensor.bullet runs this product twice per leg, on the u and
+            # on the v factors of the rank-one terms u v^T
+            u, w = rng.standard_normal((3, mul.shape[0])), rng.standard_normal((2, mul.shape[1]))
+            assert_close(endo._product(u, w, mul), einsum_ref("ti,sk,ikK->tsK", u, w, mul))
 
     def test_tensor_star(self, name):
         sp = shared_space(name)
@@ -361,8 +370,11 @@ class TestContractionsAsMatmuls:
         dims = sp.dims()
         for n in range(len(dims)):
             m = len(dims) - 1 - n
-            x, y = monomial_batch(sp, rng, n, 3), monomial_batch(sp, rng, m, 3)
+            # three terms of rank-one legs u v^T
+            x, y = (tuple(rng.standard_normal((2, 3, sp.grade_basis(k).dim)))
+                    for k in (n, m))
             got = EndoTensor._of(sp, 2, [((n, m), (x, y))]).star().dense_blocks()
+            x, y = einsum_ref("ti,tj->tij", *x), einsum_ref("ti,tj->tij", *y)
             tn, tm = sp.star_matrix(n), sp.star_matrix(m)
             want = einsum_ref("tij,tkl->ijkl", einsum_ref("pi,tij,qj->tpq", tn, x, tn),
                               einsum_ref("pi,tij,qj->tpq", tm, y, tm))
