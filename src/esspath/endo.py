@@ -454,6 +454,12 @@ class CheckReport:
         }
 
 
+def _worst(*residuals: float) -> float:
+    """The largest residual, NaN if any is NaN (the built-in max drops a NaN
+    that does not come first, and a check would pass on it)."""
+    return math.nan if any(map(math.isnan, residuals)) else float(max(residuals))
+
+
 def _gram(mul: np.ndarray) -> np.ndarray:
     """gram[K, L] = sum_{i, j} mul[i, j, K] mul[i, j, L], one matmul over the
     rows (i, j)."""
@@ -516,6 +522,6 @@ def counit_weak_multiplicativity_residual(sp: EssentialSpace, max_grade: int = 1
                 split1 = np.einsum("jxik,xplq->ijklpq", left, right)
                 # the flipped Sweedler order
                 split2 = np.einsum("ixjl,xqkp->ijklpq", left, right)
-                worst = max(worst, float(np.max(np.abs(full - split1))),
-                            float(np.max(np.abs(full - split2))))
+                worst = _worst(worst, float(np.max(np.abs(full - split1))),
+                               float(np.max(np.abs(full - split2))))
     return worst

@@ -7,9 +7,13 @@ combination of e_j^{(l-1)}(a, v) (x) [v, b] over the neighbours v of b,
 because C_k with k < l - 1 acts inside the prefix.  Only C_{l-1} is a new
 constraint, and in the bases of length l - 1 and l - 2 it is a small matrix
 K; the cell's transfer matrix R spans its kernel, found by SVD with a
-relative rank threshold.  When K has no entry, because the cell has no
-candidate or the cell (a, b, l - 2) is empty, R = I exactly and no K is
-built.  Dimensions therefore come from R alone, with no path enumerated.
+relative rank threshold.  All cells of one length depend only on shorter
+lengths, so they are built together, a grade at a time for every start:
+the sizes of every K come from the dimension matrices of the two shorter
+grades, and the matrices K of one shape are solved by one stacked SVD.
+When K has no entry, because the cell has no candidate or the cell
+(a, b, l - 2) is empty, R = I exactly and no K is built.  Dimensions
+therefore come from R alone, with no path enumerated.
 The coordinates of a cell over its elementary paths, <e_i, p> = the
 product of R blocks along p, are built on first read and canonicalized
 (reduced echelon over the lex path order, Gram-Schmidt, sign fix) so runs
@@ -18,8 +22,9 @@ are reproducible; golden values should nevertheless be basis-independent
 kernel is equally valid.  Each R and each set of path coordinates is
 checked as it is made: dimension against the fused matrices,
 orthonormality, and annihilation by its constraints.  The dimension check
-runs on every R; an identity R is orthonormal and meets no constraint, so
-the other two run on solved kernels and on every set of path coordinates.
+runs on every R, a whole grade in one comparison; an identity R is
+orthonormal and meets no constraint, so the other two run on solved
+kernels and on every set of path coordinates.
 Path coordinates are read by gathers over the lex order: the paths of cell
 (a, b, l) at v after s steps are, in lex order, the paths of (a, v, s)
 times those of (v, b, l - s), so decompositions, the coproduct and the
@@ -49,7 +54,7 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, product
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -66,6 +71,7 @@ from .paths import (
 )
 
 DEFAULT_RANK_TOL = 1e-7
+_NO_CANDIDATE = np.zeros((0, 0))  # the transfer matrix of every cell with no candidate
 
 
 @dataclass(frozen=True)
@@ -292,6 +298,7 @@ class EssentialSpace:
         # (F_l)_{ab} is the dimension of cell (a, b, l) on an ADE graph
         self._fused = fused_matrices(graph, tol).matrices if self.pf.kappa else None
         self._cells: dict[tuple[int, int, int], EssentialCellBasis] = {}
+        self._grade_dims: list[np.ndarray] = []  # D_l[a, b]: dimension of cell (a, b, l)
         self._grades: dict[int, GradeBasis] = {}
         self._mul: dict[tuple[int, int], np.ndarray] = {}
         self._star: dict[int, np.ndarray] = {}
@@ -310,93 +317,148 @@ class EssentialSpace:
                           length)
 
     def _cell(self, ai: int, bi: int, length: int) -> EssentialCellBasis:
+        """Cell basis with endpoints given by vertex index.  Cells are built
+        a grade at a time (`_build_grade`), each grade from the two before
+        it, so the first read of a cell of a length not yet built builds
+        every length up to it, for every start."""
         if length < 0:
             raise InputError(f"length must be >= 0, got {length}")
         got = self._cells.get((ai, bi, length))
         if got is None:
-            # a cell is made from the cells one shorter with the same start,
-            # so the missing lengths of start ai are built shortest first
-            for k in range(length + 1):
-                for b in range(self.graph.n_vertices):
-                    if (ai, b, k) not in self._cells:
-                        self._cells[(ai, b, k)] = self._transfer_cell(ai, b, k)
+            for k in range(len(self._grade_dims), length + 1):
+                self._build_grade(k)
             got = self._cells[(ai, bi, length)]
         return got
 
-    def _transfer_cell(self, a: int, b: int, length: int) -> EssentialCellBasis:
-        """Cell (a, b, length) from the cells (a, v, length - 1), v ~ b.
+    def _build_grade(self, length: int) -> None:
+        """The cells (a, b, length) of every start a and end b, from the
+        cells one and two edges shorter.
 
-        Its candidates e_j^{(length-1)}(a, v) (x) [v, b] are orthonormal and
-        killed by every C_k with k < length - 1, because those C_k act inside
-        the prefix.  The one new constraint C_{length-1} maps a candidate
-        into the cell (a, b, length - 2); in that cell's basis it is
-        K = [sqrt(mu_v / mu_b) R_{(a,v,length-1)}[:, block b]^T]_v, so the
-        cell's transfer matrix R spans the kernel of K and no path is
-        involved.  Both sizes of K are read from stored dimensions first:
-        with no candidate or no constraint row (every cell of length 0 or 1,
-        and the cell (a, b, length - 2) empty) K has no entry and R is the
-        identity exactly, so K is not built and no kernel is solved; the
-        dimension is still checked against the fused matrices."""
+        The candidates of cell (a, b, l) are e_j^{(l-1)}(a, v) (x) [v, b]
+        over v ~ b: orthonormal, and killed by every C_k with k < l - 1
+        because those C_k act inside the prefix.  The one new constraint
+        C_{l-1} maps a candidate into the cell (a, b, l - 2); in that cell's
+        basis it is K = [sqrt(mu_v / mu_b) R_{(a,v,l-1)}[:, block b]^T]_v,
+        so the cell's transfer matrix R spans the kernel of K and no path is
+        involved.  Both sizes of K come from the dimension matrices D of the
+        two shorter grades: (D_{l-1} A)_{ab} candidates and (D_{l-2})_{ab}
+        rows.  With no candidate or no row (every cell of length 0 or 1, and
+        the cell (a, b, l - 2) empty) K has no entry and R is the identity
+        exactly, so K is not built and no kernel is solved; a cell with no
+        candidate shares one empty R.  The other cells are grouped by the
+        shape of K and each group takes one stacked SVD (`_kernels`).  The
+        grade's dimensions are checked against F_l in one comparison
+        (`_checked_dims`), then the Gram and annihilator residuals of every
+        solved cell, computed for the whole grade at once on its K and
+        kernel rows padded with zeros to one shape (`_checked_residuals`);
+        no cell of the grade is stored unless all pass."""
+        graph, mu = self.graph, self.pf.mu
+        nbrs = graph.neighbors
+        weight = np.sqrt(mu[:, None] / mu).tolist()  # sqrt(mu_v / mu_b) at [v][b]
         if length == 0:
-            blocks: dict[int, slice] = {}
-            candidates = int(a == b)
-            rows = 0
+            counts = np.eye(graph.n_vertices, dtype=np.int64)
+            rows = np.zeros_like(counts)
         else:
-            nbrs = self.graph.neighbors[b]
-            prev = [self._cells[(a, v, length - 1)] for v in nbrs]
-            edges = list(accumulate((c.dim for c in prev), initial=0))
-            blocks = {v: slice(lo, hi) for v, lo, hi in zip(nbrs, edges, edges[1:])}
-            candidates = edges[-1]
-            rows = self._cells[(a, b, length - 2)].dim if length > 1 else 0
-        if not (candidates and rows):
-            transfer = np.eye(candidates)
-            self._checked_dim(a, b, length, candidates)
-        else:
-            k = np.zeros((rows, candidates))
-            mu = self.pf.mu
-            for v, c in zip(nbrs, prev):
-                k[:, blocks[v]] = math.sqrt(mu[v] / mu[b]) * c.transfer[:, c.blocks[b]].T
-            transfer = self._kernel(k)
-            ann = k @ transfer.T
-            self._checked_kernel(a, b, length, transfer,
-                                 float(np.abs(ann).max()) if ann.size else 0.0,
-                                 lambda: float(np.linalg.norm(k)))
-        return EssentialCellBasis(a, b, length, transfer, blocks, weakref.ref(self))
+            counts = self._grade_dims[length - 1] @ graph.adjacency
+            rows = self._grade_dims[length - 2] if length > 1 else np.zeros_like(counts)
+        shapes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for a, b in np.argwhere((counts > 0) & (rows > 0)).tolist():
+            shapes.setdefault((rows[a, b], counts[a, b]), []).append((a, b))
+        solved = [cell for members in shapes.values() for cell in members]
+        height = max((r for r, _ in shapes), default=0)
+        width = max((c for _, c in shapes), default=0)
+        # per solved cell, zero-padded: K, the rows of its SVD, and which of
+        # those rows span its kernel
+        ks = np.zeros((len(solved), height, width))
+        vts = np.zeros((len(solved), width, width))
+        kept = np.zeros((len(solved), width), dtype=bool)
+        transfers: dict[tuple[int, int], np.ndarray] = {}
+        first = 0
+        for (nrows, ncols), members in shapes.items():
+            group = slice(first, first + len(members))
+            for k, (a, b) in zip(ks[group, :nrows], members):
+                lo = 0
+                for v in nbrs[b]:
+                    c = self._cells[(a, v, length - 1)]
+                    if c.dim:
+                        k[:, lo:lo + c.dim] = weight[v][b] * c.transfer[:, c.blocks[b]].T
+                        lo += c.dim
+            vt, ranks = self._kernels(ks[group, :nrows, :ncols])
+            transfers.update((cell, basis[r:]) for cell, r, basis in zip(members, ranks.tolist(), vt))
+            vts[group, :ncols, :ncols] = vt
+            kept[group, :ncols] = np.arange(ncols) >= ranks[:, None]
+            first = group.stop
+        dims = counts.copy()
+        if solved:
+            dims[tuple(zip(*solved))] = np.count_nonzero(kept, axis=1)
+        self._checked_dims(length, dims)
+        if solved:
+            kernels = np.where(kept[:, :, None], vts, 0.0)
+            kt = kernels.transpose(0, 2, 1)
+            self._checked_residuals(
+                length, solved,
+                np.abs(kernels @ kt - kept[:, :, None] * np.eye(width)).max(axis=(1, 2)),
+                np.abs(ks @ kt).max(axis=(1, 2)), np.linalg.norm(ks, axis=(1, 2)))
+        ref = weakref.ref(self)
+        widths = self._grade_dims[length - 1].tolist() if length else None
+        no_candidate = [dict.fromkeys(nbrs[b], slice(0, 0)) if length else {}
+                        for b in range(graph.n_vertices)]
+        for a, row in enumerate(counts.tolist()):
+            for b, count in enumerate(row):
+                if not count:
+                    transfer, blocks = _NO_CANDIDATE, no_candidate[b]
+                else:
+                    transfer = transfers.get((a, b))
+                    if transfer is None:
+                        transfer = np.eye(count)
+                    blocks = {}
+                    if length:
+                        edges = list(accumulate((widths[a][v] for v in nbrs[b]), initial=0))
+                        blocks = {v: slice(lo, hi) for v, lo, hi in zip(nbrs[b], edges, edges[1:])}
+                self._cells[(a, b, length)] = EssentialCellBasis(a, b, length, transfer,
+                                                                 blocks, ref)
+        self._grade_dims.append(dims)
 
-    def _kernel(self, constraints: np.ndarray) -> np.ndarray:
-        """Orthonormal rows spanning the kernel of ``constraints``, a matrix
-        with at least one entry; singular values up to rank_tol times the
-        largest one count as zero."""
-        _, svals, vt = np.linalg.svd(constraints)
-        thresh = self.rank_tol * (svals[0] if svals[0] > 0 else 1.0)
-        return vt[int(np.sum(svals > thresh)):]
+    def _kernels(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The kernels of the matrices of ``stack`` (members, rows, cols),
+        each with at least one entry, from one SVD: (vt, ranks), with the
+        orthonormal rows vt[t, ranks[t]:] spanning the kernel of stack[t].
+        Singular values up to rank_tol times a member's largest one count as
+        zero."""
+        _, svals, vt = np.linalg.svd(stack)
+        top = svals[:, 0]
+        thresh = self.rank_tol * np.where(top > 0, top, 1.0)
+        return vt, np.count_nonzero(svals > thresh[:, None], axis=1)
 
-    def _checked_dim(self, a: int, b: int, length: int, dim: int) -> None:
-        """Raises NumericError unless dim = (F_l)_{ab} for cell (a, b,
-        length) on graphs with a Coxeter number."""
+    def _checked_dims(self, length: int, dims: np.ndarray) -> None:
+        """Raises NumericError naming the first cell, in (start, end) order,
+        whose dimension dims[start, end] is not the entry of F_length, on
+        graphs with a Coxeter number."""
         fm = self._fused
-        if fm is not None and dim != (fm[length][a, b] if length < len(fm) else 0):
+        if fm is None:
+            return
+        bad = np.argwhere(dims != (fm[length] if length < len(fm) else 0)).tolist()
+        if bad:
+            a, b = bad[0]
             raise NumericError(f"cell {a}|{b}|{length} of {self.graph.name}: "
-                               f"dimension {dim} is not the fused-matrix entry")
+                               f"dimension {dims[a, b]} is not the fused-matrix entry")
 
-    def _checked_kernel(self, a: int, b: int, length: int, rows: np.ndarray,
-                        ann_res: float, scale: Callable[[], float]) -> float:
-        """Gram residual of the basis ``rows`` of cell (a, b, length), given
-        ``ann_res``, the largest entry of its image under its constraints.
-        Raises NumericError unless its dimension passes `_checked_dim` and
-        both residuals are within rank_tol, the bound on the kernel's
-        relative singular values; ann_res may instead be within rank_tol
-        times the Frobenius norm of the constraints, ``scale()``, which is
-        called only then."""
-        where = f"cell {a}|{b}|{length} of {self.graph.name}"
-        dim = rows.shape[0]
-        self._checked_dim(a, b, length, dim)
-        gram_res = float(np.max(np.abs(rows @ rows.T - np.eye(dim)))) if dim else 0.0
-        tol = self.rank_tol  # the Frobenius norm bounds the largest singular value
-        if not (gram_res <= tol and (ann_res <= tol or ann_res <= tol * scale())):
-            raise NumericError(f"{where}: Gram residual {gram_res:.3g}, "
-                               f"annihilator residual {ann_res:.3g}")
-        return gram_res
+    def _checked_residuals(self, length: int, cells: list[tuple[int, int]],
+                           gram: np.ndarray, ann: np.ndarray, scale: np.ndarray) -> None:
+        """Raises NumericError naming the first of ``cells``, (start, end)
+        pairs of one length, in (start, end) order, whose Gram residual
+        ``gram`` or annihilator residual ``ann`` (the largest entry of its
+        image under its constraints) is not within rank_tol, the bound on
+        the kernel's relative singular values.  ann may instead be within
+        rank_tol times ``scale``, the Frobenius norm of the constraints,
+        which bounds their largest singular value.  A NaN residual fails."""
+        tol = self.rank_tol
+        ok = (gram <= tol) & ((ann <= tol) | (ann <= tol * scale))
+        if not ok.all():
+            t = min(np.flatnonzero(~ok).tolist(), key=cells.__getitem__)
+            a, b = cells[t]
+            raise NumericError(f"cell {a}|{b}|{length} of {self.graph.name}: Gram "
+                               f"residual {gram[t]:.3g}, annihilator residual {ann[t]:.3g}")
 
     def _compute_cell(self, a: int, b: int, length: int) -> CellCoordinates:
         """Canonical path coordinates of a built cell of nonzero dimension."""
@@ -481,17 +543,20 @@ class EssentialSpace:
         ``walks``, residuals computed here.  Raises NumericError unless the
         walks are the cell's lex-ordered elementary paths from
         `enumerate_paths`, the shape is (cell dimension from the transfer
-        matrix, number of paths) and `_checked_kernel` holds against the
+        matrix, number of paths) and `_checked_residuals` holds against the
         path-space constraints [C_1; ...; C_{l-1}], which
         `_annihilator_residual` applies to the walks."""
         paths = tuple(enumerate_paths(self.graph, self.graph.label(a),
                                       self.graph.label(b), length))
+        dim = self._cells[(a, b, length)].dim
         if (not np.array_equal(walks, np.reshape(paths, (-1, length + 1)))
-                or coords.shape != (self._cells[(a, b, length)].dim, len(paths))):
+                or coords.shape != (dim, len(paths))):
             raise NumericError(f"cell {a}|{b}|{length} of {self.graph.name}: "
                                "coordinates are not over its paths and dimension")
         ann_res, scale = self._annihilator_residual(walks, coords)
-        gram_res = self._checked_kernel(a, b, length, coords, ann_res, lambda: scale)
+        gram_res = float(np.max(np.abs(coords @ coords.T - np.eye(dim)))) if dim else 0.0
+        self._checked_residuals(length, [(a, b)], np.array([gram_res]),
+                                np.array([ann_res]), np.array([scale]))
         return CellCoordinates(paths, walks, coords, gram_res, ann_res)
 
     # -- grade bases ------------------------------------------------------
@@ -753,11 +818,17 @@ class EssentialSpace:
         the coefficients of e on the paths through v gathered as one block
         (`_through`).  The entries are ordered by v, then i, then j."""
         cell, x, _ = self._cell_vector(e, "decompose")
-        a, b, total = cell.start, cell.end, cell.length
-        if not (0 < split < total):
+        if not (0 < split < cell.length):
             raise InputError(
-                f"split must satisfy 0 < split < {total}, got {split}"
+                f"split must satisfy 0 < split < {cell.length}, got {split}"
             )
+        return self._decompose(cell, x, split)
+
+    def _decompose(self, cell: EssentialCellBasis, x: np.ndarray,
+                   split: int) -> Decomposition:
+        """`decompose` of the essential vector with coefficients ``x`` over
+        the paths of ``cell``, for 0 < split < cell.length, unchecked."""
+        a, b, total = cell.start, cell.end, cell.length
         entries = []
         for v in range(self.graph.n_vertices):
             left, right = self._cell(a, v, split), self._cell(v, b, total - split)

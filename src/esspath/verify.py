@@ -41,6 +41,7 @@ from .endo import (
     _gram,
     _nonzero_terms,
     _scaled,
+    _worst,
     coproduct,
     counit_weak_multiplicativity_residual,
     gram_condition_residual,
@@ -50,6 +51,7 @@ from .errors import InputError
 from .essential import EssentialSpace
 from .graphs import Graph, check_tolerances, fused_matrices
 from .paths import (
+    DROP_TOL,
     Path,
     PathVector,
     concat,
@@ -138,12 +140,6 @@ def _random_essential(sp, rng, cell) -> PathVector:
     weights = rng.standard_normal(basis.dim)
     coords = (weights / np.linalg.norm(weights)) @ basis.coordinates
     return PathVector._of(basis.paths, coords.tolist())
-
-
-def _worst(*residuals: float) -> float:
-    """The largest residual, NaN if any is NaN (the built-in max drops a NaN
-    that does not come first, and a check would pass on it)."""
-    return math.nan if any(map(math.isnan, residuals)) else float(max(residuals))
 
 
 def _worst_sample(cfg: VerifyConfig, offset: int,
@@ -263,10 +259,11 @@ def check_decomposition(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     count = 0
     for total in range(2, lmax + 1):
         for cell in sp.grade_basis(total).cells:
-            for k in range(cell.dim):
+            for k, row in enumerate(cell.coordinates):
                 e = cell.vector(k)
+                x = np.where(np.abs(row) > DROP_TOL, row, 0.0)  # as e holds it
                 for split in range(1, total):
-                    d = sp.decompose(e, split)
+                    d = sp._decompose(cell, x, split)
                     worst_norm = _worst(worst_norm, abs(d.sum_squares - 1.0))
                     worst_recon = _worst(worst_recon, (sp.reconstruct(d) - e).norm())
                     count += 1

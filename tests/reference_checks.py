@@ -6,10 +6,10 @@ derived residuals bound what the loops measure.  Each draws its monomials
 with `_monomial_pairs`, as the loops did, so a (pairs, seed) pair
 reproduces an earlier run's samples.
 
-`kernel_route_space` builds every cell's transfer matrix as every cell was
-once built, through `_kernel` whatever the size of its constraint matrix,
-before cells with no candidate or no constraint row took the identity
-directly.
+`per_cell_transfers` builds every cell's transfer matrix as cells were once
+built, start by start and one cell at a time, each constraint matrix with
+its own SVD, before the cells of a grade were built together with one
+stacked SVD per shape.
 
 `gamma_coproduct_paths` is the path coproduct as it was computed from the
 decompositions of every split, before it became a deconcatenation,
@@ -25,7 +25,6 @@ grade 1 only.
 
 import math
 import warnings
-import weakref
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from esspath import (
     PathVector,
     TensorPathVector,
     concat,
+    perron_frobenius,
 )
 from esspath.endo import (
     _gram,
@@ -44,7 +44,7 @@ from esspath.endo import (
     counit,
     unit_endo,
 )
-from esspath.essential import EssentialCellBasis, EssentialSpace, _through
+from esspath.essential import _through
 
 
 def _monomial_pairs(sp, rng, count, max_total=None):
@@ -199,30 +199,38 @@ def bullet_reconstruct(sp, d):
     return out
 
 
-def kernel_route_space(g):
-    """A fresh EssentialSpace of ``g`` whose cells are built with no
-    shortcut: the constraint matrix K of every cell is made, filled when it
-    has entries, and its kernel taken by `_kernel`, or the identity when K
-    has no entry."""
-    sp = EssentialSpace(g)
-
-    def transfer_cell(a, b, length):
-        if length == 0:
-            blocks = {}
-            k = np.zeros((0, int(a == b)))
-        else:
-            nbrs = sp.graph.neighbors[b]
-            prev = [sp._cells[(a, v, length - 1)] for v in nbrs]
-            edges = np.cumsum([0] + [c.dim for c in prev]).tolist()
-            blocks = {v: slice(lo, hi) for v, lo, hi in zip(nbrs, edges, edges[1:])}
-            k = np.zeros((sp._cells[(a, b, length - 2)].dim if length > 1 else 0,
-                          edges[-1]))
-            if k.size:
-                mu = sp.pf.mu
-                for v, c in zip(nbrs, prev):
-                    k[:, blocks[v]] = math.sqrt(mu[v] / mu[b]) * c.transfer[:, c.blocks[b]].T
-        transfer = sp._kernel(k) if k.size else np.eye(k.shape[1])
-        return EssentialCellBasis(a, b, length, transfer, blocks, weakref.ref(sp))
-
-    sp._transfer_cell = transfer_cell
-    return sp
+def per_cell_transfers(g, max_length, rank_tol):
+    """The transfer matrix and candidate blocks of every cell (a, b, l) of
+    ``g`` with l <= max_length, built start by start and one cell at a
+    time, independently of `EssentialSpace`: the candidates of cell
+    (a, b, l) are the rows of the cells (a, v, l - 1) over v ~ b, the
+    constraint matrix K = [sqrt(mu_v / mu_b) R_{(a,v,l-1)}[:, block b]^T]_v
+    has as many rows as the cell (a, b, l - 2) has dimensions, and R is the
+    identity when K has no entry, else the rows of its own SVD past the
+    rank, singular values up to rank_tol times the largest counting as
+    zero."""
+    mu = perron_frobenius(g).mu
+    nbrs = g.neighbors
+    out = {}
+    for a in range(g.n_vertices):
+        for length in range(max_length + 1):
+            for b in range(g.n_vertices):
+                if length == 0:
+                    blocks, candidates, rows = {}, int(a == b), 0
+                else:
+                    prev = [out[(a, v, length - 1)] for v in nbrs[b]]
+                    edges = np.cumsum([0] + [t.shape[0] for t, _ in prev]).tolist()
+                    blocks = {v: slice(lo, hi) for v, lo, hi in zip(nbrs[b], edges, edges[1:])}
+                    candidates = edges[-1]
+                    rows = out[(a, b, length - 2)][0].shape[0] if length > 1 else 0
+                if not (candidates and rows):
+                    transfer = np.eye(candidates)
+                else:
+                    k = np.zeros((rows, candidates))
+                    for v, (t, tb) in zip(nbrs[b], prev):
+                        k[:, blocks[v]] = math.sqrt(mu[v] / mu[b]) * t[:, tb[b]].T
+                    _, svals, vt = np.linalg.svd(k)
+                    thresh = rank_tol * (svals[0] if svals[0] > 0 else 1.0)
+                    transfer = vt[int(np.sum(svals > thresh)):]
+                out[(a, b, length)] = transfer, blocks
+    return out

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from esspath import EndoTensor, EssentialSpace, build_ade, space, verify
-from esspath.endo import gram_condition_residual
+from esspath.endo import counit_weak_multiplicativity_residual, gram_condition_residual
 from esspath.verify import (
     DECOMPOSITION_CAP,
     VerifyConfig,
+    check_comonoidality,
     check_conv_unit,
     check_convolution_coproduct,
     check_delta_homomorphism,
@@ -204,6 +205,14 @@ class TestPlantedNaN:
         nan_at_origin(1, 1)(sp, monkeypatch)
         assert check_delta_homomorphism(sp, CFG).witness == \
             "gram residual nan (worst pair (1, 1))"
+
+    def test_nan_reaches_the_counit_scan(self, monkeypatch):
+        sp = warmed("A3")
+        assert math.isfinite(counit_weak_multiplicativity_residual(sp))
+        nan_at_origin(1, 1)(sp, monkeypatch)
+        assert math.isnan(counit_weak_multiplicativity_residual(sp))
+        assert check_comonoidality(sp, CFG).witness.endswith(
+            "counit weak multiplicativity measured residual nan (not asserted)")
 
     def test_gram_scan_keeps_the_first_nan(self):
         # finite residuals after a NaN neither hide it nor move its pair

@@ -32,8 +32,8 @@ from esspath import (
 from esspath import essential as essential_module
 from esspath.paths import DROP_TOL
 from esspath.verify import VerifyConfig, check_decomposition
-from reference_checks import (bullet_reconstruct, gamma_coproduct_paths, kernel_route_space,
-                              path_vector_bullet)
+from reference_checks import (bullet_reconstruct, gamma_coproduct_paths, path_vector_bullet,
+                              per_cell_transfers)
 
 TOL = 1e-9
 S3 = math.sqrt(3)
@@ -1041,24 +1041,60 @@ class TestCellInvariants:
         assert checked > 0
 
     def test_scaled_transfer_row_raises(self, d4, monkeypatch):
-        kernel = EssentialSpace._kernel
+        kernels = EssentialSpace._kernels
 
-        def scaled(self, constraints):
-            rows = kernel(self, constraints)
-            if constraints.shape[0] and rows.shape[0]:
-                rows[0] *= 1.5  # every cell with a real constraint
-            return rows
+        def scaled(self, stack):
+            vt, ranks = kernels(self, stack)
+            kernel = ranks < stack.shape[2]
+            vt[kernel, ranks[kernel]] *= 1.5  # every cell with a real constraint
+            return vt, ranks
 
-        monkeypatch.setattr(EssentialSpace, "_kernel", scaled)
+        monkeypatch.setattr(EssentialSpace, "_kernels", scaled)
         with pytest.raises(NumericError, match="Gram residual 1.25"):
             EssentialSpace(d4).dims()
 
     def test_wrong_kernel_of_right_size_raises(self, d4, monkeypatch):
-        kernel = EssentialSpace._kernel
-        monkeypatch.setattr(EssentialSpace, "_kernel", lambda self, k: np.eye(
-            k.shape[1])[:kernel(self, k).shape[0]])
+        kernels = EssentialSpace._kernels
+
+        def wrong(self, stack):
+            # rows[r:] are the first unit vectors, not the kernel
+            _, ranks = kernels(self, stack)
+            eye = np.eye(stack.shape[2])
+            return np.stack([np.roll(eye, r, axis=0) for r in ranks]), ranks
+
+        monkeypatch.setattr(EssentialSpace, "_kernels", wrong)
         with pytest.raises(NumericError, match="annihilator residual"):
             EssentialSpace(d4).dims()
+
+    def test_fault_in_one_member_of_a_stack_names_that_cell(self, e6, monkeypatch):
+        # one scaled kernel row, in the last member with a nonempty kernel of
+        # the first stack where that member is not the first
+        kernels = EssentialSpace._kernels
+        planted = []
+
+        def faulty(self, stack):
+            vt, ranks = kernels(self, stack)
+            kernel = np.flatnonzero(ranks < stack.shape[2])
+            if not planted and kernel.size and kernel[-1] > 0:
+                t = kernel[-1]
+                vt[t, ranks[t]] *= 1.5
+                planted.append((stack[t].copy(), stack[0].copy()))
+            return vt, ranks
+
+        monkeypatch.setattr(EssentialSpace, "_kernels", faulty)
+        with pytest.raises(NumericError, match="Gram residual 1.25") as raised:
+            EssentialSpace(e6).dims()
+        (faulty_k, first_k), = planted
+        built = EssentialSpace(e6)
+        built.dims()
+        solved = [key for key in built._cells if all(candidates_and_rows(built, *key))]
+
+        def cells_with(k):
+            return [key for key in solved if np.array_equal(constraint_matrix(built, *key), k)]
+
+        (a, b, length), = cells_with(faulty_k)
+        assert (a, b, length) not in cells_with(first_k)
+        assert str(raised.value).startswith(f"cell {a}|{b}|{length} of E6: ")
 
     def test_wrong_stored_transfer_fails_path_check(self, a3):
         import dataclasses
@@ -1104,6 +1140,14 @@ ALL_BUILTINS = ([f"A{n}" for n in range(2, 13)] + [f"D{n}" for n in range(4, 9)]
                 + ["E6", "E7", "E8"])
 
 
+def constraint_matrix(sp, a, b, length):
+    """The constraint matrix K of a built cell with candidates and
+    constraint rows, from the cells (a, v, length - 1), v ~ b."""
+    mu = sp.pf.mu
+    return np.hstack([math.sqrt(mu[v] / mu[b]) * c.transfer[:, c.blocks[b]].T
+                      for v in sp.graph.neighbors[b] for c in [sp._cells[(a, v, length - 1)]]])
+
+
 def candidates_and_rows(sp, a, b, length):
     """The sizes of the constraint matrix K of a built cell: its candidates
     and the dimension of the cell (a, b, length - 2)."""
@@ -1115,31 +1159,34 @@ def candidates_and_rows(sp, a, b, length):
 
 class TestIdentityTransfers:
     """A cell with no candidate or no constraint row takes R = I without a
-    kernel solve, and is still checked against the fused matrices."""
+    kernel solve, and is still checked against the fused matrices; the
+    other cells of a grade are solved in one stacked SVD per shape of K."""
 
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_cells_match_kernel_route(self, name):
+        # bit for bit against one SVD per cell, built without EssentialSpace
         g = builtin_graph(name)
-        sp, ref = EssentialSpace(g), kernel_route_space(g)
-        assert sp.dims() == ref.dims()
-        assert sp._cells.keys() == ref._cells.keys()
+        sp = EssentialSpace(g)
+        assert sp.dims() == list(fused_matrices(g).sums)
+        ref = per_cell_transfers(g, sp.max_length + 1, sp.rank_tol)
+        assert sp._cells.keys() == ref.keys()
         for key, cell in sp._cells.items():
-            want = ref._cells[key]
-            assert cell.transfer.shape == want.transfer.shape, key
-            assert np.array_equal(cell.transfer, want.transfer), key
-            assert cell.blocks == want.blocks, key
+            transfer, blocks = ref[key]
+            assert cell.transfer.shape == transfer.shape, key
+            assert np.array_equal(cell.transfer, transfer), key
+            assert cell.blocks == blocks, key
 
     @pytest.mark.parametrize("name,solved", [("E6", 126), ("D7", 155)])
     def test_kernel_only_with_candidates_and_constraints(self, name, solved,
                                                          monkeypatch):
         shapes = []
-        kernel = EssentialSpace._kernel
+        kernels = EssentialSpace._kernels
 
-        def counted(self, constraints):
-            shapes.append(constraints.shape)
-            return kernel(self, constraints)
+        def counted(self, stack):
+            shapes.extend([stack.shape[1:]] * len(stack))
+            return kernels(self, stack)
 
-        monkeypatch.setattr(EssentialSpace, "_kernel", counted)
+        monkeypatch.setattr(EssentialSpace, "_kernels", counted)
         sp = EssentialSpace(builtin_graph(name))
         sp.dims()
         both = [key for key in sp._cells if all(candidates_and_rows(sp, *key))]
