@@ -9,6 +9,7 @@ a numeric procedure broke down, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from dataclasses import dataclass
@@ -362,7 +363,10 @@ def cmd_a2_compare(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared
+    by later ones: `main` reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="esspath",
         description="Essential paths on trees: bases, graded products, and "

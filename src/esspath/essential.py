@@ -13,7 +13,11 @@ the sizes of every K come from the dimension matrices of the two shorter
 grades, and the matrices K of one shape are solved by one stacked SVD.
 When K has no entry, because the cell has no candidate or the cell
 (a, b, l - 2) is empty, R = I exactly and no K is built.  Dimensions
-therefore come from R alone, with no path enumerated.
+therefore come from R alone, with no path enumerated.  A grade is kept as
+arrays: its dimension matrix D_l and the R of its solved cells; an
+identity R is stored nowhere and enters a longer cell's K as unit entries.
+A cell object, with its R and the column blocks of its candidates, is made
+on the first read of that cell, so `dims` makes none.
 The coordinates of a cell over its elementary paths, <e_i, p> = the
 product of R blocks along p, are built on first read and canonicalized
 (reduced echelon over the lex path order, Gram-Schmidt, sign fix) so runs
@@ -93,7 +97,8 @@ class CellCoordinates:
 @dataclass(frozen=True, eq=False)
 class EssentialCellBasis:
     """Orthonormal basis e_0, ..., e_{dim-1} of the essential paths from
-    ``start`` to ``end`` of a fixed length.
+    ``start`` to ``end`` of a fixed length: a view of one cell of the grade
+    arrays of its space, made on the first read of the cell (`_cell`).
 
     ``transfer`` is the basis in candidate coordinates: row i writes e_i as
     a combination of e_j^{(length-1)}(start, v) (x) [v, end] over the
@@ -297,8 +302,10 @@ class EssentialSpace:
         self.pf = pf if pf is not None else perron_frobenius(graph, tol)
         # (F_l)_{ab} is the dimension of cell (a, b, l) on an ADE graph
         self._fused = fused_matrices(graph, tol).matrices if self.pf.kappa else None
-        self._cells: dict[tuple[int, int, int], EssentialCellBasis] = {}
         self._grade_dims: list[np.ndarray] = []  # D_l[a, b]: dimension of cell (a, b, l)
+        # the transfer matrix of each solved cell (a, b) of grade l, at [l]
+        self._solved: list[dict[tuple[int, int], np.ndarray]] = []
+        self._cells: dict[tuple[int, int, int], EssentialCellBasis] = {}  # those read
         self._grades: dict[int, GradeBasis] = {}
         self._mul: dict[tuple[int, int], np.ndarray] = {}
         self._star: dict[int, np.ndarray] = {}
@@ -320,19 +327,38 @@ class EssentialSpace:
         """Cell basis with endpoints given by vertex index.  Cells are built
         a grade at a time (`_build_grade`), each grade from the two before
         it, so the first read of a cell of a length not yet built builds
-        every length up to it, for every start."""
-        if length < 0:
-            raise InputError(f"length must be >= 0, got {length}")
+        every length up to it, for every start.  A grade is kept as arrays;
+        the cell object is made on the first read of the cell and kept."""
         got = self._cells.get((ai, bi, length))
         if got is None:
-            for k in range(len(self._grade_dims), length + 1):
-                self._build_grade(k)
-            got = self._cells[(ai, bi, length)]
+            self._built(length)
+            if length:
+                nbrs = self.graph.neighbors[bi]
+                widths = self._grade_dims[length - 1][ai].tolist()
+                edges = list(accumulate((widths[v] for v in nbrs), initial=0))
+                blocks = {v: slice(lo, hi) for v, lo, hi in zip(nbrs, edges, edges[1:])}
+                count = edges[-1]
+            else:
+                blocks, count = {}, int(ai == bi)
+            transfer = self._solved[length].get((ai, bi))
+            if transfer is None:
+                transfer = np.eye(count) if count else _NO_CANDIDATE
+            got = self._cells[(ai, bi, length)] = EssentialCellBasis(
+                ai, bi, length, transfer, blocks, weakref.ref(self))
         return got
+
+    def _built(self, length: int) -> np.ndarray:
+        """D_length, with every grade up to ``length`` built."""
+        if length < 0:
+            raise InputError(f"length must be >= 0, got {length}")
+        for k in range(len(self._grade_dims), length + 1):
+            self._build_grade(k)
+        return self._grade_dims[length]
 
     def _build_grade(self, length: int) -> None:
         """The cells (a, b, length) of every start a and end b, from the
-        cells one and two edges shorter.
+        cells one and two edges shorter, kept as arrays: the dimension
+        matrix D_length and the transfer matrices of the solved cells.
 
         The candidates of cell (a, b, l) are e_j^{(l-1)}(a, v) (x) [v, b]
         over v ~ b: orthonormal, and killed by every C_k with k < l - 1
@@ -342,16 +368,20 @@ class EssentialSpace:
         so the cell's transfer matrix R spans the kernel of K and no path is
         involved.  Both sizes of K come from the dimension matrices D of the
         two shorter grades: (D_{l-1} A)_{ab} candidates and (D_{l-2})_{ab}
-        rows.  With no candidate or no row (every cell of length 0 or 1, and
-        the cell (a, b, l - 2) empty) K has no entry and R is the identity
-        exactly, so K is not built and no kernel is solved; a cell with no
-        candidate shares one empty R.  The other cells are grouped by the
-        shape of K and each group takes one stacked SVD (`_kernels`).  The
-        grade's dimensions are checked against F_l in one comparison
-        (`_checked_dims`), then the Gram and annihilator residuals of every
-        solved cell, computed for the whole grade at once on its K and
-        kernel rows padded with zeros to one shape (`_checked_residuals`);
-        no cell of the grade is stored unless all pass."""
+        rows, and so do the columns of block b in R_{(a,v,l-1)}: its width
+        is (D_{l-2})_{ab}, and the blocks before it, those of the neighbours
+        u of v listed before b, are (D_{l-2})_{au} wide.
+        With no candidate or no row (every cell of length 0 or 1, and the
+        cell (a, b, l - 2) empty) K has no entry and R is the identity
+        exactly, so K is not built, no kernel is solved and R is not stored:
+        such an R is written into a longer cell's K as the unit entries of
+        its block.  The other cells are grouped by the shape of K and each
+        group takes one stacked SVD (`_kernels`).  The grade's dimensions
+        are checked against F_l in one comparison (`_checked_dims`), then
+        the Gram and annihilator residuals of every solved cell, computed
+        for the whole grade at once on its K and kernel rows padded with
+        zeros to one shape (`_checked_residuals`); nothing of the grade is
+        stored unless all pass.  No cell object is made (`_cell`)."""
         graph, mu = self.graph, self.pf.mu
         nbrs = graph.neighbors
         weight = np.sqrt(mu[:, None] / mu).tolist()  # sqrt(mu_v / mu_b) at [v][b]
@@ -373,16 +403,27 @@ class EssentialSpace:
         vts = np.zeros((len(solved), width, width))
         kept = np.zeros((len(solved), width), dtype=bool)
         transfers: dict[tuple[int, int], np.ndarray] = {}
+        if solved:  # D_{l-1}, D_{l-2} and the solved R of length l - 1
+            dims1 = self._grade_dims[length - 1].tolist()
+            dims2 = self._grade_dims[length - 2].tolist()
+            solved1 = self._solved[length - 1]
         first = 0
         for (nrows, ncols), members in shapes.items():
             group = slice(first, first + len(members))
             for k, (a, b) in zip(ks[group, :nrows], members):
                 lo = 0
                 for v in nbrs[b]:
-                    c = self._cells[(a, v, length - 1)]
-                    if c.dim:
-                        k[:, lo:lo + c.dim] = weight[v][b] * c.transfer[:, c.blocks[b]].T
-                        lo += c.dim
+                    dim = dims1[a][v]
+                    if dim:
+                        # block b of R_{(a,v,l-1)}: columns off:off + nrows
+                        off = sum(dims2[a][u] for u in nbrs[v][:nbrs[v].index(b)])
+                        r = solved1.get((a, v))
+                        if r is None:  # R = I: unit entries
+                            i = np.arange(nrows)
+                            k[i, lo + off + i] = weight[v][b]
+                        else:
+                            k[:, lo:lo + dim] = weight[v][b] * r[:, off:off + nrows].T
+                        lo += dim
             vt, ranks = self._kernels(ks[group, :nrows, :ncols])
             transfers.update((cell, basis[r:]) for cell, r, basis in zip(members, ranks.tolist(), vt))
             vts[group, :ncols, :ncols] = vt
@@ -399,25 +440,8 @@ class EssentialSpace:
                 length, solved,
                 np.abs(kernels @ kt - kept[:, :, None] * np.eye(width)).max(axis=(1, 2)),
                 np.abs(ks @ kt).max(axis=(1, 2)), np.linalg.norm(ks, axis=(1, 2)))
-        ref = weakref.ref(self)
-        widths = self._grade_dims[length - 1].tolist() if length else None
-        no_candidate = [dict.fromkeys(nbrs[b], slice(0, 0)) if length else {}
-                        for b in range(graph.n_vertices)]
-        for a, row in enumerate(counts.tolist()):
-            for b, count in enumerate(row):
-                if not count:
-                    transfer, blocks = _NO_CANDIDATE, no_candidate[b]
-                else:
-                    transfer = transfers.get((a, b))
-                    if transfer is None:
-                        transfer = np.eye(count)
-                    blocks = {}
-                    if length:
-                        edges = list(accumulate((widths[a][v] for v in nbrs[b]), initial=0))
-                        blocks = {v: slice(lo, hi) for v, lo, hi in zip(nbrs[b], edges, edges[1:])}
-                self._cells[(a, b, length)] = EssentialCellBasis(a, b, length, transfer,
-                                                                 blocks, ref)
         self._grade_dims.append(dims)
+        self._solved.append(transfers)
 
     def _kernels(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The kernels of the matrices of ``stack`` (members, rows, cols),
@@ -482,7 +506,7 @@ class EssentialSpace:
         for k in range(1, length + 1):
             nxt = {}
             for u in reach[length - k]:
-                cell = self._cells[(a, u, k)]
+                cell = self._cell(a, u, k)
                 parts = [(v, level[v]) for v in nbrs[u] if v in level]
                 if parts:
                     walks = np.vstack([w for _, (w, _) in parts])
@@ -542,13 +566,13 @@ class EssentialSpace:
         """The cell basis with rows ``coords`` over the walks in the rows of
         ``walks``, residuals computed here.  Raises NumericError unless the
         walks are the cell's lex-ordered elementary paths from
-        `enumerate_paths`, the shape is (cell dimension from the transfer
-        matrix, number of paths) and `_checked_residuals` holds against the
-        path-space constraints [C_1; ...; C_{l-1}], which
+        `enumerate_paths`, the shape is (cell dimension D_length[a, b] from
+        the grade's kernels, number of paths) and `_checked_residuals`
+        holds against the path-space constraints [C_1; ...; C_{l-1}], which
         `_annihilator_residual` applies to the walks."""
         paths = tuple(enumerate_paths(self.graph, self.graph.label(a),
                                       self.graph.label(b), length))
-        dim = self._cells[(a, b, length)].dim
+        dim = int(self._grade_dims[length][a, b])
         if (not np.array_equal(walks, np.reshape(paths, (-1, length + 1)))
                 or coords.shape != (dim, len(paths))):
             raise NumericError(f"cell {a}|{b}|{length} of {self.graph.name}: "
@@ -577,24 +601,18 @@ class EssentialSpace:
             empty = GradeBasis(length, (), (), 0)
             self._grades[length] = empty
             return empty
-        cells = []
-        offsets = []
-        dim = 0
-        for a in range(self.graph.n_vertices):
-            for b in range(self.graph.n_vertices):
-                cell = self._cell(a, b, length)
-                if cell.dim:
-                    cells.append(cell)
-                    offsets.append(dim)
-                    dim += cell.dim
-        gb = GradeBasis(length, tuple(cells), tuple(offsets), dim)
+        cells = tuple(self._cell(a, b, length)
+                      for a, b in np.argwhere(self._built(length)).tolist())
+        *offsets, dim = accumulate((cell.dim for cell in cells), initial=0)
+        gb = GradeBasis(length, cells, tuple(offsets), dim)
         self._grades[length] = gb
         return gb
 
     def dims(self, max_length: Optional[int] = None) -> list[int]:
         """Dimensions of the graded components, length 0 up to the last
-        nonzero one.  Each entry is an honest kernel computation on the
-        transfer matrices, with no path enumerated; on graphs without a
+        nonzero one: the sums of the dimension matrices D_l, each an honest
+        kernel computation on the transfer matrices (`_build_grade`), with
+        no path enumerated and no cell object made; on graphs without a
         Coxeter number a cap must be supplied because the list never
         terminates."""
         if max_length is None:
@@ -610,7 +628,7 @@ class EssentialSpace:
             cap = max_length
         out: list[int] = []
         for length in range(cap + 1):
-            d = self.grade_basis(length).dim
+            d = int(self._built(length).sum())
             if d == 0:
                 break
             out.append(d)
@@ -828,16 +846,24 @@ class EssentialSpace:
                    split: int) -> Decomposition:
         """`decompose` of the essential vector with coefficients ``x`` over
         the paths of ``cell``, for 0 < split < cell.length, unchecked."""
-        a, b, total = cell.start, cell.end, cell.length
         entries = []
-        for v in range(self.graph.n_vertices):
-            left, right = self._cell(a, v, split), self._cell(v, b, total - split)
-            if left.dim and right.dim:
-                gam = left.coordinates @ _through(x, cell, left, right) @ right.coordinates.T
-                gam[np.abs(gam) <= 1e-14] = 0.0
-                entries += [(v, int(i), int(j), float(gam[i, j]))
-                            for i, j in zip(*np.nonzero(gam))]
-        return Decomposition(a, b, total, split, tuple(entries))
+        for left, right in self._factors(cell, split):
+            gam = left.coordinates @ _through(x, cell, left, right) @ right.coordinates.T
+            gam[np.abs(gam) <= 1e-14] = 0.0
+            entries += [(left.end, int(i), int(j), float(gam[i, j]))
+                        for i, j in zip(*np.nonzero(gam))]
+        return Decomposition(cell.start, cell.end, cell.length, split, tuple(entries))
+
+    def _factors(self, cell: EssentialCellBasis, split: int
+                 ) -> list[tuple[EssentialCellBasis, EssentialCellBasis]]:
+        """The populated cells (a, v, split) and (v, b, L - split) of each
+        intermediate vertex v of a built cell (a, b, L), in the order of v.
+        The vertices are chosen on the dimension matrices, so no cell object
+        is made for an empty factor."""
+        a, b, rest = cell.start, cell.end, cell.length - split
+        both = self._grade_dims[split][a] * self._grade_dims[rest][:, b]
+        return [(self._cell(a, v, split), self._cell(v, b, rest))
+                for v in np.flatnonzero(both).tolist()]
 
     def reconstruct(self, d: Decomposition) -> PathVector:
         """The sum over v of gamma_{vij} e_i(a, v) e_j(v, b): the gamma_v
@@ -879,13 +905,11 @@ class EssentialSpace:
             pairs += [(p, last) for p in paths]
             values += values
         for split in range(1, total):
-            for v in range(self.graph.n_vertices):
-                left, right = self._cell(a, v, split), self._cell(v, b, total - split)
-                if left.dim and right.dim:
-                    block = _through(y, cell, left, right).ravel()
-                    kept = block != 0.0
-                    pairs += compress(product(left.paths, right.paths), kept.tolist())
-                    values += block[kept].tolist()
+            for left, right in self._factors(cell, split):
+                block = _through(y, cell, left, right).ravel()
+                kept = block != 0.0
+                pairs += compress(product(left.paths, right.paths), kept.tolist())
+                values += block[kept].tolist()
         return TensorPathVector._of(pairs, values, dropped=True)
 
     # -- star -------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from esspath.cli import main
+from esspath.cli import build_parser, main
 from esspath.graphs import builtin_graph, fused_matrices
 
 
@@ -354,6 +354,41 @@ def test_python_dash_m_entry_point():
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, (GOLDEN / "dims_A3.json").read_text(), "")
+
+
+class TestParser:
+    def test_built_once_for_a_sequence_of_calls(self, capsys):
+        # each call prints what it prints with a parser of its own
+        calls = [["dims", "--graph", "E6"],
+                 ["verify", "--graph", "A3", "--suite", "core"],
+                 ["dims", "--graph", "E6", "--bogus"],
+                 ["dims", "--graph", "E6"]]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(call(argv))
+        build_parser.cache_clear()
+        shared = [call(argv) for argv in calls]
+        assert build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+        assert shared == fresh
+
+    def test_import_does_not_load_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, esspath; print('esspath.cli' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 class TestA2Compare:

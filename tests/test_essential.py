@@ -1087,7 +1087,7 @@ class TestCellInvariants:
         (faulty_k, first_k), = planted
         built = EssentialSpace(e6)
         built.dims()
-        solved = [key for key in built._cells if all(candidates_and_rows(built, *key))]
+        solved = [key for key in built_cells(built) if all(candidates_and_rows(built, *key))]
 
         def cells_with(k):
             return [key for key in solved if np.array_equal(constraint_matrix(built, *key), k)]
@@ -1140,12 +1140,20 @@ ALL_BUILTINS = ([f"A{n}" for n in range(2, 13)] + [f"D{n}" for n in range(4, 9)]
                 + ["E6", "E7", "E8"])
 
 
+def built_cells(sp):
+    """Every (a, b, length) of the grades ``sp`` has built, in the order
+    the grades build them: by length, then start, then end."""
+    n = sp.graph.n_vertices
+    return [(a, b, length) for length in range(len(sp._grade_dims))
+            for a in range(n) for b in range(n)]
+
+
 def constraint_matrix(sp, a, b, length):
     """The constraint matrix K of a built cell with candidates and
     constraint rows, from the cells (a, v, length - 1), v ~ b."""
     mu = sp.pf.mu
     return np.hstack([math.sqrt(mu[v] / mu[b]) * c.transfer[:, c.blocks[b]].T
-                      for v in sp.graph.neighbors[b] for c in [sp._cells[(a, v, length - 1)]]])
+                      for v in sp.graph.neighbors[b] for c in [sp._cell(a, v, length - 1)]])
 
 
 def candidates_and_rows(sp, a, b, length):
@@ -1153,8 +1161,8 @@ def candidates_and_rows(sp, a, b, length):
     and the dimension of the cell (a, b, length - 2)."""
     if length == 0:
         return int(a == b), 0
-    count = sum(sp._cells[(a, v, length - 1)].dim for v in sp.graph.neighbors[b])
-    return count, sp._cells[(a, b, length - 2)].dim if length > 1 else 0
+    count = sum(sp._cell(a, v, length - 1).dim for v in sp.graph.neighbors[b])
+    return count, sp._cell(a, b, length - 2).dim if length > 1 else 0
 
 
 class TestIdentityTransfers:
@@ -1169,9 +1177,33 @@ class TestIdentityTransfers:
         sp = EssentialSpace(g)
         assert sp.dims() == list(fused_matrices(g).sums)
         ref = per_cell_transfers(g, sp.max_length + 1, sp.rank_tol)
-        assert sp._cells.keys() == ref.keys()
-        for key, cell in sp._cells.items():
-            transfer, blocks = ref[key]
+        assert ref.keys() == set(built_cells(sp))
+        for key in built_cells(sp):
+            cell, (transfer, blocks) = sp._cell(*key), ref[key]
+            assert cell.transfer.shape == transfer.shape, key
+            assert np.array_equal(cell.transfer, transfer), key
+            assert cell.blocks == blocks, key
+
+    @pytest.mark.parametrize("edges", [
+        [("a", "b"), ("b", "c"), ("c", "a")],
+        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
+        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("f", "a"),
+         ("c", "x")],
+        [("c", "1"), ("c", "2"), ("c", "3"), ("c", "4")],
+    ], ids=["triangle", "4-cycle", "6-cycle with a leaf", "affine D4"])
+    def test_cells_match_kernel_route_without_coxeter_number(self, edges):
+        # on a cycle an identity cell can have several nonzero candidate
+        # blocks, so the one a longer cell's K reads may not start at column 0
+        from esspath import parse_graph
+        vertices = sorted({v for edge in edges for v in edge})
+        g = parse_graph(json.dumps({"vertices": vertices, "edges": edges}), allow_cycles=True)
+        cap = 6
+        sp = EssentialSpace(g)
+        sp.dims(cap)
+        ref = per_cell_transfers(g, cap, sp.rank_tol)
+        assert ref.keys() == set(built_cells(sp))
+        for key in built_cells(sp):
+            cell, (transfer, blocks) = sp._cell(*key), ref[key]
             assert cell.transfer.shape == transfer.shape, key
             assert np.array_equal(cell.transfer, transfer), key
             assert cell.blocks == blocks, key
@@ -1189,7 +1221,7 @@ class TestIdentityTransfers:
         monkeypatch.setattr(EssentialSpace, "_kernels", counted)
         sp = EssentialSpace(builtin_graph(name))
         sp.dims()
-        both = [key for key in sp._cells if all(candidates_and_rows(sp, *key))]
+        both = [key for key in built_cells(sp) if all(candidates_and_rows(sp, *key))]
         assert len(shapes) == len(both) == solved
         assert sorted(shapes) == sorted(candidates_and_rows(sp, *key)[::-1]
                                         for key in both)
@@ -1201,14 +1233,69 @@ class TestIdentityTransfers:
     def test_wrong_fused_entry_on_identity_cell_raises(self, e6, sizes):
         built = EssentialSpace(e6)
         built.dims()
-        a, b, length = min((key for key in built._cells if key[2] >= 2
+        a, b, length = min((key for key in built_cells(built) if key[2] >= 2
                             and sizes(*candidates_and_rows(built, *key))),
                            key=lambda key: (key[2], key))
         sp = EssentialSpace(e6)
         sp._fused = [m.copy() for m in sp._fused]
         sp._fused[length][a, b] += 1
-        dim = built._cells[(a, b, length)].dim
+        dim = built._cell(a, b, length).dim
         with pytest.raises(NumericError, match=re.escape(
                 f"cell {a}|{b}|{length} of E6: dimension {dim} is not the "
                 "fused-matrix entry")):
             sp.dims()
+
+
+class TestCellsMadeOnRead:
+    """A grade is kept as arrays; a cell object is made on the first read
+    of the cell, and `dims` reads none."""
+
+    @staticmethod
+    def refuse_cell_objects(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell object was made")
+
+        monkeypatch.setattr(essential_module, "EssentialCellBasis", refuse)
+        monkeypatch.setattr(essential_module, "GradeBasis", refuse)
+
+    def test_dims_makes_no_cell_object(self, monkeypatch):
+        g = builtin_graph("E8")
+        self.refuse_cell_objects(monkeypatch)
+        assert EssentialSpace(g).dims() == list(fused_matrices(g).sums)
+
+    @pytest.mark.parametrize("sizes", [
+        lambda count, rows: count > 0 and rows == 0,
+        lambda count, rows: count > 0 and rows > 0,
+    ], ids=["identity", "solved"])
+    def test_dims_still_checks_each_cell(self, monkeypatch, sizes):
+        g = builtin_graph("E8")
+        built = EssentialSpace(g)
+        built.dims()
+        # the last such cell with an entry of F_length to plant
+        a, b, length = max((key for key in built_cells(built)
+                            if 2 <= key[2] < len(built._fused)
+                            and sizes(*candidates_and_rows(built, *key))),
+                           key=lambda key: (key[2], key))
+        dim = built._cell(a, b, length).dim
+        sp = EssentialSpace(g)
+        sp._fused = [m.copy() for m in sp._fused]
+        sp._fused[length][a, b] += 1
+        self.refuse_cell_objects(monkeypatch)
+        with pytest.raises(NumericError, match=re.escape(
+                f"cell {a}|{b}|{length} of E8: dimension {dim} is not the "
+                "fused-matrix entry")):
+            sp.dims()
+
+    @pytest.mark.parametrize("name", ["E6", "D7"])
+    def test_first_read_after_dims_matches_a_fresh_space(self, name):
+        g = builtin_graph(name)
+        sp = EssentialSpace(g)
+        sp.dims()
+        for length in range(len(sp._grade_dims)):
+            fresh = EssentialSpace(g)  # its first read builds the grades up to length
+            for a, b in product(range(g.n_vertices), repeat=2):
+                got, want = sp._cell(a, b, length), fresh._cell(a, b, length)
+                assert got.transfer.shape == want.transfer.shape, (a, b, length)
+                assert np.array_equal(got.transfer, want.transfer), (a, b, length)
+                assert got.blocks == want.blocks, (a, b, length)
+            assert len(fresh._grade_dims) == length + 1
