@@ -303,6 +303,12 @@ class EssentialSpace:
         # (F_l)_{ab} is the dimension of cell (a, b, l) on an ADE graph
         self._fused = fused_matrices(graph, tol).matrices if self.pf.kappa else None
         self._grade_dims: list[np.ndarray] = []  # D_l[a, b]: dimension of cell (a, b, l)
+        mu, adj = self.pf.mu, graph.adjacency
+        self._weight = np.sqrt(mu[:, None] / mu).tolist()  # sqrt(mu_v / mu_b) at [v][b]
+        # 1 at [u, v * n + b] when u and b are neighbours of v and u < b, so u is
+        # listed first: block b of R_{(a,v,l)} starts at column (D_{l-1} @ it)[a, v * n + b]
+        self._before = np.einsum("uv,vb,ub->uvb", adj, adj,
+                                 np.triu(np.ones_like(adj), 1)).reshape(len(mu), -1)
         # the transfer matrix of each solved cell (a, b) of grade l, at [l]
         self._solved: list[dict[tuple[int, int], np.ndarray]] = []
         self._cells: dict[tuple[int, int, int], EssentialCellBasis] = {}  # those read
@@ -375,71 +381,77 @@ class EssentialSpace:
         cell (a, b, l - 2) empty) K has no entry and R is the identity
         exactly, so K is not built, no kernel is solved and R is not stored:
         such an R is written into a longer cell's K as the unit entries of
-        its block.  The other cells are grouped by the shape of K and each
-        group takes one stacked SVD (`_kernels`).  The grade's dimensions
-        are checked against F_l in one comparison (`_checked_dims`), then
-        the Gram and annihilator residuals of every solved cell, computed
-        for the whole grade at once on its K and kernel rows padded with
-        zeros to one shape (`_checked_residuals`); nothing of the grade is
-        stored unless all pass.  No cell object is made (`_cell`)."""
-        graph, mu = self.graph, self.pf.mu
-        nbrs = graph.neighbors
-        weight = np.sqrt(mu[:, None] / mu).tolist()  # sqrt(mu_v / mu_b) at [v][b]
+        its block, one strided write down a diagonal.  The other cells are
+        grouped by the shape of K and each group takes one stacked SVD
+        (`_kernels`).  The grade's dimensions are checked against F_l in one
+        comparison (`_checked_dims`), then the Gram and annihilator
+        residuals of every solved cell (`_checked_residuals`), computed for
+        the whole grade at once: each cell's K and kernel rows V, padded
+        with zeros to one shape, are stacked as [K; V], so one product with
+        V^T gives both K V^T and V V^T.  Nothing of the grade is stored
+        unless all pass.  No cell object is made (`_cell`)."""
+        graph, n, nbrs = self.graph, self.graph.n_vertices, self.graph.neighbors
         if length == 0:
-            counts = np.eye(graph.n_vertices, dtype=np.int64)
+            counts = np.eye(n, dtype=np.int64)
             rows = np.zeros_like(counts)
         else:
             counts = self._grade_dims[length - 1] @ graph.adjacency
             rows = self._grade_dims[length - 2] if length > 1 else np.zeros_like(counts)
         shapes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for a, b in np.argwhere((counts > 0) & (rows > 0)).tolist():
-            shapes.setdefault((rows[a, b], counts[a, b]), []).append((a, b))
+        for a, (crow, rrow) in enumerate(zip(counts.tolist(), rows.tolist())):
+            for b, (c, r) in enumerate(zip(crow, rrow)):
+                if c and r:
+                    shapes.setdefault((r, c), []).append((a, b))
         solved = [cell for members in shapes.values() for cell in members]
-        height = max((r for r, _ in shapes), default=0)
-        width = max((c for _, c in shapes), default=0)
-        # per solved cell, zero-padded: K, the rows of its SVD, and which of
-        # those rows span its kernel
-        ks = np.zeros((len(solved), height, width))
-        vts = np.zeros((len(solved), width, width))
+        if not solved:
+            self._checked_dims(length, counts)
+            self._grade_dims.append(counts)
+            self._solved.append({})
+            return
+        height, width = map(max, zip(*shapes))
+        # per solved cell, zero-padded: K over the rows of its SVD that span
+        # its kernel, the other rows zero
+        stack = np.zeros((len(solved), height + width, width))
         kept = np.zeros((len(solved), width), dtype=bool)
+        flat, step = stack.reshape(-1), (height + width) * width
+        weight, solved1 = self._weight, self._solved[length - 1]
+        dims1 = self._grade_dims[length - 1].tolist()
+        # block b of R_{(a,v,l-1)} starts at column offsets[a][v][b]
+        offsets = (self._grade_dims[length - 2] @ self._before).reshape(n, n, n).tolist()
         transfers: dict[tuple[int, int], np.ndarray] = {}
-        if solved:  # D_{l-1}, D_{l-2} and the solved R of length l - 1
-            dims1 = self._grade_dims[length - 1].tolist()
-            dims2 = self._grade_dims[length - 2].tolist()
-            solved1 = self._solved[length - 1]
         first = 0
         for (nrows, ncols), members in shapes.items():
-            group = slice(first, first + len(members))
-            for k, (a, b) in zip(ks[group, :nrows], members):
-                lo = 0
+            for t, (a, b) in enumerate(members, first):
+                lo, dims_a, offsets_a = 0, dims1[a], offsets[a]
                 for v in nbrs[b]:
-                    dim = dims1[a][v]
+                    dim = dims_a[v]
                     if dim:
-                        # block b of R_{(a,v,l-1)}: columns off:off + nrows
-                        off = sum(dims2[a][u] for u in nbrs[v][:nbrs[v].index(b)])
+                        off = offsets_a[v][b]
                         r = solved1.get((a, v))
                         if r is None:  # R = I: unit entries
-                            i = np.arange(nrows)
-                            k[i, lo + off + i] = weight[v][b]
+                            at = t * step + lo + off
+                            flat[at:at + nrows * (width + 1):width + 1] = weight[v][b]
                         else:
-                            k[:, lo:lo + dim] = weight[v][b] * r[:, off:off + nrows].T
+                            np.multiply(r[:, off:off + nrows].T, weight[v][b],
+                                        out=stack[t, :nrows, lo:lo + dim])
                         lo += dim
-            vt, ranks = self._kernels(ks[group, :nrows, :ncols])
-            transfers.update((cell, basis[r:]) for cell, r, basis in zip(members, ranks.tolist(), vt))
-            vts[group, :ncols, :ncols] = vt
-            kept[group, :ncols] = np.arange(ncols) >= ranks[:, None]
+            group = slice(first, first + len(members))
+            vt, ranks = self._kernels(stack[group, :nrows, :ncols])
+            transfers.update((cell, basis[r:]) for cell, r, basis
+                             in zip(members, ranks.tolist(), vt))
+            kept[group, :ncols] = keep = np.arange(ncols) >= ranks[:, None]
+            np.copyto(stack[group, height:height + ncols, :ncols], vt, where=keep[:, :, None])
             first = group.stop
         dims = counts.copy()
-        if solved:
-            dims[tuple(zip(*solved))] = np.count_nonzero(kept, axis=1)
+        dims[tuple(zip(*solved))] = np.count_nonzero(kept, axis=1)
         self._checked_dims(length, dims)
-        if solved:
-            kernels = np.where(kept[:, :, None], vts, 0.0)
-            kt = kernels.transpose(0, 2, 1)
-            self._checked_residuals(
-                length, solved,
-                np.abs(kernels @ kt - kept[:, :, None] * np.eye(width)).max(axis=(1, 2)),
-                np.abs(ks @ kt).max(axis=(1, 2)), np.linalg.norm(ks, axis=(1, 2)))
+        ks = stack[:, :height]
+        scale = np.sqrt(np.einsum("tij,tij->t", ks, ks))
+        prod = stack @ stack[:, height:].transpose(0, 2, 1)  # [K V^T; V V^T]
+        prod[:, height:].reshape(len(solved), -1)[:, ::width + 1] -= kept
+        np.abs(prod, out=prod)
+        self._checked_residuals(length, solved, prod[:, height:].max(axis=(1, 2)),
+                                prod[:, :height].max(axis=(1, 2)), scale)
         self._grade_dims.append(dims)
         self._solved.append(transfers)
 

@@ -23,14 +23,11 @@ from .errors import InputError, NumericError, UnsupportedGraphError
 
 DEFAULT_TOL = 1e-9
 
-_POWER_ITER_CAP = 200_000
-
 
 def check_tolerances(*tols: float) -> None:
     """Raise InputError unless every tolerance is finite and positive.  A nan
-    fails every comparison and an inf passes every one, so either would end
-    the power iteration at once or never, or pass a check that tested
-    nothing."""
+    fails every comparison and an inf passes every one, so either would fail
+    every check or pass a check that tested nothing."""
     for t in tols:
         if not (math.isfinite(t) and t > 0):
             raise InputError(f"tolerances must be finite and positive, got {t!r}")
@@ -171,10 +168,9 @@ def _minimal_mu_vertex(labels, edges) -> int:
     a = np.zeros((len(labels), len(labels)))
     for i, j in edges:
         a[i, j] = a[j, i] = 1.0
-    _, vec = _dominant_pair(a, DEFAULT_TOL)
-    lo = vec.min()
-    candidates = [i for i in range(len(labels)) if vec[i] <= lo * (1.0 + 1e-9)]
-    return min(candidates, key=lambda i: labels[i])
+    _, vec = _dominant_pair(a)
+    ties = np.flatnonzero(vec <= vec.min() * (1.0 + 1e-9)).tolist()
+    return min(ties, key=labels.__getitem__)
 
 
 def build_ade(family: str, rank: int) -> Graph:
@@ -274,31 +270,16 @@ def parse_graph(text: str, allow_cycles: bool = False) -> Graph:
                        allow_cycles=allow_cycles)
 
 
-def _dominant_pair(adjacency: np.ndarray, tol: float) -> tuple[float, np.ndarray]:
-    """Power iteration for the top adjacency eigenpair.
-
-    Iterates on A + I: trees are bipartite, so the raw iteration oscillates
-    between the +beta and -beta eigenspaces; the shift makes it converge and
-    does not move the eigenvector.  Start vector is all-ones, convergence is
-    |delta|_inf <= tol * 1e-2, followed by one Rayleigh-quotient refinement
-    for the eigenvalue.
-    """
-    n = adjacency.shape[0]
-    shifted = adjacency.astype(float) + np.eye(n)
-    x = np.ones(n) / math.sqrt(n)
-    for _ in range(_POWER_ITER_CAP):
-        y = shifted @ x
-        x_new = y / np.linalg.norm(y)
-        if np.max(np.abs(x_new - x)) <= tol * 1e-2:
-            x = x_new
-            break
-        x = x_new
-    else:
-        raise NumericError(
-            f"power iteration did not converge in {_POWER_ITER_CAP} steps"
-        )
-    beta = float(x @ (adjacency @ x))
-    return beta, x
+def _dominant_pair(adjacency: np.ndarray) -> tuple[float, np.ndarray]:
+    """The top adjacency eigenpair from one symmetric eigensolve: the largest
+    eigenvalue and a unit eigenvector of it.  On a connected graph that
+    eigenvalue is simple and its eigenvector has components of one sign;
+    the sign is flipped once so that they sum to a positive number.  No
+    absolute value is taken, so a component that is not positive stays
+    visible to the caller's checks."""
+    vals, vecs = np.linalg.eigh(adjacency)
+    vec = vecs[:, -1]
+    return float(vals[-1]), (-vec if vec.sum() < 0 else vec)
 
 
 _KAPPA_CAP = 100_000
@@ -325,17 +306,21 @@ _PF_CACHE: dict[tuple[Graph, float], PerronData] = {}
 
 
 def perron_frobenius(g: Graph, tol: float = DEFAULT_TOL) -> PerronData:
-    """Perron-Frobenius data of the graph, normalized at the base point.
+    """Perron-Frobenius data of the graph, normalized at the base point,
+    from one symmetric eigensolve (`_dominant_pair`), so beta and mu are
+    accurate to rounding and do not depend on ``tol``.
 
-    The distinguished component of mu is 1 and must be minimal among all
-    components (ties allowed).  fused_matrices checks its tolerance here.
+    ``tol`` sets only the checks on the result: mu must be positive, its
+    distinguished component (1) minimal among all components (ties
+    allowed), the eigen residual within tol * max(1, max mu), and kappa is
+    detected within tol.  fused_matrices checks its tolerance here.
     """
     check_tolerances(tol)
     key = (g, tol)
     cached = _PF_CACHE.get(key)
     if cached is not None:
         return cached
-    beta, vec = _dominant_pair(g.adjacency.astype(float), tol)
+    beta, vec = _dominant_pair(g.adjacency.astype(float))
     if np.any(vec <= 0):
         raise NumericError("eigenvector has non-positive components")
     if vec[g.distinguished] > vec.min() * (1.0 + 1e-9):

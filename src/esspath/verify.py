@@ -116,13 +116,21 @@ def _essential_cells(sp: EssentialSpace, cap: int) -> list[tuple[int, int, int]]
             for c in sp.grade_basis(length).cells]
 
 
-def _draw_cell(rng, cells, budget: int,
-               start: Optional[int] = None) -> tuple[int, int, int]:
-    """A cell drawn uniformly from those in ``cells`` of length <= budget
-    (and starting at ``start`` when given).  Both cell lists hold the
-    length-0 cell of every vertex, so the pool is never empty."""
-    pool = [c for c in cells if c[2] <= budget and start in (None, c[0])]
-    return pool[int(rng.integers(len(pool)))]
+def _drawer(cells: list[tuple[int, int, int]]):
+    """draw(rng, budget, start=None): a cell drawn uniformly from those in
+    ``cells`` of length <= budget (and starting at ``start`` when given).
+    Each pool, the matching cells in the order of ``cells``, is built on its
+    first draw and kept.  Both cell lists hold the length-0 cell of every
+    vertex, so no pool is empty."""
+    pools: dict[tuple[int, Optional[int]], list[tuple[int, int, int]]] = {}
+
+    def draw(rng, budget: int, start: Optional[int] = None) -> tuple[int, int, int]:
+        key = (budget, start)
+        if key not in pools:
+            pools[key] = [c for c in cells if c[2] <= budget and start in (None, c[0])]
+        return pools[key][int(rng.integers(len(pools[key])))]
+
+    return draw
 
 
 def _random_cell_paths(sp, rng, cell, max_terms=10) -> PathVector:
@@ -191,11 +199,11 @@ def check_dims_vs_fused(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
 def check_projector_identity(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     """P(P(p1) P(p2)) = P(p1 p2) on random homogeneous path vectors."""
     cap = cfg.cap(sp)
-    cells = _path_cells(sp, cap)
+    draw = _drawer(_path_cells(sp, cap))
 
     def residual(rng) -> float:
-        c1 = _draw_cell(rng, cells, cap)
-        c2 = _draw_cell(rng, cells, cap - c1[2], start=c1[1])
+        c1 = draw(rng, cap)
+        c2 = draw(rng, cap - c1[2], start=c1[1])
         p1 = _random_cell_paths(sp, rng, c1)
         p2 = _random_cell_paths(sp, rng, c2)
         lhs = sp.project(concat(sp.project(p1), sp.project(p2)))
@@ -208,12 +216,12 @@ def check_projector_identity(sp: EssentialSpace, cfg: VerifyConfig) -> CheckRepo
 def check_bullet_associativity(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     """(e * f) * h = e * (f * h) on random essential triples."""
     cap = cfg.cap(sp)
-    cells = _essential_cells(sp, cap)
+    draw = _drawer(_essential_cells(sp, cap))
 
     def residual(rng) -> float:
-        c1 = _draw_cell(rng, cells, cap)
-        c2 = _draw_cell(rng, cells, cap - c1[2], start=c1[1])
-        c3 = _draw_cell(rng, cells, cap - c1[2] - c2[2], start=c2[1])
+        c1 = draw(rng, cap)
+        c2 = draw(rng, cap - c1[2], start=c1[1])
+        c3 = draw(rng, cap - c1[2] - c2[2], start=c2[1])
         e, f, h = (_random_essential(sp, rng, c) for c in (c1, c2, c3))
         return (sp.bullet(sp.bullet(e, f), h) - sp.bullet(e, sp.bullet(f, h))).norm()
 
@@ -225,11 +233,11 @@ def check_bullet_unit(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     """The sum of zero-length paths is a two-sided unit for the graded
     product."""
     cap = cfg.cap(sp)
-    cells = _essential_cells(sp, cap)
+    draw = _drawer(_essential_cells(sp, cap))
     one = sp.unit_essential()
 
     def residual(rng) -> float:
-        e = _random_essential(sp, rng, _draw_cell(rng, cells, cap))
+        e = _random_essential(sp, rng, draw(rng, cap))
         return _worst((sp.bullet(one, e) - e).norm(), (sp.bullet(e, one) - e).norm())
 
     return CheckReport.within("bullet_unit", _worst_sample(cfg, 2, residual),
@@ -239,10 +247,10 @@ def check_bullet_unit(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
 def check_projector_star_commute(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     """Orientation reversal commutes with the essential projector."""
     cap = cfg.cap(sp)
-    cells = _path_cells(sp, cap)
+    draw = _drawer(_path_cells(sp, cap))
 
     def residual(rng) -> float:
-        p = _random_cell_paths(sp, rng, _draw_cell(rng, cells, cap))
+        p = _random_cell_paths(sp, rng, draw(rng, cap))
         return (reverse_star(sp.project(p)) - sp.project(reverse_star(p))).norm()
 
     return CheckReport.within("projector_star_commute", _worst_sample(cfg, 3, residual),
@@ -312,11 +320,11 @@ def check_grouplike_coalgebra(sp: EssentialSpace, cfg: VerifyConfig) -> CheckRep
     the unit is group-like, so the gap is not asserted there."""
     g = sp.graph
     cap = min(cfg.cap(sp), 3)
-    cells = _path_cells(sp, cap)
+    draw = _drawer(_path_cells(sp, cap))
 
     def residual(rng) -> float:
-        c1 = _draw_cell(rng, cells, cap)
-        c2 = _draw_cell(rng, cells, cap, start=c1[1])
+        c1 = draw(rng, cap)
+        c2 = draw(rng, cap, start=c1[1])
         p = _random_cell_paths(sp, rng, c1, max_terms=4)
         q = _random_cell_paths(sp, rng, c2, max_terms=4)
         dp, dq = grouplike_coproduct(p), grouplike_coproduct(q)
@@ -346,11 +354,11 @@ def check_concat_inner(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     """<p q, p q'> = <q, q'> for an elementary prefix with matching
     endpoints."""
     cap = cfg.cap(sp)
-    cells = _path_cells(sp, cap)
+    draw = _drawer(_path_cells(sp, cap))
 
     def residual(rng) -> float:
-        head = _draw_cell(rng, cells, cap)
-        tail = _draw_cell(rng, cells, cap, start=head[1])
+        head = draw(rng, cap)
+        tail = draw(rng, cap, start=head[1])
         p = _random_cell_paths(sp, rng, head, max_terms=1)  # one path, up to sign
         q = _random_cell_paths(sp, rng, tail, max_terms=5)
         q2 = _random_cell_paths(sp, rng, tail, max_terms=5)

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from esspath import graphs
 from esspath import (
     InputError,
+    NumericError,
     UnsupportedGraphError,
     build_ade,
     builtin_graph,
@@ -18,6 +20,8 @@ from esspath import (
 )
 
 TOL = 1e-9
+
+BUILTINS = [f"A{r}" for r in range(1, 13)] + [f"D{r}" for r in range(4, 9)] + ["E6", "E7", "E8"]
 
 
 def edge_labels(g):
@@ -195,26 +199,22 @@ class TestPerronFrobenius:
         i3, i1 = e6.vertex_index("3"), e6.vertex_index("1")
         assert abs(pf.mu[i3] / pf.mu[i1] - (math.sqrt(3) - 1)) <= TOL
 
-    @pytest.mark.parametrize("name", [f"A{r}" for r in range(1, 13)]
-                             + [f"D{r}" for r in range(4, 9)]
-                             + ["E6", "E7", "E8"])
+    @pytest.mark.parametrize("name", BUILTINS)
     def test_eigen_residual_all_builtins(self, name):
         g = builtin_graph(name)
         pf = perron_frobenius(g)
         resid = np.max(np.abs(g.adjacency @ pf.mu - pf.beta * pf.mu))
-        assert resid <= TOL
+        assert resid <= 1e-13 * pf.mu.max()  # one eigensolve: accurate to rounding
         assert np.all(pf.mu > 0)
         assert pf.mu[g.distinguished] == 1.0
 
-    @pytest.mark.parametrize("name,kappa", [
-        ("A1", 2), ("A2", 3), ("A3", 4), ("A12", 13),
-        ("D4", 6), ("D5", 8), ("D8", 14),
-        ("E6", 12), ("E7", 18), ("E8", 30),
-    ])
+    @pytest.mark.parametrize("name,kappa", [(f"A{r}", r + 1) for r in range(1, 13)]
+                             + [(f"D{r}", 2 * r - 2) for r in range(4, 9)]
+                             + [("E6", 12), ("E7", 18), ("E8", 30)])
     def test_coxeter_numbers(self, name, kappa):
         pf = perron_frobenius(builtin_graph(name))
         assert pf.kappa == kappa
-        assert abs(pf.beta - 2 * math.cos(math.pi / kappa)) <= TOL
+        assert abs(pf.beta - 2 * math.cos(math.pi / kappa)) <= 1e-14
 
     def test_long_path_kappa(self):
         # kappa detection stays sharp far from the built-in range
@@ -243,8 +243,98 @@ class TestPerronFrobenius:
         })
         g = parse_graph(text)
         pf = perron_frobenius(g)
-        assert abs(pf.beta - 2.0) <= 1e-6
+        assert abs(pf.beta - 2.0) <= 1e-12
         assert pf.kappa is None
+
+
+class TestPerronFrobeniusAccuracy:
+    """beta and mu come from one symmetric eigensolve, accurate to rounding
+    whatever the tolerance; the closed forms are the quantum dimensions of
+    a Coxeter graph (Goodman, de la Harpe and Jones, *Coxeter graphs and
+    towers of algebras*, 1989)."""
+
+    @pytest.mark.parametrize("rank", range(2, 13))
+    def test_a_series_mu_is_quantum_integers(self, rank):
+        g = builtin_graph(f"A{rank}")
+        mu = perron_frobenius(g).mu
+        q = math.pi / (rank + 1)
+        for k in range(1, rank + 1):
+            assert abs(mu[g.vertex_index(k)] - math.sin(k * q) / math.sin(q)) <= 1e-13
+
+    def test_e6_mu_closed_form(self, e6):
+        beta = 2 * math.cos(math.pi / 12)
+        want = {"0": 1, "1": beta, "2": 1 + math.sqrt(3), "3": math.sqrt(2),
+                "4": 1, "5": beta}
+        mu = perron_frobenius(e6).mu
+        for label, value in want.items():
+            assert abs(mu[e6.vertex_index(label)] - value) <= 1e-13, label
+
+    def test_pf_command_prints_one_plus_root_three_on_e6(self, capsys):
+        from esspath.cli import main
+        assert main(["pf", "--graph", "E6", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["vertices"][2] == "2"
+        assert data["mu"][2] == 2.73205080757  # 1 + sqrt(3) = 2.7320508075688772...
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_mu_does_not_depend_on_tol(self, name):
+        g = builtin_graph(name)
+        loose, tight = perron_frobenius(g, 1e-3), perron_frobenius(g, 1e-12)
+        assert loose.beta == tight.beta
+        assert np.array_equal(loose.mu, tight.mu)
+
+    def test_single_vertex(self):
+        pf = perron_frobenius(builtin_graph("A1"))
+        assert pf.beta == 0.0
+        assert pf.kappa == 2
+        assert pf.mu.tolist() == [1.0]
+
+    def test_triangle_has_spectral_radius_two(self):
+        triangle = json.dumps({"vertices": ["a", "b", "c"],
+                               "edges": [["a", "b"], ["b", "c"], ["a", "c"]]})
+        pf = perron_frobenius(parse_graph(triangle, allow_cycles=True))
+        assert abs(pf.beta - 2.0) <= 1e-12
+        assert pf.kappa is None
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_default_base_point_of_builtins(self, name):
+        # re-parsed without "distinguished", every built-in gets back its own
+        # base point as the vertex of minimal mu (ties broken by label)
+        g = builtin_graph(name)
+        parsed = parse_graph(json.dumps({
+            "vertices": list(g.vertices),
+            "edges": [[g.label(i), g.label(j)] for i, j in g.edges],
+        }))
+        assert parsed.label(parsed.distinguished) == g.label(g.distinguished)
+
+    def test_no_absolute_value_taken(self):
+        # top eigenvector (1, -1) / sqrt 2: one component stays negative
+        beta, vec = graphs._dominant_pair(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        assert beta == pytest.approx(1.0, abs=1e-15)
+        assert sorted(np.sign(vec).tolist()) == [-1.0, 1.0]
+
+    @staticmethod
+    def planted(monkeypatch, g, fault):
+        """perron_frobenius(g) on the true eigenpair changed by ``fault``."""
+        beta, vec = graphs._dominant_pair(g.adjacency.astype(float))
+        fault(vec)
+        monkeypatch.setattr(graphs, "_PF_CACHE", {})
+        monkeypatch.setattr(graphs, "_dominant_pair", lambda adjacency: (beta, vec))
+        return perron_frobenius(g)
+
+    def test_non_positive_component_raises(self, e6, monkeypatch):
+        def negate(vec):
+            vec[e6.vertex_index("2")] *= -1
+
+        with pytest.raises(NumericError, match="non-positive components"):
+            self.planted(monkeypatch, e6, negate)
+
+    def test_eigen_residual_above_tolerance_raises(self, e6, monkeypatch):
+        def nudge(vec):
+            vec[e6.vertex_index("2")] *= 1 + 1e-7
+
+        with pytest.raises(NumericError, match="eigen residual"):
+            self.planted(monkeypatch, e6, nudge)
 
 
 # F_0, F_1, F_2 for the path graph on three vertices, by hand:
@@ -300,7 +390,7 @@ class TestFusedMatrices:
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
 @pytest.mark.parametrize("compute", [perron_frobenius, fused_matrices])
 def test_library_tolerances_must_be_finite_and_positive(a3, compute, bad):
-    # inf once stopped the power iteration after one step (beta 1.41176 on
-    # A3, not sqrt 2); nan, 0 and negatives ran 200,000 steps to a NumericError
+    # whatever the data, inf would pass every check and nan fail every one,
+    # and 0 or a negative tolerance would fail any residual that is not 0
     with pytest.raises(InputError, match="tolerances must be finite and positive"):
         compute(a3, bad)
