@@ -24,11 +24,12 @@ product of R blocks along p, are built on first read and canonicalized
 are reproducible; golden values should nevertheless be basis-independent
 (dimensions, norms, Gram data) because any orthonormal basis of the same
 kernel is equally valid.  Each R and each set of path coordinates is
-checked as it is made: dimension against the fused matrices,
-orthonormality, and annihilation by its constraints.  The dimension check
-runs on every R, a whole grade in one comparison; an identity R is
-orthonormal and meets no constraint, so the other two run on solved
-kernels and on every set of path coordinates.
+checked as it is made: each solved K must have full rank, and each basis
+must be orthonormal and annihilated by its constraints.  Full rank, one
+comparison a grade, is D_l = max(D_{l-1} A - D_{l-2}, 0): the fused matrix
+F_l on an ADE diagram, the Chebyshev matrix U_l(A) on any other graph.  An
+identity R has nothing to check, so the checks run on solved kernels and
+on every set of path coordinates.
 Path coordinates are read by gathers over the lex order: the paths of cell
 (a, b, l) at v after s steps are, in lex order, the paths of (a, v, s)
 times those of (v, b, l - s), so decompositions, the coproduct and the
@@ -63,8 +64,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EsspathError, InputError, NonEssentialInputWarning, NumericError
-from .graphs import (DEFAULT_TOL, Graph, PerronData, check_tolerances, fused_matrices,
-                     perron_frobenius)
+from .graphs import DEFAULT_TOL, Graph, PerronData, check_tolerances, perron_frobenius
 from .paths import (
     DROP_TOL,
     Path,
@@ -300,15 +300,16 @@ class EssentialSpace:
         self.tol = tol
         self.rank_tol = rank_tol
         self.pf = pf if pf is not None else perron_frobenius(graph, tol)
-        # (F_l)_{ab} is the dimension of cell (a, b, l) on an ADE graph
-        self._fused = fused_matrices(graph, tol).matrices if self.pf.kappa else None
         self._grade_dims: list[np.ndarray] = []  # D_l[a, b]: dimension of cell (a, b, l)
         mu, adj = self.pf.mu, graph.adjacency
         self._weight = np.sqrt(mu[:, None] / mu).tolist()  # sqrt(mu_v / mu_b) at [v][b]
-        # 1 at [u, v * n + b] when u and b are neighbours of v and u < b, so u is
-        # listed first: block b of R_{(a,v,l)} starts at column (D_{l-1} @ it)[a, v * n + b]
-        self._before = np.einsum("uv,vb,ub->uvb", adj, adj,
-                                 np.triu(np.ones_like(adj), 1)).reshape(len(mu), -1)
+        # arc (b, v), v ~ b, is number _arc[b][v], by b then v; _before is 1 at
+        # [u, arc (b, v)] when u ~ b and u < v, so block u is listed first: block
+        # v of cell (a, b, l) starts at column (D_{l-1} @ _before)[a, arc (b, v)]
+        tails, heads = np.nonzero(adj)
+        self._arc = (np.cumsum(adj) - 1).reshape(adj.shape).tolist()
+        self._before = adj[:, tails] * (np.arange(len(mu))[:, None] < heads)
+        self._layout: list[np.ndarray] = []  # that table of grade l, at [l]
         # the transfer matrix of each solved cell (a, b) of grade l, at [l]
         self._solved: list[dict[tuple[int, int], np.ndarray]] = []
         self._cells: dict[tuple[int, int, int], EssentialCellBasis] = {}  # those read
@@ -334,21 +335,22 @@ class EssentialSpace:
         a grade at a time (`_build_grade`), each grade from the two before
         it, so the first read of a cell of a length not yet built builds
         every length up to it, for every start.  A grade is kept as arrays;
-        the cell object is made on the first read of the cell and kept."""
+        the cell object is made on the first read of the cell and kept, its
+        blocks read from the grade's layout table."""
         got = self._cells.get((ai, bi, length))
         if got is None:
-            self._built(length)
+            dims = self._built(length)
+            blocks = {}
             if length:
-                nbrs = self.graph.neighbors[bi]
                 widths = self._grade_dims[length - 1][ai].tolist()
-                edges = list(accumulate((widths[v] for v in nbrs), initial=0))
-                blocks = {v: slice(lo, hi) for v, lo, hi in zip(nbrs, edges, edges[1:])}
-                count = edges[-1]
-            else:
-                blocks, count = {}, int(ai == bi)
+                starts = self._layout[length][ai].tolist()
+                arcs = self._arc[bi]
+                blocks = {v: slice(starts[arcs[v]], starts[arcs[v]] + widths[v])
+                          for v in self.graph.neighbors[bi]}
             transfer = self._solved[length].get((ai, bi))
-            if transfer is None:
-                transfer = np.eye(count) if count else _NO_CANDIDATE
+            if transfer is None:  # R = I
+                dim = int(dims[ai, bi])
+                transfer = np.eye(dim) if dim else _NO_CANDIDATE
             got = self._cells[(ai, bi, length)] = EssentialCellBasis(
                 ai, bi, length, transfer, blocks, weakref.ref(self))
         return got
@@ -364,7 +366,8 @@ class EssentialSpace:
     def _build_grade(self, length: int) -> None:
         """The cells (a, b, length) of every start a and end b, from the
         cells one and two edges shorter, kept as arrays: the dimension
-        matrix D_length and the transfer matrices of the solved cells.
+        matrix D_length, the transfer matrices of the solved cells and the
+        layout table of the grade's candidate blocks.
 
         The candidates of cell (a, b, l) are e_j^{(l-1)}(a, v) (x) [v, b]
         over v ~ b: orthonormal, and killed by every C_k with k < l - 1
@@ -374,29 +377,30 @@ class EssentialSpace:
         so the cell's transfer matrix R spans the kernel of K and no path is
         involved.  Both sizes of K come from the dimension matrices D of the
         two shorter grades: (D_{l-1} A)_{ab} candidates and (D_{l-2})_{ab}
-        rows, and so do the columns of block b in R_{(a,v,l-1)}: its width
-        is (D_{l-2})_{ab}, and the blocks before it, those of the neighbours
-        u of v listed before b, are (D_{l-2})_{au} wide.
+        rows.  One table per grade, D_{l-1} @ _before, says where the blocks
+        of cell (a, b, l) start, (D_{l-1})_{av} wide over v ~ b in order: the
+        table of grade l - 1 places block b in R_{(a,v,l-1)}, that of grade
+        l places R_{(a,v,l-1)} in K, and `_cell` reads the same tables.
         With no candidate or no row (every cell of length 0 or 1, and the
         cell (a, b, l - 2) empty) K has no entry and R is the identity
         exactly, so K is not built, no kernel is solved and R is not stored:
         such an R is written into a longer cell's K as the unit entries of
         its block, one strided write down a diagonal.  The other cells are
         grouped by the shape of K and each group takes one stacked SVD
-        (`_kernels`).  The grade's dimensions are checked against F_l in one
-        comparison (`_checked_dims`), then the Gram and annihilator
-        residuals of every solved cell (`_checked_residuals`), computed for
-        the whole grade at once: each cell's K and kernel rows V, padded
+        (`_kernels`).  Every solved K must have full rank (`_checked_dims`),
+        one comparison for the grade; then the Gram and annihilator
+        residuals of every solved cell (`_checked_residuals`) are computed
+        for the whole grade at once: each cell's K and kernel rows V, padded
         with zeros to one shape, are stacked as [K; V], so one product with
         V^T gives both K V^T and V V^T.  Nothing of the grade is stored
         unless all pass.  No cell object is made (`_cell`)."""
         graph, n, nbrs = self.graph, self.graph.n_vertices, self.graph.neighbors
         if length == 0:
-            counts = np.eye(n, dtype=np.int64)
-            rows = np.zeros_like(counts)
+            counts, layout = np.eye(n, dtype=np.int64), np.zeros_like(self._before)
         else:
             counts = self._grade_dims[length - 1] @ graph.adjacency
-            rows = self._grade_dims[length - 2] if length > 1 else np.zeros_like(counts)
+            layout = self._grade_dims[length - 1] @ self._before
+        rows = self._grade_dims[length - 2] if length > 1 else np.zeros_like(counts)
         shapes: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for a, (crow, rrow) in enumerate(zip(counts.tolist(), rows.tolist())):
             for b, (c, r) in enumerate(zip(crow, rrow)):
@@ -404,9 +408,9 @@ class EssentialSpace:
                     shapes.setdefault((r, c), []).append((a, b))
         solved = [cell for members in shapes.values() for cell in members]
         if not solved:
-            self._checked_dims(length, counts)
             self._grade_dims.append(counts)
             self._solved.append({})
+            self._layout.append(layout)
             return
         height, width = map(max, zip(*shapes))
         # per solved cell, zero-padded: K over the rows of its SVD that span
@@ -414,19 +418,20 @@ class EssentialSpace:
         stack = np.zeros((len(solved), height + width, width))
         kept = np.zeros((len(solved), width), dtype=bool)
         flat, step = stack.reshape(-1), (height + width) * width
-        weight, solved1 = self._weight, self._solved[length - 1]
+        weight, solved1, arc = self._weight, self._solved[length - 1], self._arc
         dims1 = self._grade_dims[length - 1].tolist()
-        # block b of R_{(a,v,l-1)} starts at column offsets[a][v][b]
-        offsets = (self._grade_dims[length - 2] @ self._before).reshape(n, n, n).tolist()
+        # block v of K_{(a,b,l)} starts at column starts[a][arc (b, v)], and
+        # block b of R_{(a,v,l-1)} at column offsets[a][arc (v, b)]
+        starts, offsets = layout.tolist(), self._layout[length - 1].tolist()
         transfers: dict[tuple[int, int], np.ndarray] = {}
         first = 0
         for (nrows, ncols), members in shapes.items():
             for t, (a, b) in enumerate(members, first):
-                lo, dims_a, offsets_a = 0, dims1[a], offsets[a]
+                dims_a, starts_a, offsets_a = dims1[a], starts[a], offsets[a]
                 for v in nbrs[b]:
                     dim = dims_a[v]
                     if dim:
-                        off = offsets_a[v][b]
+                        lo, off = starts_a[arc[b][v]], offsets_a[arc[v][b]]
                         r = solved1.get((a, v))
                         if r is None:  # R = I: unit entries
                             at = t * step + lo + off
@@ -434,7 +439,6 @@ class EssentialSpace:
                         else:
                             np.multiply(r[:, off:off + nrows].T, weight[v][b],
                                         out=stack[t, :nrows, lo:lo + dim])
-                        lo += dim
             group = slice(first, first + len(members))
             vt, ranks = self._kernels(stack[group, :nrows, :ncols])
             transfers.update((cell, basis[r:]) for cell, r, basis
@@ -444,7 +448,7 @@ class EssentialSpace:
             first = group.stop
         dims = counts.copy()
         dims[tuple(zip(*solved))] = np.count_nonzero(kept, axis=1)
-        self._checked_dims(length, dims)
+        self._checked_dims(length, dims, counts, rows)
         ks = stack[:, :height]
         scale = np.sqrt(np.einsum("tij,tij->t", ks, ks))
         prod = stack @ stack[:, height:].transpose(0, 2, 1)  # [K V^T; V V^T]
@@ -454,6 +458,7 @@ class EssentialSpace:
                                 prod[:, :height].max(axis=(1, 2)), scale)
         self._grade_dims.append(dims)
         self._solved.append(transfers)
+        self._layout.append(layout)
 
     def _kernels(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The kernels of the matrices of ``stack`` (members, rows, cols),
@@ -466,18 +471,23 @@ class EssentialSpace:
         thresh = self.rank_tol * np.where(top > 0, top, 1.0)
         return vt, np.count_nonzero(svals > thresh[:, None], axis=1)
 
-    def _checked_dims(self, length: int, dims: np.ndarray) -> None:
+    def _checked_dims(self, length: int, dims: np.ndarray, counts: np.ndarray,
+                      rows: np.ndarray) -> None:
         """Raises NumericError naming the first cell, in (start, end) order,
-        whose dimension dims[start, end] is not the entry of F_length, on
-        graphs with a Coxeter number."""
-        fm = self._fused
-        if fm is None:
-            return
-        bad = np.argwhere(dims != (fm[length] if length < len(fm) else 0)).tolist()
+        whose constraint matrix K (rows[a, b] x counts[a, b]) lacks full
+        rank: whose dimension dims[a, b] is not max(counts - rows, 0), as an
+        identity cell's always is.  From D_0 = I, that makes D_l the fused
+        matrix F_l on an ADE diagram (0 past the last) and the Chebyshev
+        matrix U_l(A) on any other graph (Goodman, de la Harpe and Jones,
+        *Coxeter graphs and towers of algebras*, 1989)."""
+        want = np.maximum(counts - rows, 0)
+        bad = np.argwhere(dims != want).tolist()
         if bad:
             a, b = bad[0]
-            raise NumericError(f"cell {a}|{b}|{length} of {self.graph.name}: "
-                               f"dimension {dims[a, b]} is not the fused-matrix entry")
+            r, c, d = rows[a, b], counts[a, b], dims[a, b]
+            raise NumericError(f"cell {a}|{b}|{length} of {self.graph.name}: dimension "
+                               f"{d}, so its {r} x {c} constraint matrix has rank "
+                               f"{c - d}, not {min(r, c)}")
 
     def _checked_residuals(self, length: int, cells: list[tuple[int, int]],
                            gram: np.ndarray, ann: np.ndarray, scale: np.ndarray) -> None:
@@ -601,18 +611,6 @@ class EssentialSpace:
         got = self._grades.get(length)
         if got is not None:
             return got
-        ml = self.max_length
-        if ml is not None and length > ml + 1:
-            # Grade ml+1 is computed honestly below and must come out empty
-            # (its cells are checked against (F_{ml+1})_{ab} = 0); an
-            # essential path of length L splits into essential paths of
-            # lengths l and L-l for any 0 < l < L, so emptiness propagates to
-            # every longer grade.  Building the longer grades would add
-            # nothing.
-            self.grade_basis(ml + 1)
-            empty = GradeBasis(length, (), (), 0)
-            self._grades[length] = empty
-            return empty
         cells = tuple(self._cell(a, b, length)
                       for a, b in np.argwhere(self._built(length)).tolist())
         *offsets, dim = accumulate((cell.dim for cell in cells), initial=0)

@@ -76,6 +76,8 @@ class VerifyConfig:
         check_tolerances(self.tolerance)
         if self.samples < 1:
             raise InputError(f"samples must be >= 1, got {self.samples}")
+        if self.max_length is not None and self.max_length < 0:
+            raise InputError("max length cap must be >= 0")
 
     def cap(self, sp: EssentialSpace) -> int:
         if sp.max_length is not None:
@@ -182,15 +184,10 @@ def check_dims_vs_fused(sp: EssentialSpace, cfg: VerifyConfig) -> CheckReport:
     fused matrices, as exact integers.  An explicit cap compares the prefix
     only (full-length kernels on the largest diagrams are expensive)."""
     sums = fused_matrices(sp.graph, sp.tol).sums
-    if cfg.max_length is None:
-        kernel_dims = tuple(sp.dims())
-        expected = sums
-        scope = "full range"
-    else:
-        cap = min(cfg.max_length, len(sums) - 1)
-        kernel_dims = tuple(sp.grade_basis(l).dim for l in range(cap + 1))
-        expected = sums[:cap + 1]
-        scope = f"lengths 0..{cap}"
+    cap = None if cfg.max_length is None else min(cfg.max_length, len(sums) - 1)
+    kernel_dims = tuple(sp.dims(cap))
+    expected = sums if cap is None else sums[:cap + 1]
+    scope = "full range" if cap is None else f"lengths 0..{cap}"
     return CheckReport.within(
         "dims_vs_fused_matrices", float(kernel_dims != expected), 0.0,
         f"{scope}: kernel {kernel_dims}, fused {expected}")

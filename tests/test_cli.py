@@ -467,11 +467,10 @@ class TestErrors:
 
     def test_wrong_kernel_exits_one(self, capsys):
         # a rank threshold at the largest singular value takes too big a
-        # kernel; the build checks every cell dimension against the fused
-        # matrices
+        # kernel; the build checks that every constraint matrix has full rank
         code, out, err = run(capsys, "dims", "--graph", "D4", "--rank-tol", "1.0")
         assert (code, out) == (1, "")
-        assert "is not the fused-matrix entry" in err
+        assert "constraint matrix has rank 0, not 1" in err
 
     def test_cycle_file_needs_flag(self, capsys, tmp_path):
         path = tmp_path / "tri.json"

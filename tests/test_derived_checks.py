@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from esspath import EndoTensor, EssentialSpace, build_ade, space, verify
+from esspath import EndoTensor, EssentialSpace, InputError, build_ade, space, verify
 from esspath.endo import counit_weak_multiplicativity_residual, gram_condition_residual
 from esspath.verify import (
     DECOMPOSITION_CAP,
@@ -226,3 +226,10 @@ class TestPlantedNaN:
         block = np.eye(sp.grade_basis(1).dim)
         block[0, 0] = math.nan
         assert math.isnan(EndoTensor.from_blocks(sp, {1: block}).norm())
+
+
+@pytest.mark.parametrize("max_length", [-1, -7])
+def test_negative_cap_is_an_input_error(max_length):
+    # as the CLI's own config rejects it, before any check draws a sample
+    with pytest.raises(InputError, match="max length cap must be >= 0"):
+        run_suite(space(build_ade("A", 3)), "core", VerifyConfig(max_length=max_length))

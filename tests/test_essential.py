@@ -131,6 +131,18 @@ class TestDims:
             got = [sp.grade_basis(l).dim for l in range(cap + 1)]
             assert tuple(got) == sums[:cap + 1]
 
+    @pytest.mark.parametrize("name", ["A6", "E8"])
+    def test_grades_past_the_last_are_built_and_empty(self, name):
+        # grade_basis has no shortcut past max_length: the grades are built,
+        # each checked, and each one is empty
+        sp = EssentialSpace(builtin_graph(name))
+        top = 2 * sp.max_length
+        assert sp.grade_basis(top).dim == 0
+        assert len(sp._grade_dims) == top + 1
+        for length in range(sp.max_length + 1, top + 1):
+            assert not sp._grade_dims[length].any(), length
+            assert sp.grade_basis(length).cells == (), length
+
     def test_needs_cap_without_kappa(self):
         from esspath import parse_graph
         import json
@@ -1096,6 +1108,21 @@ class TestCellInvariants:
         assert (a, b, length) not in cells_with(first_k)
         assert str(raised.value).startswith(f"cell {a}|{b}|{length} of E6: ")
 
+    @pytest.mark.parametrize("name", ["E6", "five-leaf star", "affine D4", "5-cycle"])
+    def test_lost_kernel_vector_raises(self, monkeypatch, name):
+        # one rank too many in one member of one stack drops a kernel vector:
+        # the basis left is orthonormal and annihilated, but too small, on
+        # graphs without a Coxeter number too
+        g = builtin_graph(name) if name == "E6" else edge_graph(OTHER_GRAPHS[name])
+        cap = None if name == "E6" else 6
+        built = EssentialSpace(g)
+        built.dims(cap)
+        planted = lose_kernel_vector(monkeypatch)
+        with pytest.raises(NumericError, match="constraint matrix has rank") as raised:
+            EssentialSpace(g).dims(cap)
+        assert_names_planted_cell(raised, g.name, planted,
+                                  lambda key: constraint_matrix(built, *key))
+
     def test_wrong_stored_transfer_fails_path_check(self, a3):
         import dataclasses
         sp = EssentialSpace(a3)
@@ -1165,17 +1192,78 @@ def candidates_and_rows(sp, a, b, length):
     return count, sp._cell(a, b, length - 2).dim if length > 1 else 0
 
 
+OTHER_GRAPHS = {  # graphs without a Coxeter number, by their edges
+    "triangle": [("a", "b"), ("b", "c"), ("c", "a")],
+    "4-cycle": [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
+    "5-cycle": [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")],
+    "6-cycle with a leaf": [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"),
+                            ("f", "a"), ("c", "x")],
+    "affine D4": [("c", "1"), ("c", "2"), ("c", "3"), ("c", "4")],
+    "five-leaf star": [("c", "1"), ("c", "2"), ("c", "3"), ("c", "4"), ("c", "5")],
+    "K4": [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")],
+}
+
+
+def edge_graph(edges):
+    from esspath import parse_graph
+    vertices = sorted({v for edge in edges for v in edge})
+    return parse_graph(json.dumps({"vertices": vertices, "edges": edges}), allow_cycles=True)
+
+
+def lose_kernel_vector(monkeypatch, at_length=None):
+    """Patch `_kernels` to report one rank too many, so one kernel vector is
+    lost, for the last member with a nonempty kernel of the first stack
+    that has one (in grade ``at_length`` when given).  Returns the list
+    that receives (length, K) of that member."""
+    kernels = EssentialSpace._kernels
+    planted = []
+
+    def lossy(self, stack):
+        vt, ranks = kernels(self, stack)
+        kernel = np.flatnonzero(ranks < stack.shape[2])
+        length = len(self._grade_dims)  # the grade being built
+        if not planted and kernel.size and at_length in (None, length):
+            ranks[kernel[-1]] += 1
+            planted.append((length, stack[kernel[-1]].copy()))
+        return vt, ranks
+
+    monkeypatch.setattr(EssentialSpace, "_kernels", lossy)
+    return planted
+
+
+def assert_names_planted_cell(raised, graph_name, planted, k_of):
+    """The NumericError in ``raised`` names a cell whose K, read by ``k_of``
+    from a fault-free build, is the K that `lose_kernel_vector` planted,
+    and gives its rank one too high."""
+    (length, k), = planted
+    a, b, got = map(int, re.match(r"cell (\d+)\|(\d+)\|(\d+) of ",
+                                  str(raised.value)).groups())
+    assert got == length
+    assert np.array_equal(k_of((a, b, length)), k)
+    rows, cols = k.shape
+    assert str(raised.value) == (
+        f"cell {a}|{b}|{length} of {graph_name}: dimension {cols - rows - 1}, so "
+        f"its {rows} x {cols} constraint matrix has rank {rows + 1}, not {rows}")
+
+
 class TestIdentityTransfers:
     """A cell with no candidate or no constraint row takes R = I without a
-    kernel solve, and is still checked against the fused matrices; the
-    other cells of a grade are solved in one stacked SVD per shape of K."""
+    kernel solve, and has no rank to check; the other cells of a grade are
+    solved in one stacked SVD per shape of K, and each K must have full
+    rank.  Every dimension matrix is also compared with the fused matrices
+    here, an oracle independent of the build."""
 
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_cells_match_kernel_route(self, name):
         # bit for bit against one SVD per cell, built without EssentialSpace
         g = builtin_graph(name)
         sp = EssentialSpace(g)
-        assert sp.dims() == list(fused_matrices(g).sums)
+        fused = fused_matrices(g).matrices
+        assert sp.dims() == [int(m.sum()) for m in fused]
+        assert len(sp._grade_dims) == len(fused) + 1  # and the first empty grade
+        for length, dims in enumerate(sp._grade_dims):
+            want = fused[length] if length < len(fused) else np.zeros_like(dims)
+            assert np.array_equal(dims, want), length
         ref = per_cell_transfers(g, sp.max_length + 1, sp.rank_tol)
         assert ref.keys() == set(built_cells(sp))
         for key in built_cells(sp):
@@ -1184,19 +1272,12 @@ class TestIdentityTransfers:
             assert np.array_equal(cell.transfer, transfer), key
             assert cell.blocks == blocks, key
 
-    @pytest.mark.parametrize("edges", [
-        [("a", "b"), ("b", "c"), ("c", "a")],
-        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
-        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("f", "a"),
-         ("c", "x")],
-        [("c", "1"), ("c", "2"), ("c", "3"), ("c", "4")],
-    ], ids=["triangle", "4-cycle", "6-cycle with a leaf", "affine D4"])
-    def test_cells_match_kernel_route_without_coxeter_number(self, edges):
+    @pytest.mark.parametrize("name", ["triangle", "4-cycle", "6-cycle with a leaf",
+                                      "affine D4", "five-leaf star", "5-cycle", "K4"])
+    def test_cells_match_kernel_route_without_coxeter_number(self, name):
         # on a cycle an identity cell can have several nonzero candidate
         # blocks, so the one a longer cell's K reads may not start at column 0
-        from esspath import parse_graph
-        vertices = sorted({v for edge in edges for v in edge})
-        g = parse_graph(json.dumps({"vertices": vertices, "edges": edges}), allow_cycles=True)
+        g = edge_graph(OTHER_GRAPHS[name])
         cap = 6
         sp = EssentialSpace(g)
         sp.dims(cap)
@@ -1226,25 +1307,6 @@ class TestIdentityTransfers:
         assert sorted(shapes) == sorted(candidates_and_rows(sp, *key)[::-1]
                                         for key in both)
 
-    @pytest.mark.parametrize("sizes", [
-        lambda count, rows: count == 0,
-        lambda count, rows: count > 0 and rows == 0,
-    ], ids=["no candidate", "no constraint"])
-    def test_wrong_fused_entry_on_identity_cell_raises(self, e6, sizes):
-        built = EssentialSpace(e6)
-        built.dims()
-        a, b, length = min((key for key in built_cells(built) if key[2] >= 2
-                            and sizes(*candidates_and_rows(built, *key))),
-                           key=lambda key: (key[2], key))
-        sp = EssentialSpace(e6)
-        sp._fused = [m.copy() for m in sp._fused]
-        sp._fused[length][a, b] += 1
-        dim = built._cell(a, b, length).dim
-        with pytest.raises(NumericError, match=re.escape(
-                f"cell {a}|{b}|{length} of E6: dimension {dim} is not the "
-                "fused-matrix entry")):
-            sp.dims()
-
 
 class TestCellsMadeOnRead:
     """A grade is kept as arrays; a cell object is made on the first read
@@ -1263,28 +1325,19 @@ class TestCellsMadeOnRead:
         self.refuse_cell_objects(monkeypatch)
         assert EssentialSpace(g).dims() == list(fused_matrices(g).sums)
 
-    @pytest.mark.parametrize("sizes", [
-        lambda count, rows: count > 0 and rows == 0,
-        lambda count, rows: count > 0 and rows > 0,
-    ], ids=["identity", "solved"])
-    def test_dims_still_checks_each_cell(self, monkeypatch, sizes):
+    def test_dims_still_checks_each_cell(self, monkeypatch):
         g = builtin_graph("E8")
         built = EssentialSpace(g)
         built.dims()
-        # the last such cell with an entry of F_length to plant
-        a, b, length = max((key for key in built_cells(built)
-                            if 2 <= key[2] < len(built._fused)
-                            and sizes(*candidates_and_rows(built, *key))),
-                           key=lambda key: (key[2], key))
-        dim = built._cell(a, b, length).dim
-        sp = EssentialSpace(g)
-        sp._fused = [m.copy() for m in sp._fused]
-        sp._fused[length][a, b] += 1
+        solved = [key for key in built_cells(built) if all(candidates_and_rows(built, *key))]
+        # the last grade with a solved cell of nonzero dimension, to plant in
+        length = max(key[2] for key in solved if built._cell(*key).dim)
+        ks = {key: constraint_matrix(built, *key) for key in solved if key[2] == length}
+        planted = lose_kernel_vector(monkeypatch, length)
         self.refuse_cell_objects(monkeypatch)
-        with pytest.raises(NumericError, match=re.escape(
-                f"cell {a}|{b}|{length} of E8: dimension {dim} is not the "
-                "fused-matrix entry")):
-            sp.dims()
+        with pytest.raises(NumericError, match="constraint matrix has rank") as raised:
+            EssentialSpace(g).dims()
+        assert_names_planted_cell(raised, "E8", planted, ks.__getitem__)
 
     @pytest.mark.parametrize("name", ["E6", "D7"])
     def test_first_read_after_dims_matches_a_fresh_space(self, name):
