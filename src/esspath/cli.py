@@ -44,7 +44,6 @@ _FORMATS = ("json", "pretty", "csv")
 class RunConfig:
     graph_source: Optional[str]
     tolerance: float
-    rank_tol: float
     max_length: Optional[int]
     out_format: str
     jobs: int
@@ -52,7 +51,7 @@ class RunConfig:
     suite: str = "all"
 
     def __post_init__(self):
-        check_tolerances(self.tolerance, self.rank_tol)
+        check_tolerances(self.tolerance)
         if self.max_length is not None and self.max_length < 0:
             raise InputError("max length cap must be >= 0")
         if self.jobs < 1:
@@ -65,7 +64,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         graph_source=getattr(args, "graph", None),
         tolerance=args.tolerance,
-        rank_tol=args.rank_tol,
         max_length=args.max_length,
         out_format=args.format,
         jobs=args.jobs,
@@ -96,7 +94,7 @@ def _load_graph(cfg: RunConfig) -> Graph:
 
 def _space(cfg: RunConfig) -> EssentialSpace:
     g = _load_graph(cfg)
-    return EssentialSpace(g, tol=cfg.tolerance, rank_tol=cfg.rank_tol)
+    return EssentialSpace(g, tol=cfg.tolerance)
 
 
 def _emit(text: str) -> None:
@@ -379,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="built-in name (A1..A12, D4..D8, E6, E7, E8) or "
                             "path to a JSON graph file")
         p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-        p.add_argument("--rank-tol", type=float, default=1e-7, dest="rank_tol")
         p.add_argument("--max-length", type=int, default=None, dest="max_length",
                        help="path length cap (required when the spectral "
                             "radius is >= 2)")

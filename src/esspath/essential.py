@@ -6,37 +6,41 @@ Coxeter diagrams*, 1999): an essential path of length l from a to b is a
 combination of e_j^{(l-1)}(a, v) (x) [v, b] over the neighbours v of b,
 because C_k with k < l - 1 acts inside the prefix.  Only C_{l-1} is a new
 constraint, and in the bases of length l - 1 and l - 2 it is a small matrix
-K; the cell's transfer matrix R spans its kernel, found by SVD with a
-relative rank threshold.  All cells of one length depend only on shorter
-lengths, so they are built together, a grade at a time for every start:
-the sizes of every K come from the dimension matrices of the two shorter
-grades, and the matrices K of one shape are solved by one stacked SVD.
-When K has no entry, because the cell has no candidate or the cell
-(a, b, l - 2) is empty, R = I exactly and no K is built.  Dimensions
-therefore come from R alone, with no path enumerated.  A grade is kept as
-arrays: its dimension matrix D_l and the R of its solved cells; an
-identity R is stored nowhere and enters a longer cell's K as unit entries.
-A cell object, with its R and the column blocks of its candidates, is made
-on the first read of that cell, so `dims` makes none.
+K with K K^T = ([l] / [l - 1]) I, so of full row rank; the cell's transfer
+matrix R spans its kernel, the rows of K's SVD past its row count.  All
+cells of one length depend only on shorter lengths, so they are built
+together, a grade at a time for every start: the sizes of every K come from
+the dimension matrices of the two shorter grades, and the matrices K of one
+shape are solved by one stacked SVD.  When K has no entry, because the cell
+has no candidate or the cell (a, b, l - 2) is empty, R = I exactly and no K
+is built.  Dimensions therefore come from the sizes of K alone, with no path
+enumerated.  A grade is kept as arrays: its dimension matrix D_l and the R
+of its solved cells; an identity R is stored nowhere and enters a longer
+cell's K as unit entries.  A cell object, with its R and the column blocks
+of its candidates, is made on the first read of that cell, so `dims` makes
+none.
 The coordinates of a cell over its elementary paths, <e_i, p> = the
 product of R blocks along p, are built on first read and canonicalized
 (reduced echelon over the lex path order, Gram-Schmidt, sign fix) so runs
 are reproducible; golden values should nevertheless be basis-independent
 (dimensions, norms, Gram data) because any orthonormal basis of the same
 kernel is equally valid.  Each R and each set of path coordinates is
-checked as it is made: each solved K must have full rank, and each basis
-must be orthonormal and annihilated by its constraints.  Full rank, one
-comparison a grade, is D_l = max(D_{l-1} A - D_{l-2}, 0): the fused matrix
-F_l on an ADE diagram, the Chebyshev matrix U_l(A) on any other graph.  An
-identity R has nothing to check, so the checks run on solved kernels and
-on every set of path coordinates.
+checked as it is made, within the space's one tolerance: each solved cell
+must make [K / sqrt([l] / [l - 1]); R] orthogonal, which says at once that
+K has full row rank, so that D_l = max(D_{l-1} A - D_{l-2}, 0) (the fused
+matrix F_l on an ADE diagram, the Chebyshev matrix U_l(A) on any other
+graph), and that R is orthonormal and annihilated by K; each set of path
+coordinates must be orthonormal and annihilated by every C_k.  An identity
+R has nothing to check, so the checks run on solved kernels and on every
+set of path coordinates.
 Path coordinates are read by gathers over the lex order: the paths of cell
 (a, b, l) at v after s steps are, in lex order, the paths of (a, v, s)
 times those of (v, b, l - s), so decompositions, the coproduct and the
 structure constants read them as one block per v, and the graded product
-writes into them the same way.  The coproduct takes each block of the projected vector as it is; every other
-contraction with a block is a plain matmul, two for a structure-constant
-block: (d3 P1, P2) @ (P2, d2), then (d1, P1) @ (P1, d2) per target vector.
+writes into them the same way.  The coproduct takes each block of the
+projected vector as it is; every other contraction with a block is a plain
+matmul, two for a structure-constant block: (d3 P1, P2) @ (P2, d2), then
+(d1, P1) @ (P1, d2) per target vector.
 
 The graded product is e * f = P(concat(e, f)) where P is the orthogonal
 projector onto the essential subspace; it is associative because
@@ -74,7 +78,6 @@ from .paths import (
     path_length,
 )
 
-DEFAULT_RANK_TOL = 1e-7
 _NO_CANDIDATE = np.zeros((0, 0))  # the transfer matrix of every cell with no candidate
 
 
@@ -294,11 +297,10 @@ class EssentialSpace:
     """
 
     def __init__(self, graph: Graph, pf: Optional[PerronData] = None,
-                 tol: float = DEFAULT_TOL, rank_tol: float = DEFAULT_RANK_TOL):
-        check_tolerances(tol, rank_tol)
+                 tol: float = DEFAULT_TOL):
+        check_tolerances(tol)
         self.graph = graph
         self.tol = tol
-        self.rank_tol = rank_tol
         self.pf = pf if pf is not None else perron_frobenius(graph, tol)
         self._grade_dims: list[np.ndarray] = []  # D_l[a, b]: dimension of cell (a, b, l)
         mu, adj = self.pf.mu, graph.adjacency
@@ -387,13 +389,29 @@ class EssentialSpace:
         such an R is written into a longer cell's K as the unit entries of
         its block, one strided write down a diagonal.  The other cells are
         grouped by the shape of K and each group takes one stacked SVD
-        (`_kernels`).  Every solved K must have full rank (`_checked_dims`),
-        one comparison for the grade; then the Gram and annihilator
-        residuals of every solved cell (`_checked_residuals`) are computed
-        for the whole grade at once: each cell's K and kernel rows V, padded
-        with zeros to one shape, are stacked as [K; V], so one product with
-        V^T gives both K V^T and V V^T.  Nothing of the grade is stored
-        unless all pass.  No cell object is made (`_cell`)."""
+        (`_kernels`).
+
+        Every K satisfies K K^T = c_l I with c_l = [l] / [l - 1], where
+        [k] = sin(k pi / kappa) / sin(pi / kappa), or [0] = 0, [1] = 1 and
+        [k] = beta [k - 1] - [k - 2] without a Coxeter number (Wenzl, 1987;
+        Goodman, de la Harpe and Jones, 1989).  Write e_k = C_k^T C_k, so
+        e_k^2 = beta e_k, and P_m for the projector onto the essential paths
+        of length m, which acts on the first m steps of a longer path.  K
+        K^T is C_{l-1} (P_{l-1} (x) 1) C_{l-1}^T on E(a, b, l - 2), and the
+        Wenzl recursion P_{l-1} = P_{l-2} - ([l-2] / [l-1]) P_{l-2} e_{l-2}
+        P_{l-2} turns it into C_{l-1} C_{l-1}^T - ([l-2] / [l-1])
+        C_{l-1} e_{l-2} C_{l-1}^T, as P_{l-2} fixes E(a, b, l - 2) and
+        commutes with C_{l-1}.  C_{l-1} C_{l-1}^T = beta, because A mu =
+        beta mu, and C_{l-1} C_{l-2}^T = 1, so the product is
+        beta - [l-2] / [l-1] = [l] / [l-1].  Hence K has full row rank, the
+        cell's dimension is max(counts - rows, 0) (the fused matrix F_l on
+        an ADE diagram, the Chebyshev matrix U_l(A) on any other graph), R
+        is vt[rows:] of K's SVD, and Q = [K / sqrt(c_l); R] is orthogonal:
+        one identity that says at once that K has full row rank, that R is
+        orthonormal and that K R^T = 0.  It is checked for the whole grade
+        at once, each Q padded with the identity to one square shape, as
+        |Q Q^T - I| <= tol.  Nothing of the grade is stored unless every
+        cell passes.  No cell object is made (`_cell`)."""
         graph, n, nbrs = self.graph, self.graph.n_vertices, self.graph.neighbors
         if length == 0:
             counts, layout = np.eye(n, dtype=np.int64), np.zeros_like(self._before)
@@ -407,104 +425,70 @@ class EssentialSpace:
                 if c and r:
                     shapes.setdefault((r, c), []).append((a, b))
         solved = [cell for members in shapes.values() for cell in members]
-        if not solved:
-            self._grade_dims.append(counts)
-            self._solved.append({})
-            self._layout.append(layout)
-            return
-        height, width = map(max, zip(*shapes))
-        # per solved cell, zero-padded: K over the rows of its SVD that span
-        # its kernel, the other rows zero
-        stack = np.zeros((len(solved), height + width, width))
-        kept = np.zeros((len(solved), width), dtype=bool)
-        flat, step = stack.reshape(-1), (height + width) * width
-        weight, solved1, arc = self._weight, self._solved[length - 1], self._arc
-        dims1 = self._grade_dims[length - 1].tolist()
-        # block v of K_{(a,b,l)} starts at column starts[a][arc (b, v)], and
-        # block b of R_{(a,v,l-1)} at column offsets[a][arc (v, b)]
-        starts, offsets = layout.tolist(), self._layout[length - 1].tolist()
         transfers: dict[tuple[int, int], np.ndarray] = {}
-        first = 0
-        for (nrows, ncols), members in shapes.items():
-            for t, (a, b) in enumerate(members, first):
-                dims_a, starts_a, offsets_a = dims1[a], starts[a], offsets[a]
-                for v in nbrs[b]:
-                    dim = dims_a[v]
-                    if dim:
-                        lo, off = starts_a[arc[b][v]], offsets_a[arc[v][b]]
-                        r = solved1.get((a, v))
-                        if r is None:  # R = I: unit entries
-                            at = t * step + lo + off
-                            flat[at:at + nrows * (width + 1):width + 1] = weight[v][b]
-                        else:
-                            np.multiply(r[:, off:off + nrows].T, weight[v][b],
-                                        out=stack[t, :nrows, lo:lo + dim])
-            group = slice(first, first + len(members))
-            vt, ranks = self._kernels(stack[group, :nrows, :ncols])
-            transfers.update((cell, basis[r:]) for cell, r, basis
-                             in zip(members, ranks.tolist(), vt))
-            kept[group, :ncols] = keep = np.arange(ncols) >= ranks[:, None]
-            np.copyto(stack[group, height:height + ncols, :ncols], vt, where=keep[:, :, None])
-            first = group.stop
-        dims = counts.copy()
-        dims[tuple(zip(*solved))] = np.count_nonzero(kept, axis=1)
-        self._checked_dims(length, dims, counts, rows)
-        ks = stack[:, :height]
-        scale = np.sqrt(np.einsum("tij,tij->t", ks, ks))
-        prod = stack @ stack[:, height:].transpose(0, 2, 1)  # [K V^T; V V^T]
-        prod[:, height:].reshape(len(solved), -1)[:, ::width + 1] -= kept
-        np.abs(prod, out=prod)
-        self._checked_residuals(length, solved, prod[:, height:].max(axis=(1, 2)),
-                                prod[:, :height].max(axis=(1, 2)), scale)
-        self._grade_dims.append(dims)
+        if solved:
+            kappa, beta = self.pf.kappa, self.pf.beta
+            if kappa is None:
+                q = [0.0, 1.0]  # [k] = beta [k - 1] - [k - 2]
+                while len(q) <= length:
+                    q.append(beta * q[-1] - q[-2])
+                c_l = q[length] / q[length - 1]
+            else:
+                angle = math.pi / kappa
+                c_l = math.sin(length * angle) / math.sin((length - 1) * angle)
+            root = math.sqrt(c_l)
+            side = max(map(max, shapes))
+            # per solved cell, Q = [K / sqrt(c_l); R], padded with the identity
+            stack = np.zeros((len(solved), side, side))
+            flat, step = stack.reshape(-1), side * side
+            diag = flat.reshape(len(solved), -1)[:, ::side + 1]
+            weight, solved1, arc = self._weight, self._solved[length - 1], self._arc
+            dims1 = self._grade_dims[length - 1].tolist()
+            # block v of K_{(a,b,l)} starts at column starts[a][arc (b, v)], and
+            # block b of R_{(a,v,l-1)} at column offsets[a][arc (v, b)]
+            starts, offsets = layout.tolist(), self._layout[length - 1].tolist()
+            first = 0
+            for (nrows, ncols), members in shapes.items():
+                for t, (a, b) in enumerate(members, first):
+                    dims_a, starts_a, offsets_a = dims1[a], starts[a], offsets[a]
+                    for v in nbrs[b]:
+                        dim = dims_a[v]
+                        if dim:
+                            lo, off = starts_a[arc[b][v]], offsets_a[arc[v][b]]
+                            r = solved1.get((a, v))
+                            if r is None:  # R = I: unit entries
+                                at = t * step + lo + off
+                                flat[at:at + nrows * (side + 1):side + 1] = weight[v][b]
+                            else:
+                                np.multiply(r[:, off:off + nrows].T, weight[v][b],
+                                            out=stack[t, :nrows, lo:lo + dim])
+                group = slice(first, first + len(members))
+                kernels = self._kernels(stack[group, :nrows, :ncols])[:, nrows:]
+                transfers.update(zip(members, kernels))
+                stack[group, :nrows, :ncols] /= root
+                stack[group, nrows:ncols, :ncols] = kernels
+                diag[group, max(nrows, ncols):] = 1.0
+                first = group.stop
+            prod = stack @ stack.transpose(0, 2, 1)
+            prod.reshape(len(solved), -1)[:, ::side + 1] -= 1.0
+            worst = np.abs(prod, out=prod).max(axis=(1, 2))
+            bad = np.flatnonzero(~(worst <= self.tol)).tolist()  # a NaN fails
+            if bad:
+                t = min(bad, key=solved.__getitem__)
+                a, b = solved[t]
+                raise NumericError(f"cell {a}|{b}|{length} of {graph.name}: |Q Q^T - I| "
+                                   f"is {worst[t]:.3g} for Q = [K / sqrt(c_{length}); R], "
+                                   f"not within tolerance {self.tol:.3g}")
+        self._grade_dims.append(np.maximum(counts - rows, 0))
         self._solved.append(transfers)
         self._layout.append(layout)
 
-    def _kernels(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The kernels of the matrices of ``stack`` (members, rows, cols),
-        each with at least one entry, from one SVD: (vt, ranks), with the
-        orthonormal rows vt[t, ranks[t]:] spanning the kernel of stack[t].
-        Singular values up to rank_tol times a member's largest one count as
-        zero."""
-        _, svals, vt = np.linalg.svd(stack)
-        top = svals[:, 0]
-        thresh = self.rank_tol * np.where(top > 0, top, 1.0)
-        return vt, np.count_nonzero(svals > thresh[:, None], axis=1)
-
-    def _checked_dims(self, length: int, dims: np.ndarray, counts: np.ndarray,
-                      rows: np.ndarray) -> None:
-        """Raises NumericError naming the first cell, in (start, end) order,
-        whose constraint matrix K (rows[a, b] x counts[a, b]) lacks full
-        rank: whose dimension dims[a, b] is not max(counts - rows, 0), as an
-        identity cell's always is.  From D_0 = I, that makes D_l the fused
-        matrix F_l on an ADE diagram (0 past the last) and the Chebyshev
-        matrix U_l(A) on any other graph (Goodman, de la Harpe and Jones,
-        *Coxeter graphs and towers of algebras*, 1989)."""
-        want = np.maximum(counts - rows, 0)
-        bad = np.argwhere(dims != want).tolist()
-        if bad:
-            a, b = bad[0]
-            r, c, d = rows[a, b], counts[a, b], dims[a, b]
-            raise NumericError(f"cell {a}|{b}|{length} of {self.graph.name}: dimension "
-                               f"{d}, so its {r} x {c} constraint matrix has rank "
-                               f"{c - d}, not {min(r, c)}")
-
-    def _checked_residuals(self, length: int, cells: list[tuple[int, int]],
-                           gram: np.ndarray, ann: np.ndarray, scale: np.ndarray) -> None:
-        """Raises NumericError naming the first of ``cells``, (start, end)
-        pairs of one length, in (start, end) order, whose Gram residual
-        ``gram`` or annihilator residual ``ann`` (the largest entry of its
-        image under its constraints) is not within rank_tol, the bound on
-        the kernel's relative singular values.  ann may instead be within
-        rank_tol times ``scale``, the Frobenius norm of the constraints,
-        which bounds their largest singular value.  A NaN residual fails."""
-        tol = self.rank_tol
-        ok = (gram <= tol) & ((ann <= tol) | (ann <= tol * scale))
-        if not ok.all():
-            t = min(np.flatnonzero(~ok).tolist(), key=cells.__getitem__)
-            a, b = cells[t]
-            raise NumericError(f"cell {a}|{b}|{length} of {self.graph.name}: Gram "
-                               f"residual {gram[t]:.3g}, annihilator residual {ann[t]:.3g}")
+    def _kernels(self, stack: np.ndarray) -> np.ndarray:
+        """V^T of the SVD of each matrix of ``stack`` (members, rows, cols),
+        each with at least one entry: its rows past ``rows`` span the kernel
+        of a matrix of full row rank, which `_build_grade` checks.  A method
+        of its own so that tests can plant faults in the kernels."""
+        return np.linalg.svd(stack)[2]
 
     def _compute_cell(self, a: int, b: int, length: int) -> CellCoordinates:
         """Canonical path coordinates of a built cell of nonzero dimension."""
@@ -538,30 +522,27 @@ class EssentialSpace:
             level = nxt
         return level[b]
 
-    def _annihilator_residual(self, walks: np.ndarray,
-                              coords: np.ndarray) -> tuple[float, float]:
-        """The largest entry of C_k coords^T over k = 1, ..., l - 1 and the
-        Frobenius norm of [C_1; ...; C_{l-1}], for coordinates over the
-        walks of length l in the rows of ``walks``.  A walk w that
-        backtracks at k (w_{k-1} = w_{k+1}) maps to the shorter walk without
-        w_k and w_{k+1}, with weight sqrt(mu_{w_k} / mu_{w_{k-1}}); the
-        walks that map to one shorter walk are grouped and summed.  The rows
-        of ``walks`` must be all such walks in lex order, which
-        `_checked_cell` checks first: then the backtracking walks with one
-        prefix w_0 ... w_{k-1} come in runs, one per w_k, each over the same
-        suffixes w_{k+1} ... w_l in the same order, and each walk is grouped
-        onto the row of its suffix in the prefix's first run.  No shorter
-        walk is enumerated, and the transfer matrices are not read, so the
-        check stays independent of the build."""
+    def _annihilator_residual(self, walks: np.ndarray, coords: np.ndarray) -> float:
+        """The largest entry of C_k coords^T over k = 1, ..., l - 1, for
+        coordinates over the walks of length l in the rows of ``walks``.  A
+        walk w that backtracks at k (w_{k-1} = w_{k+1}) maps to the shorter
+        walk without w_k and w_{k+1}, with weight sqrt(mu_{w_k} /
+        mu_{w_{k-1}}); the walks that map to one shorter walk are grouped and
+        summed.  The rows of ``walks`` must be all such walks in lex order,
+        which `_checked_cell` checks first: then the backtracking walks with
+        one prefix w_0 ... w_{k-1} come in runs, one per w_k, each over the
+        same suffixes w_{k+1} ... w_l in the same order, and each walk is
+        grouped onto the row of its suffix in the prefix's first run.  No
+        shorter walk is enumerated, and the transfer matrices are not read, so
+        the check stays independent of the build."""
         mu = self.pf.mu
-        worst = norm_sq = 0.0
+        worst = 0.0
         for k in range(1, walks.shape[1] - 1):
             hit = np.flatnonzero(walks[:, k - 1] == walks[:, k + 1])
             if not hit.size:
                 continue
             h = walks[hit]
             w = np.sqrt(mu[h[:, k]] / mu[h[:, k - 1]])
-            norm_sq += float(w @ w)
             rows = np.arange(len(h))
             new_prefix = np.ones(len(h), dtype=bool)
             new_prefix[1:] = (h[1:, :k] != h[:-1, :k]).any(axis=1)
@@ -572,7 +553,7 @@ class EssentialSpace:
             image = [np.bincount(group, weights=w * x, minlength=len(h))
                      for x in coords[:, hit]]
             worst = max(worst, float(np.max(np.abs(image))))
-        return worst, math.sqrt(norm_sq)
+        return worst
 
     def _canonical(self, rows: np.ndarray) -> np.ndarray:
         """The canonical orthonormal basis of the row span of ``rows``."""
@@ -588,10 +569,13 @@ class EssentialSpace:
         """The cell basis with rows ``coords`` over the walks in the rows of
         ``walks``, residuals computed here.  Raises NumericError unless the
         walks are the cell's lex-ordered elementary paths from
-        `enumerate_paths`, the shape is (cell dimension D_length[a, b] from
-        the grade's kernels, number of paths) and `_checked_residuals`
-        holds against the path-space constraints [C_1; ...; C_{l-1}], which
-        `_annihilator_residual` applies to the walks."""
+        `enumerate_paths`, the shape is (cell dimension D_length[a, b],
+        number of paths), and the Gram residual |coords coords^T - I| and the
+        annihilator residual against the path-space constraints
+        [C_1; ...; C_{l-1}], which `_annihilator_residual` applies to the
+        walks, are within tol.  This re-check works in path space, with no
+        constraint matrix K, so it is independent of the build's identity
+        check.  A NaN residual fails."""
         paths = tuple(enumerate_paths(self.graph, self.graph.label(a),
                                       self.graph.label(b), length))
         dim = int(self._grade_dims[length][a, b])
@@ -599,10 +583,11 @@ class EssentialSpace:
                 or coords.shape != (dim, len(paths))):
             raise NumericError(f"cell {a}|{b}|{length} of {self.graph.name}: "
                                "coordinates are not over its paths and dimension")
-        ann_res, scale = self._annihilator_residual(walks, coords)
+        ann_res = self._annihilator_residual(walks, coords)
         gram_res = float(np.max(np.abs(coords @ coords.T - np.eye(dim)))) if dim else 0.0
-        self._checked_residuals(length, [(a, b)], np.array([gram_res]),
-                                np.array([ann_res]), np.array([scale]))
+        if not (gram_res <= self.tol and ann_res <= self.tol):
+            raise NumericError(f"cell {a}|{b}|{length} of {self.graph.name}: Gram "
+                               f"residual {gram_res:.3g}, annihilator residual {ann_res:.3g}")
         return CellCoordinates(paths, walks, coords, gram_res, ann_res)
 
     # -- grade bases ------------------------------------------------------
@@ -620,11 +605,11 @@ class EssentialSpace:
 
     def dims(self, max_length: Optional[int] = None) -> list[int]:
         """Dimensions of the graded components, length 0 up to the last
-        nonzero one: the sums of the dimension matrices D_l, each an honest
-        kernel computation on the transfer matrices (`_build_grade`), with
-        no path enumerated and no cell object made; on graphs without a
-        Coxeter number a cap must be supplied because the list never
-        terminates."""
+        nonzero one: the sums of the dimension matrices D_l, each from the
+        sizes of the constraint matrices, with every solved kernel checked
+        (`_build_grade`), no path enumerated and no cell object made; on
+        graphs without a Coxeter number a cap must be supplied because the
+        list never terminates."""
         if max_length is None:
             if self.pf.kappa is None:
                 raise InputError(
@@ -846,6 +831,8 @@ class EssentialSpace:
         the coefficients of e on the paths through v gathered as one block
         (`_through`).  The entries are ordered by v, then i, then j."""
         cell, x, _ = self._cell_vector(e, "decompose")
+        if cell.length < 2:
+            raise InputError(f"a cell of length {cell.length} has no split")
         if not (0 < split < cell.length):
             raise InputError(
                 f"split must satisfy 0 < split < {cell.length}, got {split}"

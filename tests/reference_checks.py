@@ -199,7 +199,7 @@ def bullet_reconstruct(sp, d):
     return out
 
 
-def per_cell_transfers(g, max_length, rank_tol):
+def per_cell_transfers(g, max_length):
     """The transfer matrix and candidate blocks of every cell (a, b, l) of
     ``g`` with l <= max_length, built start by start and one cell at a
     time, independently of `EssentialSpace`: the candidates of cell
@@ -207,8 +207,8 @@ def per_cell_transfers(g, max_length, rank_tol):
     constraint matrix K = [sqrt(mu_v / mu_b) R_{(a,v,l-1)}[:, block b]^T]_v
     has as many rows as the cell (a, b, l - 2) has dimensions, and R is the
     identity when K has no entry, else the rows of its own SVD past the
-    rank, singular values up to rank_tol times the largest counting as
-    zero."""
+    rank, singular values up to 1e-7 times the largest counting as zero:
+    a rank threshold of its own, which the build does not use."""
     mu = perron_frobenius(g).mu
     nbrs = g.neighbors
     out = {}
@@ -230,7 +230,7 @@ def per_cell_transfers(g, max_length, rank_tol):
                     for v, (t, tb) in zip(nbrs[b], prev):
                         k[:, blocks[v]] = math.sqrt(mu[v] / mu[b]) * t[:, tb[b]].T
                     _, svals, vt = np.linalg.svd(k)
-                    thresh = rank_tol * (svals[0] if svals[0] > 0 else 1.0)
+                    thresh = 1e-7 * (svals[0] if svals[0] > 0 else 1.0)
                     transfer = vt[int(np.sum(svals > thresh)):]
                 out[(a, b, length)] = transfer, blocks
     return out

@@ -206,6 +206,21 @@ class TestDecompose:
                            "--split", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("length,to", [(0, "1"), (1, "2")])
+    def test_cell_without_split_exits_two(self, capsys, length, to):
+        # a cell of length 0 or 1 has no 0 < split < length to name
+        code, out, err = run(capsys, "decompose", "--graph", "A2", "--from", "1",
+                             "--to", to, "--length", str(length), "--index", "0",
+                             "--split", "1")
+        assert (code, out, err) == (2, "", f"error: a cell of length {length} has no split\n")
+
+    def test_split_out_of_range_exits_two(self, capsys):
+        code, out, err = run(capsys, "decompose", "--graph", "E6", "--from", "2",
+                             "--to", "2", "--length", "4", "--index", "1",
+                             "--split", "4")
+        assert (code, out) == (2, "")
+        assert err == "error: split must satisfy 0 < split < 4, got 4\n"
+
 
 def assert_same_up_to_rounding(got: str, expect: str, label: str):
     """The texts agree once every number is masked, and their numbers agree
@@ -438,7 +453,7 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         ("verify", "--graph", "A3", "--tolerance", "inf"),
         ("verify", "--graph", "A3", "--tolerance", "nan"),
-        ("dims", "--graph", "A3", "--rank-tol", "nan"),
+        ("dims", "--graph", "A3", "--tolerance", "nan"),
         ("a2-compare", "--tolerance", "inf"),
     ])
     def test_non_finite_tolerance_exits_two(self, capsys, argv):
@@ -465,12 +480,28 @@ class TestErrors:
         assert err.startswith("error: cannot read --graph")
         assert len(err.splitlines()) == 1
 
-    def test_wrong_kernel_exits_one(self, capsys):
-        # a rank threshold at the largest singular value takes too big a
-        # kernel; the build checks that every constraint matrix has full rank
-        code, out, err = run(capsys, "dims", "--graph", "D4", "--rank-tol", "1.0")
+    def test_rank_tol_option_is_gone(self, capsys):
+        # the build has one tolerance, --tolerance
+        with pytest.raises(SystemExit) as exc:
+            main(["dims", "--graph", "D4", "--rank-tol", "1e-7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rank-tol" in capsys.readouterr().err
+
+    def test_wrong_kernel_exits_one(self, capsys, monkeypatch):
+        # one constraint weight sqrt(mu_v / mu_b) off by 1e-8 makes a wrong
+        # kernel of the right size; the build's identity check catches it
+        from esspath.essential import EssentialSpace
+        init = EssentialSpace.__init__
+
+        def faulty(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self._weight[1][0] *= 1 + 1e-8  # edge 0 - 1 of D4
+
+        monkeypatch.setattr(EssentialSpace, "__init__", faulty)
+        code, out, err = run(capsys, "dims", "--graph", "D4")
         assert (code, out) == (1, "")
-        assert "constraint matrix has rank 0, not 1" in err
+        assert re.fullmatch(r"error: cell 0\|0\|2 of D4: \|Q Q\^T - I\| is \S+ for "
+                            r"Q = \[K / sqrt\(c_2\); R\], not within tolerance 1e-09\n", err)
 
     def test_cycle_file_needs_flag(self, capsys, tmp_path):
         path = tmp_path / "tri.json"

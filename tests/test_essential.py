@@ -956,7 +956,6 @@ class TestScaleInvariance:
 @pytest.mark.parametrize("bad", [0.0, -1e-9, math.inf, math.nan])
 def test_tolerances_must_be_finite_and_positive(a3, bad):
     for make in (lambda: EssentialSpace(a3, tol=bad),
-                 lambda: EssentialSpace(a3, rank_tol=bad),
                  lambda: VerifyConfig(tolerance=bad)):
         with pytest.raises(InputError, match="tolerances must be finite and positive"):
             make()
@@ -1018,10 +1017,9 @@ class TestCellInvariants:
                         continue
                     coords = rng.standard_normal((2, len(walks)))
                     mat = self._constraints(sp, a, b, length)
-                    worst, scale = sp._annihilator_residual(walks, coords)
+                    worst = sp._annihilator_residual(walks, coords)
                     dense = np.max(np.abs(mat @ coords.T), initial=0.0)
                     assert worst == pytest.approx(dense, rel=1e-12, abs=1e-15)
-                    assert scale == pytest.approx(np.linalg.norm(mat), rel=1e-12)
                     checked += 1
         assert checked > 0
 
@@ -1056,26 +1054,26 @@ class TestCellInvariants:
         kernels = EssentialSpace._kernels
 
         def scaled(self, stack):
-            vt, ranks = kernels(self, stack)
-            kernel = ranks < stack.shape[2]
-            vt[kernel, ranks[kernel]] *= 1.5  # every cell with a real constraint
-            return vt, ranks
+            vt = kernels(self, stack)
+            rows = stack.shape[1]
+            vt[:, rows:rows + 1] *= 1.5  # every cell with a real constraint
+            return vt
 
         monkeypatch.setattr(EssentialSpace, "_kernels", scaled)
-        with pytest.raises(NumericError, match="Gram residual 1.25"):
+        with pytest.raises(NumericError, match=r"of D4: \|Q Q\^T - I\| is 1.25 "):
             EssentialSpace(d4).dims()
 
     def test_wrong_kernel_of_right_size_raises(self, d4, monkeypatch):
         kernels = EssentialSpace._kernels
 
         def wrong(self, stack):
-            # rows[r:] are the first unit vectors, not the kernel
-            _, ranks = kernels(self, stack)
-            eye = np.eye(stack.shape[2])
-            return np.stack([np.roll(eye, r, axis=0) for r in ranks]), ranks
+            # rows[rows:] are the first unit vectors, not the kernel
+            rows, cols = stack.shape[1:]
+            kernels(self, stack)
+            return np.stack([np.roll(np.eye(cols), rows, axis=0)] * len(stack))
 
         monkeypatch.setattr(EssentialSpace, "_kernels", wrong)
-        with pytest.raises(NumericError, match="annihilator residual"):
+        with pytest.raises(NumericError, match=r"^cell \d+\|\d+\|\d+ of D4: \|Q Q\^T - I\|"):
             EssentialSpace(d4).dims()
 
     def test_fault_in_one_member_of_a_stack_names_that_cell(self, e6, monkeypatch):
@@ -1085,16 +1083,15 @@ class TestCellInvariants:
         planted = []
 
         def faulty(self, stack):
-            vt, ranks = kernels(self, stack)
-            kernel = np.flatnonzero(ranks < stack.shape[2])
-            if not planted and kernel.size and kernel[-1] > 0:
-                t = kernel[-1]
-                vt[t, ranks[t]] *= 1.5
-                planted.append((stack[t].copy(), stack[0].copy()))
-            return vt, ranks
+            vt = kernels(self, stack)
+            rows, cols = stack.shape[1:]
+            if not planted and rows < cols and len(stack) > 1:
+                vt[-1, rows] *= 1.5
+                planted.append((stack[-1].copy(), stack[0].copy()))
+            return vt
 
         monkeypatch.setattr(EssentialSpace, "_kernels", faulty)
-        with pytest.raises(NumericError, match="Gram residual 1.25") as raised:
+        with pytest.raises(NumericError, match=r"\|Q Q\^T - I\| is 1.25 ") as raised:
             EssentialSpace(e6).dims()
         (faulty_k, first_k), = planted
         built = EssentialSpace(e6)
@@ -1110,18 +1107,67 @@ class TestCellInvariants:
 
     @pytest.mark.parametrize("name", ["E6", "five-leaf star", "affine D4", "5-cycle"])
     def test_lost_kernel_vector_raises(self, monkeypatch, name):
-        # one rank too many in one member of one stack drops a kernel vector:
-        # the basis left is orthonormal and annihilated, but too small, on
-        # graphs without a Coxeter number too
+        # one member of one stack loses a kernel vector to a vector of its
+        # K's row space: the basis keeps its size and is orthonormal, but K
+        # does not annihilate it, on graphs without a Coxeter number too
         g = builtin_graph(name) if name == "E6" else edge_graph(OTHER_GRAPHS[name])
         cap = None if name == "E6" else 6
         built = EssentialSpace(g)
         built.dims(cap)
-        planted = lose_kernel_vector(monkeypatch)
-        with pytest.raises(NumericError, match="constraint matrix has rank") as raised:
+        planted = swap_kernel_vector(monkeypatch)
+        with pytest.raises(NumericError) as raised:
             EssentialSpace(g).dims(cap)
-        assert_names_planted_cell(raised, g.name, planted,
+        assert_names_swapped_cell(raised, g.name, planted,
                                   lambda key: constraint_matrix(built, *key))
+
+    @pytest.mark.parametrize("name", ["E6", "A6", "five-leaf star", "5-cycle"])
+    def test_weight_fault_raises(self, name):
+        # one constraint weight off by 1e-8: every kernel keeps its size and
+        # is orthonormal, and its path-space residuals stay near 1e-8, but
+        # K K^T = c_l I fails at the first K that reads the weight
+        g = builtin_graph(name) if name in ("E6", "A6") else edge_graph(OTHER_GRAPHS[name])
+        sp = EssentialSpace(g)
+        b = scale_weight(sp)
+        with pytest.raises(NumericError, match=rf"^cell {b}\|{b}\|2 of {re.escape(g.name)}: "
+                                               r"\|Q Q\^T - I\| is "):
+            sp.dims(None if sp.max_length is not None else 6)
+
+    @pytest.mark.parametrize("name", ["E6", "five-leaf star"])
+    def test_block_at_wrong_column_raises(self, monkeypatch, name):
+        # one block of one K written a column to the left of its place, over
+        # the last column of the block before it, and then solved: its
+        # kernel is orthonormal and annihilated by the wrong K
+        g = builtin_graph(name) if name == "E6" else edge_graph(OTHER_GRAPHS[name])
+        cap = None if name == "E6" else 6
+        built = EssentialSpace(g)
+        built.dims(cap)
+        k, lo, hi, length = next(
+            (k, lo, hi, key[2]) for key in built_cells(built)
+            if all(candidates_and_rows(built, *key))
+            for k in [constraint_matrix(built, *key)]
+            for lo, hi in [sorted((s.start, s.stop) for s in built._cell(*key).blocks.values()
+                                  if s.stop > s.start)[-1]]
+            if lo and k[:, lo - 1].any())
+        kernels = EssentialSpace._kernels
+        planted = []
+
+        def shifted(self, stack):
+            for t, member in enumerate(stack):  # views of the build's own K
+                if (not planted and len(self._grade_dims) == length
+                        and np.array_equal(member, k)):
+                    member[:, lo - 1:hi - 1] = k[:, lo:hi]
+                    member[:, hi - 1] = 0.0
+                    planted.append(t)
+            return kernels(self, stack)
+
+        monkeypatch.setattr(EssentialSpace, "_kernels", shifted)
+        with pytest.raises(NumericError) as raised:
+            EssentialSpace(g).dims(cap)
+        assert planted
+        a, b, got = map(int, re.match(rf"cell (\d+)\|(\d+)\|(\d+) of {re.escape(g.name)}: "
+                                      r"\|Q Q\^T - I\| is ", str(raised.value)).groups())
+        assert got == length
+        assert np.array_equal(constraint_matrix(built, a, b, length), k)
 
     def test_wrong_stored_transfer_fails_path_check(self, a3):
         import dataclasses
@@ -1210,48 +1256,60 @@ def edge_graph(edges):
     return parse_graph(json.dumps({"vertices": vertices, "edges": edges}), allow_cycles=True)
 
 
-def lose_kernel_vector(monkeypatch, at_length=None):
-    """Patch `_kernels` to report one rank too many, so one kernel vector is
-    lost, for the last member with a nonempty kernel of the first stack
-    that has one (in grade ``at_length`` when given).  Returns the list
-    that receives (length, K) of that member."""
+def swap_kernel_vector(monkeypatch, at_length=None):
+    """Patch `_kernels` so that the last member of the first stack with a
+    nonempty kernel (in grade ``at_length`` when given) trades its first
+    kernel row for the last row of its K's row space: its R keeps its size
+    and is orthonormal, but has lost a kernel vector.  Returns the list that
+    receives (length, K) of that member."""
     kernels = EssentialSpace._kernels
     planted = []
 
-    def lossy(self, stack):
-        vt, ranks = kernels(self, stack)
-        kernel = np.flatnonzero(ranks < stack.shape[2])
+    def swapped(self, stack):
+        vt = kernels(self, stack)
+        rows, cols = stack.shape[1:]
         length = len(self._grade_dims)  # the grade being built
-        if not planted and kernel.size and at_length in (None, length):
-            ranks[kernel[-1]] += 1
-            planted.append((length, stack[kernel[-1]].copy()))
-        return vt, ranks
+        if not planted and rows < cols and at_length in (None, length):
+            vt[-1, [rows - 1, rows]] = vt[-1, [rows, rows - 1]]
+            planted.append((length, stack[-1].copy()))
+        return vt
 
-    monkeypatch.setattr(EssentialSpace, "_kernels", lossy)
+    monkeypatch.setattr(EssentialSpace, "_kernels", swapped)
     return planted
 
 
-def assert_names_planted_cell(raised, graph_name, planted, k_of):
+def assert_names_swapped_cell(raised, graph_name, planted, k_of):
     """The NumericError in ``raised`` names a cell whose K, read by ``k_of``
-    from a fault-free build, is the K that `lose_kernel_vector` planted,
-    and gives its rank one too high."""
+    from a fault-free build, is the K that `swap_kernel_vector` planted, and
+    its |Q Q^T - I|: about 1, as K does not annihilate the swapped row."""
     (length, k), = planted
-    a, b, got = map(int, re.match(r"cell (\d+)\|(\d+)\|(\d+) of ",
-                                  str(raised.value)).groups())
-    assert got == length
-    assert np.array_equal(k_of((a, b, length)), k)
-    rows, cols = k.shape
-    assert str(raised.value) == (
-        f"cell {a}|{b}|{length} of {graph_name}: dimension {cols - rows - 1}, so "
-        f"its {rows} x {cols} constraint matrix has rank {rows + 1}, not {rows}")
+    match = re.fullmatch(r"cell (\d+)\|(\d+)\|(\d+) of (.+): \|Q Q\^T - I\| is (\S+) for "
+                         r"Q = \[K / sqrt\(c_(\d+)\); R\], not within tolerance 1e-09",
+                         str(raised.value))
+    a, b, got, name, worst, c_of = match.groups()
+    assert (int(got), int(c_of), name) == (length, length, graph_name)
+    assert np.array_equal(k_of((int(a), int(b), length)), k)
+    assert 0.1 < float(worst) <= 2.0
+
+
+def scale_weight(sp, factor=1 + 1e-8):
+    """Scale the constraint weight sqrt(mu_v / mu_b) of the first edge
+    (v, b) of ``sp``'s graph, before its first build.  Returns b: the first
+    K to read the weight is that of the cell (b, b, 2), the only cell of
+    grade 2 to read it, [sqrt(mu_u / mu_b)] over u ~ b."""
+    v, b = sp.graph.edges[0]
+    sp._weight[v][b] *= factor
+    return b
 
 
 class TestIdentityTransfers:
     """A cell with no candidate or no constraint row takes R = I without a
-    kernel solve, and has no rank to check; the other cells of a grade are
-    solved in one stacked SVD per shape of K, and each K must have full
-    rank.  Every dimension matrix is also compared with the fused matrices
-    here, an oracle independent of the build."""
+    kernel solve, and has nothing to check; the other cells of a grade are
+    solved in one stacked SVD per shape of K, and each K and R must make
+    [K / sqrt(c_l); R] orthogonal.  The transfers are compared bit for bit
+    with `per_cell_transfers`, which reads each kernel with a rank threshold
+    of its own, and every dimension matrix with the fused matrices, an
+    oracle independent of the build."""
 
     @pytest.mark.parametrize("name", ALL_BUILTINS)
     def test_cells_match_kernel_route(self, name):
@@ -1264,7 +1322,7 @@ class TestIdentityTransfers:
         for length, dims in enumerate(sp._grade_dims):
             want = fused[length] if length < len(fused) else np.zeros_like(dims)
             assert np.array_equal(dims, want), length
-        ref = per_cell_transfers(g, sp.max_length + 1, sp.rank_tol)
+        ref = per_cell_transfers(g, sp.max_length + 1)
         assert ref.keys() == set(built_cells(sp))
         for key in built_cells(sp):
             cell, (transfer, blocks) = sp._cell(*key), ref[key]
@@ -1281,7 +1339,7 @@ class TestIdentityTransfers:
         cap = 6
         sp = EssentialSpace(g)
         sp.dims(cap)
-        ref = per_cell_transfers(g, cap, sp.rank_tol)
+        ref = per_cell_transfers(g, cap)
         assert ref.keys() == set(built_cells(sp))
         for key in built_cells(sp):
             cell, (transfer, blocks) = sp._cell(*key), ref[key]
@@ -1308,6 +1366,39 @@ class TestIdentityTransfers:
                                         for key in both)
 
 
+class TestWenzlIdentity:
+    """Every solved K satisfies K K^T = ([l] / [l - 1]) I (Wenzl, 1987), so
+    the build reads each rank as a row count and checks each cell within
+    the space's one tolerance, down to 1e-14."""
+
+    @pytest.mark.parametrize("name", ["A6", "E6", "E8", "five-leaf star", "5-cycle", "K4"])
+    def test_every_constraint_matrix_satisfies_identity(self, name):
+        # K from the cell objects and [k] from the float recurrence
+        # [k] = beta [k - 1] - [k - 2], not from the build's sine formula
+        g = builtin_graph(name) if name[0] in "ADE" else edge_graph(OTHER_GRAPHS[name])
+        sp = EssentialSpace(g)
+        sp.dims(None if sp.max_length is not None else 6)
+        q = [0.0, 1.0]
+        while len(q) < len(sp._grade_dims):
+            q.append(sp.pf.beta * q[-1] - q[-2])
+        solved = [key for key in built_cells(sp) if all(candidates_and_rows(sp, *key))]
+        for a, b, length in solved:
+            k = constraint_matrix(sp, a, b, length)
+            want = q[length] / q[length - 1] * np.eye(len(k))
+            assert np.max(np.abs(k @ k.T - want)) <= 1e-11, (a, b, length)
+        assert solved
+
+    @pytest.mark.parametrize("name", ["A1"] + ALL_BUILTINS)
+    def test_tight_tolerance_keeps_dims(self, name):
+        g = builtin_graph(name)
+        assert EssentialSpace(g, tol=1e-14).dims() == EssentialSpace(g).dims()
+
+    @pytest.mark.parametrize("name", OTHER_GRAPHS)
+    def test_tight_tolerance_keeps_dims_without_coxeter_number(self, name):
+        g = edge_graph(OTHER_GRAPHS[name])
+        assert EssentialSpace(g, tol=1e-14).dims(7) == EssentialSpace(g).dims(7)
+
+
 class TestCellsMadeOnRead:
     """A grade is kept as arrays; a cell object is made on the first read
     of the cell, and `dims` reads none."""
@@ -1326,18 +1417,19 @@ class TestCellsMadeOnRead:
         assert EssentialSpace(g).dims() == list(fused_matrices(g).sums)
 
     def test_dims_still_checks_each_cell(self, monkeypatch):
+        # a weight fault planted just before the last grade with a solved
+        # cell, so every earlier grade passes and that grade must fail
         g = builtin_graph("E8")
         built = EssentialSpace(g)
         built.dims()
-        solved = [key for key in built_cells(built) if all(candidates_and_rows(built, *key))]
-        # the last grade with a solved cell of nonzero dimension, to plant in
-        length = max(key[2] for key in solved if built._cell(*key).dim)
-        ks = {key: constraint_matrix(built, *key) for key in solved if key[2] == length}
-        planted = lose_kernel_vector(monkeypatch, length)
+        length = max(k for k, solved in enumerate(built._solved) if solved)
+        sp = EssentialSpace(g)
+        sp._built(length - 1)
+        scale_weight(sp)
         self.refuse_cell_objects(monkeypatch)
-        with pytest.raises(NumericError, match="constraint matrix has rank") as raised:
-            EssentialSpace(g).dims()
-        assert_names_planted_cell(raised, "E8", planted, ks.__getitem__)
+        with pytest.raises(NumericError, match=rf"^cell \d+\|\d+\|{length} of E8: "
+                                               r"\|Q Q\^T - I\| is "):
+            sp.dims()
 
     @pytest.mark.parametrize("name", ["E6", "D7"])
     def test_first_read_after_dims_matches_a_fresh_space(self, name):
