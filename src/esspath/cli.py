@@ -2,8 +2,9 @@
 
 Subcommands: pf, dims, fused, basis, product, decompose, verify, a2-compare.
 Results go to standard output (JSON by default); diagnostics go to standard
-error.  Exit codes: 0 success / all checks pass, 1 a verification failed or
-a numeric procedure broke down, 2 usage or input error.
+error.  Exit codes: 0 success / all checks pass, 1 a verification failed, a
+numeric procedure broke down or memory ran out, 2 usage or input error.
+`main` checks the settings shared by every subcommand before any runs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import functools
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -40,42 +40,8 @@ from .verify import SUITES, VerifyConfig, run_suite
 _FORMATS = ("json", "pretty", "csv")
 
 
-@dataclass
-class RunConfig:
-    graph_source: Optional[str]
-    tolerance: float
-    max_length: Optional[int]
-    out_format: str
-    jobs: int
-    allow_cycles: bool
-    suite: str = "all"
-
-    def __post_init__(self):
-        check_tolerances(self.tolerance)
-        if self.max_length is not None and self.max_length < 0:
-            raise InputError("max length cap must be >= 0")
-        if self.jobs < 1:
-            raise InputError("jobs must be >= 1")
-        if self.out_format not in _FORMATS:
-            raise InputError(f"unknown format {self.out_format!r}")
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        graph_source=getattr(args, "graph", None),
-        tolerance=args.tolerance,
-        max_length=args.max_length,
-        out_format=args.format,
-        jobs=args.jobs,
-        allow_cycles=args.allow_cycles,
-        suite=getattr(args, "suite", "all"),
-    )
-
-
-def _load_graph(cfg: RunConfig) -> Graph:
-    src = cfg.graph_source
-    if src is None:
-        raise InputError("--graph is required")
+def _load_graph(args: argparse.Namespace) -> Graph:
+    src = args.graph
     try:
         return builtin_graph(src)
     except InputError:
@@ -89,21 +55,15 @@ def _load_graph(cfg: RunConfig) -> Graph:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read --graph {src!r}: {exc}") from None
-    return parse_graph(text, allow_cycles=cfg.allow_cycles)
+    return parse_graph(text, allow_cycles=args.allow_cycles)
 
 
-def _space(cfg: RunConfig) -> EssentialSpace:
-    g = _load_graph(cfg)
-    return EssentialSpace(g, tol=cfg.tolerance)
+def _space(args: argparse.Namespace) -> EssentialSpace:
+    return EssentialSpace(_load_graph(args), tol=args.tolerance)
 
 
 def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
-
-
-def _no_csv(cfg: RunConfig, command: str) -> None:
-    if cfg.out_format == "csv":
-        raise InputError(f"{command!r} has no CSV form; use json or pretty")
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +71,7 @@ def _no_csv(cfg: RunConfig, command: str) -> None:
 
 
 def cmd_pf(args) -> int:
-    cfg = _config(args)
-    sp = _space(cfg)
+    sp = _space(args)
     pf = sp.pf
     payload = {
         "graph": sp.graph.name,
@@ -122,12 +81,12 @@ def cmd_pf(args) -> int:
         "mu": [float(x) for x in pf.mu],
         "distinguished": sp.graph.label(sp.graph.distinguished),
     }
-    if cfg.out_format == "pretty":
+    if args.format == "pretty":
         _emit(f"graph {payload['graph']}: beta = {pf.beta:.12g}, "
               f"kappa = {pf.kappa}")
         for v, m in zip(payload["vertices"], payload["mu"]):
             _emit(f"  mu[{v}] = {m:.12g}")
-    elif cfg.out_format == "csv":
+    elif args.format == "csv":
         _emit("vertex,mu")
         for v, m in zip(payload["vertices"], payload["mu"]):
             _emit(f"{v},{m:.12g}")
@@ -137,15 +96,14 @@ def cmd_pf(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    cfg = _config(args)
-    sp = _space(cfg)
-    sizes = sp.dims(cfg.max_length)
+    sp = _space(args)
+    sizes = sp.dims(args.max_length)
     payload = {"graph": sp.graph.name, "dims": sizes, "total": sum(sizes),
                "endomorphism_dim": sum(d * d for d in sizes)}
-    if cfg.out_format == "pretty":
+    if args.format == "pretty":
         _emit(f"graph {payload['graph']}: dims ("
               + ",".join(str(d) for d in sizes) + f") total {sum(sizes)}")
-    elif cfg.out_format == "csv":
+    elif args.format == "csv":
         _emit("length,dim")
         for i, d in enumerate(sizes):
             _emit(f"{i},{d}")
@@ -155,9 +113,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_fused(args) -> int:
-    cfg = _config(args)
-    sp = _space(cfg)
-    fm = fused_matrices(sp.graph, cfg.tolerance)
+    sp = _space(args)
+    fm = fused_matrices(sp.graph, args.tolerance)
     payload = {
         "graph": sp.graph.name,
         "matrices": [
@@ -167,14 +124,14 @@ def cmd_fused(args) -> int:
         ],
         "sums": list(fm.sums),
     }
-    if cfg.out_format == "pretty":
+    if args.format == "pretty":
         _emit(f"graph {payload['graph']}: entry sums "
               + ",".join(str(s) for s in fm.sums))
         for entry in payload["matrices"]:
             _emit(f"F_{entry['p']} (sum {entry['sum']}):")
             for row in entry["matrix"]:
                 _emit("  " + " ".join(f"{x:3d}" for x in row))
-    elif cfg.out_format == "csv":
+    elif args.format == "csv":
         _emit("p,sum")
         for entry in payload["matrices"]:
             _emit(f"{entry['p']},{entry['sum']}")
@@ -184,9 +141,7 @@ def cmd_fused(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    cfg = _config(args)
-    _no_csv(cfg, "basis")
-    sp = _space(cfg)
+    sp = _space(args)
     cell = sp.cell(args.src, args.dst, args.length)
     payload = {
         "graph": sp.graph.name,
@@ -199,7 +154,7 @@ def cmd_basis(args) -> int:
         "gram_residual": cell.gram_residual,
         "annihilator_residual": cell.annihilator_residual,
     }
-    if cfg.out_format == "pretty":
+    if args.format == "pretty":
         _emit(f"essential cell {payload['from']} -({cell.length})-> "
               f"{payload['to']} on {sp.graph.name}: dimension {cell.dim}")
         for i in range(cell.dim):
@@ -222,9 +177,7 @@ def _parse_path_arg(sp: EssentialSpace, text: str):
 
 
 def cmd_product(args) -> int:
-    cfg = _config(args)
-    _no_csv(cfg, "product")
-    sp = _space(cfg)
+    sp = _space(args)
     left = _parse_path_arg(sp, args.left)
     right = _parse_path_arg(sp, args.right)
     with warnings.catch_warnings(record=True) as caught:
@@ -239,7 +192,7 @@ def cmd_product(args) -> int:
         "bullet": path_vector_obj(sp.graph, result),
         "norm": result.norm(),
     }
-    if cfg.out_format == "pretty":
+    if args.format == "pretty":
         terms = payload["bullet"]["terms"]
         if not terms:
             _emit("0")
@@ -251,9 +204,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    cfg = _config(args)
-    _no_csv(cfg, "decompose")
-    sp = _space(cfg)
+    sp = _space(args)
     cell = sp.cell(args.src, args.dst, args.length)
     if not 0 <= args.index < cell.dim:
         raise InputError(
@@ -275,7 +226,7 @@ def cmd_decompose(args) -> int:
         "sum_of_squares": dec.sum_squares,
         "reconstruction_residual": recon,
     }
-    if cfg.out_format == "pretty":
+    if args.format == "pretty":
         _emit(f"decomposition at split {dec.split}: "
               f"{len(dec.entries)} terms, sum of squares "
               f"{dec.sum_squares:.12g}, reconstruction {recon:.3e}")
@@ -302,18 +253,14 @@ def _emit_reports(reports: list[CheckReport], out_format: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
-    _no_csv(cfg, "verify")
-    vcfg = VerifyConfig(tolerance=cfg.tolerance, max_length=cfg.max_length,
+    vcfg = VerifyConfig(tolerance=args.tolerance, max_length=args.max_length,
                         samples=args.samples)
-    sp = _space(cfg)
-    reports = run_suite(sp, cfg.suite, vcfg)
-    return _emit_reports(reports, cfg.out_format)
+    sp = _space(args)
+    reports = run_suite(sp, args.suite, vcfg)
+    return _emit_reports(reports, args.format)
 
 
 def cmd_a2_compare(args) -> int:
-    cfg = _config(args)
-    _no_csv(cfg, "a2-compare")
     reports = a2mod.a2_reports()
     elements, endos = a2mod.ELEMENT_NAMES, a2mod.ENDO_NAMES
     payload = {
@@ -334,7 +281,7 @@ def cmd_a2_compare(args) -> int:
         },
         "checks": [report_obj(r) for r in reports],
     }
-    if cfg.out_format == "pretty":
+    if args.format == "pretty":
         def table(title, rows):
             _emit(title)
             widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
@@ -385,18 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility; has no effect")
         p.add_argument("--allow-cycles", action="store_true",
                        dest="allow_cycles")
+        p.set_defaults(csv=False)
 
     p = sub.add_parser("pf", help="Perron-Frobenius data (beta, mu, kappa)")
     common(p)
-    p.set_defaults(fn=cmd_pf)
+    p.set_defaults(fn=cmd_pf, csv=True)
 
     p = sub.add_parser("dims", help="graded essential dimensions")
     common(p)
-    p.set_defaults(fn=cmd_dims)
+    p.set_defaults(fn=cmd_dims, csv=True)
 
     p = sub.add_parser("fused", help="fused matrices F_p and entry sums")
     common(p)
-    p.set_defaults(fn=cmd_fused)
+    p.set_defaults(fn=cmd_fused, csv=True)
 
     p = sub.add_parser("basis", help="orthonormal basis of one cell")
     common(p)
@@ -439,15 +387,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        check_tolerances(args.tolerance)
+        if args.max_length is not None and args.max_length < 0:
+            raise InputError("max length cap must be >= 0")
+        if args.jobs < 1:
+            raise InputError("jobs must be >= 1")
+        if args.format == "csv" and not args.csv:
+            raise InputError(f"{args.command!r} has no CSV form; use json or pretty")
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, EsspathError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

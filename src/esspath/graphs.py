@@ -302,9 +302,6 @@ def _detect_kappa(beta: float, tol: float) -> Optional[int]:
     return None
 
 
-_PF_CACHE: dict[tuple[Graph, float], PerronData] = {}
-
-
 def perron_frobenius(g: Graph, tol: float = DEFAULT_TOL) -> PerronData:
     """Perron-Frobenius data of the graph, normalized at the base point,
     from one symmetric eigensolve (`_dominant_pair`), so beta and mu are
@@ -316,10 +313,6 @@ def perron_frobenius(g: Graph, tol: float = DEFAULT_TOL) -> PerronData:
     detected within tol.  fused_matrices checks its tolerance here.
     """
     check_tolerances(tol)
-    key = (g, tol)
-    cached = _PF_CACHE.get(key)
-    if cached is not None:
-        return cached
     beta, vec = _dominant_pair(g.adjacency.astype(float))
     if np.any(vec <= 0):
         raise NumericError("eigenvector has non-positive components")
@@ -332,9 +325,7 @@ def perron_frobenius(g: Graph, tol: float = DEFAULT_TOL) -> PerronData:
     resid = np.max(np.abs(g.adjacency @ mu - beta * mu))
     if resid > tol * max(1.0, float(np.max(mu))):
         raise NumericError(f"eigen residual {resid:g} exceeds tolerance {tol:g}")
-    data = PerronData(beta=beta, mu=mu, kappa=_detect_kappa(beta, tol))
-    _PF_CACHE[key] = data
-    return data
+    return PerronData(beta=beta, mu=mu, kappa=_detect_kappa(beta, tol))
 
 
 def fused_matrices(g: Graph, tol: float = DEFAULT_TOL) -> FusedMatrices:

@@ -430,6 +430,54 @@ class TestA2Compare:
         assert "[PASS]" in out
 
 
+# each subcommand with its required arguments
+SUBCOMMANDS = {
+    "pf": ["--graph", "A3"],
+    "dims": ["--graph", "A3"],
+    "fused": ["--graph", "A3"],
+    "basis": ["--graph", "A3", "--from", "1", "--to", "1", "--length", "0"],
+    "product": ["--graph", "A3", "--left", "1", "--right", "1"],
+    "decompose": ["--graph", "E6", "--from", "2", "--to", "2", "--length", "4",
+                  "--split", "2"],
+    "verify": ["--graph", "A3"],
+    "a2-compare": [],
+}
+
+
+class TestSharedSettings:
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tolerance", "nan", "tolerances must be finite and positive, got nan"),
+        ("--max-length", "-1", "max length cap must be >= 0"),
+        ("--jobs", "0", "jobs must be >= 1"),
+    ])
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_bad_setting_exits_two(self, capsys, command, flag, value, message):
+        code, out, err = run(capsys, command, *SUBCOMMANDS[command], flag, value)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["basis", "product", "decompose",
+                                         "verify", "a2-compare"])
+    def test_csv_refused_before_the_graph_is_read(self, capsys, command):
+        argv = [command, *SUBCOMMANDS[command], "--format", "csv"]
+        if "--graph" in argv:
+            argv[argv.index("--graph") + 1] = "missing.json"
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (
+            2, "", f"error: {command!r} has no CSV form; use json or pretty\n")
+
+    def test_settings_checked_before_csv(self, capsys):
+        code, out, err = run(capsys, "basis", *SUBCOMMANDS["basis"],
+                             "--format", "csv", "--jobs", "0")
+        assert (code, out, err) == (2, "", "error: jobs must be >= 1\n")
+
+    @pytest.mark.parametrize("command", ["pf", "dims", "fused"])
+    def test_csv_commands_read_the_graph(self, capsys, command):
+        code, out, err = run(capsys, command, "--graph", "missing.json",
+                             "--format", "csv")
+        assert (code, out, err) == (2, "", "error: --graph 'missing.json' is neither "
+                                           "a built-in name nor an existing file\n")
+
+
 class TestErrors:
     def test_unknown_graph_exits_two(self, capsys):
         code, _, err = run(capsys, "dims", "--graph", "Z9")
@@ -502,6 +550,19 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert re.fullmatch(r"error: cell 0\|0\|2 of D4: \|Q Q\^T - I\| is \S+ for "
                             r"Q = \[K / sqrt\(c_2\); R\], not within tolerance 1e-09\n", err)
+
+    def test_out_of_memory_exits_one(self, capsys, monkeypatch):
+        from esspath.essential import EssentialSpace
+
+        def exhausted(self, max_length=None):
+            raise MemoryError("Unable to allocate 3.07 GiB for an array with "
+                              "shape (16, 5074, 5074) and data type float64")
+
+        monkeypatch.setattr(EssentialSpace, "dims", exhausted)
+        code, out, err = run(capsys, "dims", "--graph", "E6")
+        assert (code, out) == (1, "")
+        assert err == ("error: out of memory: Unable to allocate 3.07 GiB for an "
+                       "array with shape (16, 5074, 5074) and data type float64\n")
 
     def test_cycle_file_needs_flag(self, capsys, tmp_path):
         path = tmp_path / "tri.json"
